@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import embed, metrics, neural, persist, pipeline, synth, tabular
-from .corpus import Dataset, DatasetError, Submission, load_dataset, save_dataset, split
-from .hybrid import HybridKind, hybrid_fit, hybrid_predict
-from .neural import CnnRegressor, CnnSpec, LstmRegressor, LstmSpec, TrainConfig
+from . import embed, kinds, metrics, persist, pipeline, synth
+from .corpus import DatasetError, Submission, load_dataset, save_dataset, split
+from .neural import TrainConfig
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -88,6 +87,10 @@ def _print_metrics(y, yhat, split_name):
 def cmd_train(args) -> int:
     try:
         ratios = _parse_ratios(args.split)
+        train_cfg = TrainConfig(
+            max_epochs=args.max_epochs, batch_size=args.batch_size,
+            learning_rate=args.learning_rate, patience=args.patience,
+        )
         ds = load_dataset(args.data)
         parts = split(ds, ratios, args.seed)
     except (ValueError, OSError) as exc:
@@ -102,60 +105,31 @@ def cmd_train(args) -> int:
         return _fail(EXIT_USAGE, str(exc))
     y_train = parts.train.scores()
     y_val = parts.validation.scores()
-    grid = None
+    spec = {}
     if args.grid:
         try:
-            grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+            spec["grid"] = json.loads(Path(args.grid).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             return _fail(EXIT_USAGE, f"bad grid file: {exc}")
-    seed = pipeline._model_seed(args.seed, kind)
-    train_cfg = TrainConfig(
-        max_epochs=args.max_epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, patience=args.patience, seed=seed,
-    )
+    data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, train_cfg)
     try:
-        if kind in pipeline.STATISTICAL_KINDS:
-            if grid is None:
-                grid = pipeline.DEFAULT_GRIDS.get(kind)
-            model, params, _ = pipeline.fit_statistical(
-                kind, X_train, y_train, grid, None, seed
-            )
-            print(f"params: {params}")
-        elif kind in pipeline.NEURAL_KINDS:
-            if S_train is None:
-                return _fail(EXIT_USAGE,
-                             "embedding provider supplies no token sequences")
-            if kind == "cnn":
-                model = CnnRegressor(CnnSpec(), provider.seq_len,
-                                     provider.dimension, seed=seed)
-            else:
-                model = LstmRegressor(LstmSpec(), provider.seq_len,
-                                      provider.dimension, seed=seed)
-            history = neural.train(model, S_train, y_train, S_val, y_val, train_cfg)
-            print(f"stopped at epoch {history.stopped_epoch}, "
-                  f"best epoch {history.best_epoch}")
-        else:
-            if S_train is None:
-                return _fail(EXIT_USAGE,
-                             "embedding provider supplies no token sequences")
-            rf_params = tabular.TreeParams(
-                feature_subsample=tabular.RF_DEFAULT_SUBSAMPLE, seed=seed
-            )
-            model, history = hybrid_fit(
-                HybridKind(kind), S_train, y_train, S_val, y_val, train_cfg,
-                rf_params=rf_params, net_seed=seed,
-            )
-            print(f"stopped at epoch {history.stopped_epoch}, "
-                  f"best epoch {history.best_epoch}")
+        trained = kinds.fit(kind, data, args.seed, spec)
+    except kinds.KindError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     except Exception as exc:
         return _fail(EXIT_FIT, f"fit failed: {exc}")
+    if trained.history is None:
+        print(f"params: {trained.params}")
+    else:
+        print(f"stopped at epoch {trained.history.stopped_epoch}, "
+              f"best epoch {trained.history.best_epoch}")
     for split_name, pooled, sequences, y in (
         ("train", X_train, S_train, y_train),
         ("validation", X_val, S_val, y_val),
     ):
-        yhat = pipeline.predict_kind(kind, model, pooled, sequences)
+        yhat = pipeline.predict_kind(kind, trained.model, pooled, sequences)
         _print_metrics(y, yhat, split_name)
-    persist.save_model(args.out, kind, model, provider.config())
+    persist.save_model(args.out, kind, trained.model, provider.config())
     print(f"model written to {args.out}")
     return EXIT_OK
 
@@ -199,7 +173,7 @@ def cmd_experiment(args) -> int:
         return _fail(EXIT_USAGE, str(exc))
     try:
         result = pipeline.run_experiment(cfg)
-    except (DatasetError, pipeline.ConfigError) as exc:
+    except (DatasetError, pipeline.ConfigError, embed.EmbeddingFormatError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     print(f"report written to {cfg.report_path}")
     print(f"curves written to {cfg.curves_path}")
@@ -226,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a single model")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, choices=pipeline.ALL_KINDS)
+    p.add_argument("--model", required=True, choices=list(kinds.KINDS))
     p.add_argument("--embedding", choices=["tfidf", "external"], default="tfidf")
     p.add_argument("--vectors", help="JSON-Lines vector file for --embedding external")
     p.add_argument("--dim", type=int, default=embed.DEFAULT_TFIDF_DIM)

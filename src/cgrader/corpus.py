@@ -53,7 +53,6 @@ class SplitDataset:
     train: Dataset
     validation: Dataset
     test: Dataset
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:
     train, val, test = (
         Dataset(tuple(ds.rows[i] for i in idx)) for idx in parts
     )
-    return SplitDataset(train, val, test, seed)
+    return SplitDataset(train, val, test)
 
 
 def dataset_stats(ds: Dataset) -> DatasetStats:

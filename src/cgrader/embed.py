@@ -100,16 +100,6 @@ def tfidf_embed(model: TfIdfModel, code: str) -> Embedding:
     return Embedding(pooled, sequence, model.d, model.L)
 
 
-def pool(sequence: np.ndarray) -> np.ndarray:
-    """Column-wise mean over non-padding (not-all-zero) rows."""
-    if sequence.ndim != 2 or sequence.shape[0] < 1:
-        raise ValueError("pool expects an L x d matrix with L >= 1")
-    live = np.any(sequence != 0, axis=1)
-    if not live.any():
-        return np.zeros(sequence.shape[1])
-    return sequence[live].mean(axis=0)
-
-
 class TfIdfProvider:
     """Deterministic hashed TF-IDF embeddings fitted on a token corpus."""
 
@@ -179,8 +169,11 @@ class ExternalProvider:
         return {"provider": "external", "path": self.path, "L": self.seq_len}
 
 
+_EXTERNAL_KEYS = ("id", "pooled", "sequence")
+
+
 def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalProvider:
-    """Load `{"id", "pooled", "tokens"?}` JSON-Lines vectors."""
+    """Load `{"id", "pooled", "sequence"?}` JSON-Lines vectors; other keys are rejected."""
     table: dict[str, Embedding] = {}
     d = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,6 +190,12 @@ def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalPr
                 raise EmbeddingFormatError(
                     f"{path}: line {line_num}: object must have 'id' and 'pooled'"
                 )
+            unknown = sorted(key for key in obj if key not in _EXTERNAL_KEYS)
+            if unknown:
+                raise EmbeddingFormatError(
+                    f"{path}: line {line_num}: unknown key(s) {unknown}; allowed "
+                    f"keys are 'id', 'pooled' and 'sequence' (per-token vectors)"
+                )
             pooled = np.asarray(obj["pooled"], dtype=np.float64)
             if d is None:
                 d = int(pooled.shape[0]) if pooled.ndim == 1 else -1
@@ -206,11 +205,11 @@ def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalPr
                     f"{pooled.shape}, expected ({d},)"
                 )
             sequence = None
-            if "tokens" in obj and obj["tokens"] is not None:
-                rows = np.asarray(obj["tokens"], dtype=np.float64)
+            if obj.get("sequence") is not None:
+                rows = np.asarray(obj["sequence"], dtype=np.float64)
                 if rows.ndim != 2 or rows.shape[1] != d:
                     raise EmbeddingFormatError(
-                        f"{path}: line {line_num}: token rows must be x-by-{d}"
+                        f"{path}: line {line_num}: sequence rows must be x-by-{d}"
                     )
                 sequence = np.zeros((seq_len, d))
                 keep = min(seq_len, rows.shape[0])

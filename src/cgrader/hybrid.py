@@ -1,7 +1,7 @@
 """Neural feature extractor + random forest head.
 
-The net is trained end-to-end first (the forest alone provides no gradient
-signal), then its dense head is discarded: the forest is fitted on the
+The net is trained on its own first (the forest alone provides no gradient
+signal); its dense head is then ignored and the forest is fitted on the
 frozen intermediate features — the CNN's flatten output or the LSTM's final
 hidden state.
 """
@@ -9,59 +9,36 @@ hidden state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from . import neural
-from .neural import CnnRegressor, CnnSpec, LstmRegressor, LstmSpec, TrainConfig
-from .tabular import ForestModel, TreeParams, rf_fit, rf_predict
-
-
-class HybridKind(Enum):
-    CNN_RF = "cnn_rf"
-    LSTM_RF = "lstm_rf"
+from . import tabular
+from .neural import CnnRegressor, LstmRegressor
+from .tabular import ForestModel, TreeParams
 
 
 @dataclass
 class HybridModel:
-    kind: HybridKind
     feature_net: CnnRegressor | LstmRegressor
     head: ForestModel
 
 
-def build_net(kind: HybridKind, seq_len: int, dim: int, seed: int,
-              spec=None):
-    if kind is HybridKind.CNN_RF:
-        return CnnRegressor(spec or CnnSpec(), seq_len, dim, seed=seed)
-    return LstmRegressor(spec or LstmSpec(), seq_len, dim, seed=seed)
-
-
 def hybrid_fit(
-    kind: HybridKind,
+    net: CnnRegressor | LstmRegressor,
     X_train: np.ndarray,
     y_train: np.ndarray,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
-    train_cfg: TrainConfig,
     rf_params: TreeParams | None = None,
     n_trees: int = 100,
-    net_spec=None,
-    net_seed: int = 0,
-) -> tuple[HybridModel, neural.TrainingHistory]:
-    net = build_net(kind, X_train.shape[1], X_train.shape[2], net_seed, net_spec)
-    try:
-        history = neural.train(net, X_train, y_train, X_val, y_val, train_cfg)
-    except Exception as exc:
-        raise RuntimeError(f"{kind.value}: feature-net training failed: {exc}") from exc
+) -> HybridModel:
+    """Fit a forest head on the features of the trained `net`, which stays as it is."""
     try:
         features = net.features(X_train)
-        head = rf_fit(features, y_train, n_trees=n_trees, params=rf_params)
+        head = tabular.rf_fit(features, y_train, n_trees=n_trees, params=rf_params)
     except Exception as exc:
-        raise RuntimeError(f"{kind.value}: forest head fit failed: {exc}") from exc
-    return HybridModel(kind, net, head), history
+        raise RuntimeError(f"forest head fit failed: {exc}") from exc
+    return HybridModel(net, head)
 
 
 def hybrid_predict(model: HybridModel, X: np.ndarray) -> np.ndarray:
     features = model.feature_net.features(X)
-    return rf_predict(model.head, features)
+    return tabular.rf_predict(model.head, features)

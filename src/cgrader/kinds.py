@@ -1,0 +1,271 @@
+"""The eight model kinds: how each one is fitted, predicts and is serialized.
+
+`KINDS` is ordered as the report lists the kinds; the order also derives each
+kind's seed (`model_seed`). Every entry calls the layer functions through
+their module at call time (`tabular.rf_fit(...)`), never through a reference
+taken at import, so rebinding a module attribute (a profiler, a test double)
+reaches every call.
+
+The hybrids own no net: `cnn_rf` and `lstm_rf` fit their forest head on the
+features of the `cnn`/`lstm` net of the same run.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import hybrid, neural, tabular
+
+CV_FOLDS = 5
+
+
+class KindError(ValueError):
+    """A kind cannot be fitted on the inputs it was given."""
+
+
+@dataclass(frozen=True)
+class TrainData:
+    """The training inputs of one run, shared by every kind."""
+
+    pooled: np.ndarray  # (N, d)
+    sequences: np.ndarray | None  # (N, L, d); None when the provider has none
+    y: np.ndarray
+    val_sequences: np.ndarray | None
+    y_val: np.ndarray
+    train: neural.TrainConfig  # net settings; each net runs under its kind's seed
+
+
+@dataclass
+class Fitted:
+    model: object
+    params: dict | None = None  # chosen hyperparameters of a pooled-vector kind
+    history: neural.TrainingHistory | None = None  # the net's curve (nets, hybrids)
+
+
+@dataclass(frozen=True)
+class Kind:
+    name: str
+    fit: Callable  # (TrainData, config entry, seed, base net's Fitted) -> Fitted
+    predict: Callable  # (model, pooled, sequences) -> scores
+    to_state: Callable  # model -> (params, state) of its JSON document
+    from_state: Callable  # (params, state) -> model
+    sequences: bool = False  # needs token sequences
+    grid: dict | None = None  # default CV grid
+    base: str | None = None  # hybrids: the net kind whose features feed the head
+
+
+# ---------------------------------------------------------------------------
+# Pooled-vector kinds: k-fold grid search, then a refit on the whole split
+
+
+def _pooled(name, fit, predict, to_state, from_state, grid) -> Kind:
+    """`fit(X, y, params, seed)` and `predict(model, X)` work on pooled vectors."""
+
+    def fit_kind(data, spec, seed, base):
+        params = dict(spec.get("params") or {})
+        chosen_grid = spec.get("grid", grid)
+        if chosen_grid:
+            search = tabular.grid_search_cv(
+                lambda X, y, p: fit(X, y, p, seed), predict, chosen_grid,
+                data.pooled, data.y, k=CV_FOLDS, seed=seed,
+            )
+            params.update(search.best_params)
+        return Fitted(fit(data.pooled, data.y, params, seed), params=params)
+
+    return Kind(name, fit_kind, lambda model, pooled, sequences: predict(model, pooled),
+                to_state, from_state, grid=grid)
+
+
+def _rf_fit(X, y, p, seed):
+    params = tabular.TreeParams(
+        max_depth=p.get("max_depth"),
+        min_samples_split=p.get("min_samples_split", 2),
+        min_samples_leaf=p.get("min_samples_leaf", 1),
+        feature_subsample=p.get("feature_subsample", tabular.RF_DEFAULT_SUBSAMPLE),
+        seed=seed,
+    )
+    return tabular.rf_fit(X, y, n_trees=p.get("n_trees", 100), params=params,
+                          bootstrap=p.get("bootstrap", True))
+
+
+def _gbt_fit(X, y, p, seed):
+    return tabular.gbt_fit(
+        X, y,
+        n_rounds=p.get("n_rounds", 100),
+        learning_rate=p.get("learning_rate", 0.1),
+        max_depth=p.get("max_depth", 3),
+        leaf_l2=p.get("leaf_l2", 1.0),
+        seed=seed,
+    )
+
+
+def _tree_to_dict(node: tabular.TreeNode) -> dict:
+    if node.is_leaf:
+        return {"leaf": node.value}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": _tree_to_dict(node.left),
+        "right": _tree_to_dict(node.right),
+    }
+
+
+def _tree_from_dict(doc: dict) -> tabular.TreeNode:
+    if "leaf" in doc:
+        return tabular.TreeNode(value=doc["leaf"])
+    return tabular.TreeNode(
+        feature=doc["feature"],
+        threshold=doc["threshold"],
+        left=_tree_from_dict(doc["left"]),
+        right=_tree_from_dict(doc["right"]),
+    )
+
+
+def _forest_to_state(model: tabular.ForestModel):
+    params = {"n_trees": model.n_trees, "bootstrap": model.bootstrap,
+              **dataclasses.asdict(model.tree_params)}
+    return params, {"trees": [_tree_to_dict(t) for t in model.trees]}
+
+
+def _forest_from_state(params, state) -> tabular.ForestModel:
+    tree_params = tabular.TreeParams(
+        max_depth=params["max_depth"],
+        min_samples_split=params["min_samples_split"],
+        min_samples_leaf=params["min_samples_leaf"],
+        feature_subsample=params["feature_subsample"],
+        seed=params["seed"],
+    )
+    trees = [_tree_from_dict(t) for t in state["trees"]]
+    return tabular.ForestModel(trees, params["n_trees"], tree_params, params["bootstrap"])
+
+
+def _gbt_to_state(model: tabular.GbtModel):
+    params = {"n_rounds": model.n_rounds, "learning_rate": model.learning_rate,
+              "leaf_l2": model.leaf_l2}
+    return params, {"base": model.base, "trees": [_tree_to_dict(t) for t in model.trees]}
+
+
+def _gbt_from_state(params, state) -> tabular.GbtModel:
+    return tabular.GbtModel(
+        state["base"],
+        [_tree_from_dict(t) for t in state["trees"]],
+        params["learning_rate"],
+        params["n_rounds"],
+        params["leaf_l2"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Sequence kinds: the nets, and the forest heads on their features
+
+
+def _net(name, net_cls, spec_cls) -> Kind:
+    def fit(data, spec, seed, base):
+        net = net_cls(spec_cls(), data.sequences.shape[1], data.sequences.shape[2],
+                      seed=seed)
+        history = neural.train(net, data.sequences, data.y, data.val_sequences,
+                               data.y_val, dataclasses.replace(data.train, seed=seed))
+        return Fitted(net, history=history)
+
+    def from_state(params, state):
+        p = dict(params)
+        seq_len, dim = p.pop("seq_len"), p.pop("dim")
+        net = net_cls(spec_cls(**p), seq_len, dim)
+        for key, blob in state.items():
+            net.params[key] = np.asarray(blob["data"], dtype=np.float64).reshape(
+                blob["shape"])
+        return net
+
+    return Kind(name, fit, _net_predict, _net_to_state, from_state, sequences=True)
+
+
+def _net_predict(model, pooled, sequences):
+    return np.clip(model.predict(sequences), 0.0, 10.0)
+
+
+def _net_to_state(net):
+    params = {**dataclasses.asdict(net.spec), "seq_len": net.seq_len, "dim": net.dim}
+    state = {key: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+             for key, arr in net.params.items()}
+    return params, state
+
+
+def _hybrid(name, base) -> Kind:
+    def fit(data, spec, seed, base_fit):
+        params = tabular.TreeParams(feature_subsample=tabular.RF_DEFAULT_SUBSAMPLE,
+                                    seed=seed)
+        model = hybrid.hybrid_fit(base_fit.model, data.sequences, data.y,
+                                  rf_params=params)
+        return Fitted(model, history=base_fit.history)
+
+    def to_state(model):
+        net_params, net_state = KINDS[base].to_state(model.feature_net)
+        head_params, head_state = _forest_to_state(model.head)
+        return {}, {"net": {"params": net_params, "state": net_state},
+                    "head": {"params": head_params, "state": head_state}}
+
+    def from_state(params, state):
+        net = KINDS[base].from_state(state["net"]["params"], state["net"]["state"])
+        head = _forest_from_state(state["head"]["params"], state["head"]["state"])
+        return hybrid.HybridModel(net, head)
+
+    return Kind(name, fit,
+                lambda model, pooled, sequences: hybrid.hybrid_predict(model, sequences),
+                to_state, from_state, sequences=True, base=base)
+
+
+KINDS: dict[str, Kind] = {kind.name: kind for kind in (
+    _pooled("rf", _rf_fit, lambda model, X: tabular.rf_predict(model, X),
+            _forest_to_state, _forest_from_state,
+            grid={"max_depth": [None, 8], "min_samples_split": [2, 4],
+                  "min_samples_leaf": [1, 2]}),
+    _pooled("ridge",
+            lambda X, y, p, seed: tabular.ridge_fit(X, y, lam=p.get("lambda", 1.0)),
+            lambda model, X: tabular.ridge_predict(model, X),
+            lambda m: ({"lambda": m.lam}, {"weights": m.weights.tolist(), "bias": m.bias}),
+            lambda p, s: tabular.RidgeModel(np.asarray(s["weights"]), s["bias"],
+                                            p["lambda"]),
+            grid={"lambda": [0.1, 1.0, 10.0]}),
+    _pooled("gbt", _gbt_fit, lambda model, X: tabular.gbt_predict(model, X),
+            _gbt_to_state, _gbt_from_state,
+            grid={"n_rounds": [100], "learning_rate": [0.1], "max_depth": [3]}),
+    _pooled("knn",
+            lambda X, y, p, seed: tabular.knn_fit(X, y, k=p.get("k", 5)),
+            lambda model, X: tabular.knn_predict(model, X),
+            lambda m: ({"k": m.k}, {"X": m.X.tolist(), "y": m.y.tolist()}),
+            lambda p, s: tabular.KnnModel(np.asarray(s["X"]), np.asarray(s["y"]), p["k"]),
+            grid={"k": [3, 5, 7]}),
+    _net("cnn", neural.CnnRegressor, neural.CnnSpec),
+    _net("lstm", neural.LstmRegressor, neural.LstmSpec),
+    _hybrid("cnn_rf", "cnn"),
+    _hybrid("lstm_rf", "lstm"),
+)}
+
+
+def model_seed(base_seed: int, name: str) -> int:
+    """The seed of kind `name`, from the run seed and the kind's place in KINDS."""
+    index = list(KINDS).index(name)
+    return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
+
+
+def fit(name: str, data: TrainData, base_seed: int, spec: dict | None = None,
+        fitted: dict | None = None) -> Fitted:
+    """Fit kind `name` under its own seed.
+
+    `spec` is the kind's config entry ({"grid", "params"}). A hybrid takes its
+    base net from `fitted` (kind -> Fitted of this run) and trains that net
+    first, under the net's own seed, when it is absent.
+    """
+    kind = KINDS[name]
+    if kind.sequences and data.sequences is None:
+        raise KindError("embedding provider supplies no token sequences")
+    base = None
+    if kind.base is not None:
+        base = (fitted or {}).get(kind.base)
+        if base is None:
+            base = fit(kind.base, data, base_seed)
+    return kind.fit(data, spec or {}, model_seed(base_seed, name), base)

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MODEL_ORDER = ["rf", "ridge", "gbt", "knn", "cnn", "lstm", "cnn_rf", "lstm_rf"]
 REPORT_COLUMNS = ["model", "split", "rmse", "mae", "r2", "mape"]
 
 
@@ -38,13 +37,16 @@ def mae(y, yhat) -> float:
 
 
 def mape(y, yhat) -> float:
-    """Mean absolute percentage error, in percent. Targets must be nonzero."""
+    """Mean absolute percentage error, in percent, over the nonzero targets.
+
+    A 0 score has no relative error, so its rows are left out of the mean;
+    NaN when every target is 0.
+    """
     y, yhat = _pair(y, yhat)
-    if np.any(y == 0):
-        raise MetricError(
-            "MAPE undefined for zero targets; valid grades never hit zero, "
-            "so this input is corrupt"
-        )
+    nonzero = y != 0
+    if not nonzero.any():
+        return math.nan
+    y, yhat = y[nonzero], yhat[nonzero]
     return 100.0 * float(np.mean(np.abs(y - yhat) / np.abs(y)))
 
 
@@ -91,22 +93,23 @@ def evaluate(y, yhat, model_name: str, split_name: str) -> MetricsRow:
     )
 
 
-def _order_key(row: MetricsRow):
-    model_rank = (
-        MODEL_ORDER.index(row.model_name)
-        if row.model_name in MODEL_ORDER
-        else len(MODEL_ORDER)
-    )
-    split_rank = 0 if row.split_name == "train" else 1
-    return (model_rank, row.model_name, split_rank)
-
-
 def render_report(report: Report) -> str:
-    """CSV with a fixed model order and 4-decimal values."""
+    """CSV in the model order of `kinds.KINDS`, with 4-decimal values."""
+    # Imported here: kinds imports tabular, which imports this module.
+    from .kinds import KINDS
+
+    order = list(KINDS)
+
+    def order_key(row: MetricsRow):
+        model_rank = (order.index(row.model_name) if row.model_name in KINDS
+                      else len(order))
+        split_rank = 0 if row.split_name == "train" else 1
+        return (model_rank, row.model_name, split_rank)
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for row in sorted(report.rows, key=_order_key):
+    for row in sorted(report.rows, key=order_key):
         writer.writerow(
             [
                 row.model_name,

@@ -391,7 +391,3 @@ def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHi
                 break
     model.params = best_params
     return history
-
-
-def extract_features(model, X) -> np.ndarray:
-    return model.features(X)

@@ -1,8 +1,9 @@
 """Versioned JSON persistence for every fitted model kind.
 
 Document shape: {"format_version": 1, "model": kind, "embedding": provider
-config, "params": hyperparameters, "state": fitted state}. Trees serialize
-as nested {"feature", "threshold", "left", "right"} / {"leaf"} nodes.
+config, "params": hyperparameters, "state": fitted state}. Each kind's
+params and state come from its `kinds.KINDS` entry; trees serialize as nested
+{"feature", "threshold", "left", "right"} / {"leaf"} nodes.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
-from . import embed, neural, tabular
-from .hybrid import HybridKind, HybridModel
+from . import embed
+from .kinds import KINDS
 
 FORMAT_VERSION = 1
 
@@ -23,141 +22,12 @@ class PersistError(ValueError):
     pass
 
 
-def _tree_to_dict(node: tabular.TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(doc: dict) -> tabular.TreeNode:
-    if "leaf" in doc:
-        return tabular.TreeNode(value=doc["leaf"])
-    return tabular.TreeNode(
-        feature=doc["feature"],
-        threshold=doc["threshold"],
-        left=_tree_from_dict(doc["left"]),
-        right=_tree_from_dict(doc["right"]),
-    )
-
-
-def _tree_params_to_dict(p: tabular.TreeParams) -> dict:
-    return {
-        "max_depth": p.max_depth,
-        "min_samples_split": p.min_samples_split,
-        "min_samples_leaf": p.min_samples_leaf,
-        "feature_subsample": p.feature_subsample,
-        "seed": p.seed,
-    }
-
-
-def _net_state(net) -> dict:
-    return {
-        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-        for name, arr in net.params.items()
-    }
-
-
-def _load_net_state(net, state: dict):
-    for name, blob in state.items():
-        net.params[name] = np.asarray(blob["data"], dtype=np.float64).reshape(
-            blob["shape"]
-        )
-
-
-def _net_to_dict(kind: str, net) -> dict:
-    if kind == "cnn":
-        spec = net.spec
-        params = {
-            "conv_filters": spec.conv_filters,
-            "kernel_size": spec.kernel_size,
-            "stride": spec.stride,
-            "pool_size": spec.pool_size,
-            "dense_units": spec.dense_units,
-        }
-    else:
-        spec = net.spec
-        params = {
-            "units": spec.units,
-            "dropout": spec.dropout,
-            "recurrent_dropout": spec.recurrent_dropout,
-            "dense_units": spec.dense_units,
-        }
-    params["seq_len"] = net.seq_len
-    params["dim"] = net.dim
-    return {"params": params, "state": _net_state(net)}
-
-
-def _net_from_dict(kind: str, doc: dict):
-    p = dict(doc["params"])
-    seq_len = p.pop("seq_len")
-    dim = p.pop("dim")
-    if kind == "cnn":
-        net = neural.CnnRegressor(neural.CnnSpec(**p), seq_len, dim)
-    else:
-        net = neural.LstmRegressor(neural.LstmSpec(**p), seq_len, dim)
-    _load_net_state(net, doc["state"])
-    return net
-
-
 def model_to_doc(kind: str, model, embedding_config: dict) -> dict:
-    doc = {"format_version": FORMAT_VERSION, "model": kind,
-           "embedding": embedding_config}
-    if kind == "rf":
-        doc["params"] = {
-            "n_trees": model.n_trees,
-            "bootstrap": model.bootstrap,
-            **_tree_params_to_dict(model.tree_params),
-        }
-        doc["state"] = {"trees": [_tree_to_dict(t) for t in model.trees]}
-    elif kind == "ridge":
-        doc["params"] = {"lambda": model.lam}
-        doc["state"] = {"weights": model.weights.tolist(), "bias": model.bias}
-    elif kind == "knn":
-        doc["params"] = {"k": model.k}
-        doc["state"] = {"X": model.X.tolist(), "y": model.y.tolist()}
-    elif kind == "gbt":
-        doc["params"] = {
-            "n_rounds": model.n_rounds,
-            "learning_rate": model.learning_rate,
-            "leaf_l2": model.leaf_l2,
-        }
-        doc["state"] = {
-            "base": model.base,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
-    elif kind in ("cnn", "lstm"):
-        net_doc = _net_to_dict(kind, model)
-        doc["params"] = net_doc["params"]
-        doc["state"] = net_doc["state"]
-    elif kind in ("cnn_rf", "lstm_rf"):
-        net_kind = "cnn" if kind == "cnn_rf" else "lstm"
-        head_doc = model_to_doc("rf", model.head, {})
-        doc["params"] = {}
-        doc["state"] = {
-            "net": _net_to_dict(net_kind, model.feature_net),
-            "head": {"params": head_doc["params"], "state": head_doc["state"]},
-        }
-    else:
+    if kind not in KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
-    return doc
-
-
-def _forest_from_doc(params: dict, state: dict) -> tabular.ForestModel:
-    tree_params = tabular.TreeParams(
-        max_depth=params["max_depth"],
-        min_samples_split=params["min_samples_split"],
-        min_samples_leaf=params["min_samples_leaf"],
-        feature_subsample=params["feature_subsample"],
-        seed=params["seed"],
-    )
-    trees = [_tree_from_dict(t) for t in state["trees"]]
-    return tabular.ForestModel(trees, params["n_trees"], tree_params,
-                               params["bootstrap"])
+    params, state = KINDS[kind].to_state(model)
+    return {"format_version": FORMAT_VERSION, "model": kind,
+            "embedding": embedding_config, "params": params, "state": state}
 
 
 def model_from_doc(doc: dict):
@@ -167,35 +37,9 @@ def model_from_doc(doc: dict):
             f"unsupported format_version {doc.get('format_version')!r}"
         )
     kind = doc["model"]
-    params, state = doc.get("params", {}), doc.get("state", {})
-    if kind == "rf":
-        model = _forest_from_doc(params, state)
-    elif kind == "ridge":
-        model = tabular.RidgeModel(
-            np.asarray(state["weights"]), state["bias"], params["lambda"]
-        )
-    elif kind == "knn":
-        model = tabular.KnnModel(
-            np.asarray(state["X"]), np.asarray(state["y"]), params["k"]
-        )
-    elif kind == "gbt":
-        model = tabular.GbtModel(
-            state["base"],
-            [_tree_from_dict(t) for t in state["trees"]],
-            params["learning_rate"],
-            params["n_rounds"],
-            params["leaf_l2"],
-        )
-    elif kind in ("cnn", "lstm"):
-        model = _net_from_dict(kind, {"params": params, "state": state})
-    elif kind in ("cnn_rf", "lstm_rf"):
-        net_kind = "cnn" if kind == "cnn_rf" else "lstm"
-        net = _net_from_dict(net_kind, state["net"])
-        head = _forest_from_doc(state["head"]["params"], state["head"]["state"])
-        hybrid_kind = HybridKind.CNN_RF if kind == "cnn_rf" else HybridKind.LSTM_RF
-        model = HybridModel(hybrid_kind, net, head)
-    else:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
+    model = KINDS[kind].from_state(doc.get("params", {}), doc.get("state", {}))
     return kind, model, doc.get("embedding", {})
 
 
@@ -223,9 +67,9 @@ def load_model(path):
 
 
 def provider_from_config(cfg: dict):
-    kind = cfg.get("provider")
-    if kind == "tfidf":
+    provider = cfg.get("provider")
+    if provider == "tfidf":
         return embed.TfIdfProvider.from_config(cfg)
-    if kind == "external":
+    if provider == "external":
         return embed.load_external_embeddings(cfg["path"], seq_len=cfg.get("L", embed.DEFAULT_SEQ_LEN))
-    raise PersistError(f"unknown embedding provider {kind!r}")
+    raise PersistError(f"unknown embedding provider {provider!r}")

@@ -1,8 +1,9 @@
 """End-to-end experiment wiring: split, embed, tune, fit, evaluate, persist.
 
-One shared split feeds all eight model kinds so the report compares like
-with like. Statistical models tune on 5-fold CV inside the training split;
-neural models early-stop on the validation split.
+One shared split feeds all eight model kinds (`kinds.KINDS`) so the report
+compares like with like. Statistical models tune on 5-fold CV inside the
+training split; neural models early-stop on the validation split, and the
+hybrids fit their forest heads on the features of this run's CNN and LSTM.
 """
 
 from __future__ import annotations
@@ -14,26 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import embed, metrics, neural, persist, tabular
-from .corpus import Dataset, SplitDataset, load_dataset, split
-from .hybrid import HybridKind, HybridModel, hybrid_fit, hybrid_predict
-from .neural import CnnRegressor, CnnSpec, LstmRegressor, LstmSpec, TrainConfig
-
-STATISTICAL_KINDS = ["rf", "ridge", "gbt", "knn"]
-NEURAL_KINDS = ["cnn", "lstm"]
-HYBRID_KINDS = ["cnn_rf", "lstm_rf"]
-ALL_KINDS = STATISTICAL_KINDS + NEURAL_KINDS + HYBRID_KINDS
-
-DEFAULT_GRIDS = {
-    "rf": {
-        "max_depth": [None, 8],
-        "min_samples_split": [2, 4],
-        "min_samples_leaf": [1, 2],
-    },
-    "ridge": {"lambda": [0.1, 1.0, 10.0]},
-    "knn": {"k": [3, 5, 7]},
-    "gbt": {"n_rounds": [100], "learning_rate": [0.1], "max_depth": [3]},
-}
+from . import embed, kinds, metrics, persist
+from .corpus import Dataset, load_dataset, split
+from .neural import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -80,7 +64,7 @@ class ExperimentConfig:
             "train",
         )
         models = doc.get("models", {})
-        check_keys(models, set(ALL_KINDS), "models")
+        check_keys(models, kinds.KINDS, "models")
         grids = {}
         for kind, spec in models.items():
             check_keys(spec, {"grid", "params"}, f"models.{kind}")
@@ -146,40 +130,14 @@ def embed_dataset(provider, ds: Dataset):
     return pooled, sequences if have_sequences else None
 
 
-def _model_seed(base_seed: int, kind: str) -> int:
-    index = ALL_KINDS.index(kind)
-    return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
-
-
-def fit_statistical(kind: str, X, y, grid: dict | None, fixed: dict | None,
-                    seed: int, cv_folds: int = 5):
-    """Grid-search (if a grid is given) then fit on the full training split."""
-    params = dict(fixed or {})
-    search = None
-    if grid:
-        search = tabular.grid_search_cv(kind, grid, X, y, k=cv_folds, seed=seed)
-        params.update(search.best_params)
-    fit, _ = tabular._family_fns(kind, seed)
-    return fit(X, y, params), params, search
-
-
-def predict_statistical(kind: str, model, X):
-    _, predict = tabular._family_fns(kind, 0)
-    return predict(model, X)
-
-
 def predict_kind(kind: str, model, pooled, sequences):
-    if kind in STATISTICAL_KINDS:
-        return predict_statistical(kind, model, pooled)
-    if kind in NEURAL_KINDS:
-        return np.clip(model.predict(sequences), 0.0, 10.0)
-    return hybrid_predict(model, sequences)
+    return kinds.KINDS[kind].predict(model, pooled, sequences)
 
 
 @dataclass
 class ExperimentResult:
     report: metrics.Report
-    histories: dict  # kind -> TrainingHistory
+    histories: dict  # kind -> TrainingHistory (a hybrid holds its net's)
     errors: dict  # kind -> message
     report_text: str = ""
     curves_text: str = ""
@@ -189,7 +147,7 @@ def render_curves(histories: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["model", "epoch", "train_loss", "val_loss"])
-    for kind in NEURAL_KINDS + HYBRID_KINDS:
+    for kind in kinds.KINDS:
         history = histories.get(kind)
         if history is None:
             continue
@@ -210,7 +168,7 @@ def render_report_with_errors(report: metrics.Report, errors: dict) -> str:
     by_model = {}
     for row in report.rows:
         by_model.setdefault(row.model_name, {})[row.split_name] = row
-    for kind in metrics.MODEL_ORDER:
+    for kind in kinds.KINDS:
         if kind in errors:
             writer.writerow([kind, "", "", "", "", "", errors[kind]])
             continue
@@ -243,82 +201,31 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     report = metrics.Report(
         metadata={"data": cfg.data, "seed": cfg.seed}
     )
-    histories: dict = {}
+    data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, cfg.train)
+    fitted: dict = {}
     errors: dict = {}
     emb_config = provider.config()
 
-    def record(kind, model, predict):
-        for split_name, pooled, sequences, y in (
-            ("train", X_train, S_train, y_train),
-            ("test", X_test, S_test, y_test),
-        ):
-            yhat = predict(model, pooled, sequences)
-            report.add(metrics.evaluate(y, yhat, kind, split_name))
-        persist.save_model(
-            os.path.join(cfg.models_dir, f"{kind}.json"), kind, model, emb_config
-        )
-
-    for kind in STATISTICAL_KINDS:
-        model_cfg = cfg.grids.get(kind, {})
-        grid = model_cfg.get("grid", DEFAULT_GRIDS.get(kind))
-        fixed = model_cfg.get("params")
+    for name, kind in kinds.KINDS.items():
         try:
-            model, _, _ = fit_statistical(
-                kind, X_train, y_train, grid, fixed, _model_seed(cfg.seed, kind)
-            )
-            record(kind, model, lambda m, p, s, k=kind: predict_kind(k, m, p, s))
+            if kind.base in errors:
+                raise kinds.KindError(
+                    f"base net {kind.base} failed: {errors[kind.base]}")
+            trained = kinds.fit(name, data, cfg.seed, cfg.grids.get(name), fitted)
+            fitted[name] = trained
+            for split_name, pooled, sequences, y in (
+                ("train", X_train, S_train, y_train),
+                ("test", X_test, S_test, y_test),
+            ):
+                yhat = predict_kind(name, trained.model, pooled, sequences)
+                report.add(metrics.evaluate(y, yhat, name, split_name))
+            persist.save_model(os.path.join(cfg.models_dir, f"{name}.json"), name,
+                               trained.model, emb_config)
         except Exception as exc:
-            errors[kind] = str(exc)
+            errors[name] = str(exc)
 
-    if S_train is None:
-        for kind in NEURAL_KINDS + HYBRID_KINDS:
-            errors[kind] = "embedding provider supplies no token sequences"
-    else:
-        for kind in NEURAL_KINDS:
-            try:
-                net_seed = _model_seed(cfg.seed, kind)
-                if kind == "cnn":
-                    net = CnnRegressor(CnnSpec(), provider.seq_len,
-                                       provider.dimension, seed=net_seed)
-                else:
-                    net = LstmRegressor(LstmSpec(), provider.seq_len,
-                                        provider.dimension, seed=net_seed)
-                train_cfg = TrainConfig(
-                    max_epochs=cfg.train.max_epochs,
-                    batch_size=cfg.train.batch_size,
-                    learning_rate=cfg.train.learning_rate,
-                    patience=cfg.train.patience,
-                    seed=net_seed,
-                )
-                histories[kind] = neural.train(
-                    net, S_train, y_train, S_val, y_val, train_cfg
-                )
-                record(kind, net, lambda m, p, s, k=kind: predict_kind(k, m, p, s))
-            except Exception as exc:
-                errors[kind] = str(exc)
-        for kind in HYBRID_KINDS:
-            try:
-                net_seed = _model_seed(cfg.seed, kind)
-                train_cfg = TrainConfig(
-                    max_epochs=cfg.train.max_epochs,
-                    batch_size=cfg.train.batch_size,
-                    learning_rate=cfg.train.learning_rate,
-                    patience=cfg.train.patience,
-                    seed=net_seed,
-                )
-                hybrid_kind = HybridKind(kind)
-                rf_params = tabular.TreeParams(
-                    feature_subsample=tabular.RF_DEFAULT_SUBSAMPLE, seed=net_seed
-                )
-                model, history = hybrid_fit(
-                    hybrid_kind, S_train, y_train, S_val, y_val, train_cfg,
-                    rf_params=rf_params, net_seed=net_seed,
-                )
-                histories[kind] = history
-                record(kind, model, lambda m, p, s, k=kind: predict_kind(k, m, p, s))
-            except Exception as exc:
-                errors[kind] = str(exc)
-
+    histories = {name: trained.history for name, trained in fitted.items()
+                 if trained.history is not None}
     result = ExperimentResult(report, histories, errors)
     result.report_text = render_report_with_errors(report, errors)
     result.curves_text = render_curves(histories)

@@ -48,7 +48,6 @@ VALID_KIND_SETS: tuple[frozenset[MutationKind], ...] = (
 @dataclass(frozen=True)
 class MutationPlan:
     kinds: frozenset[MutationKind]
-    seed: int = 0
 
     def __post_init__(self):
         if frozenset(self.kinds) not in VALID_KIND_SETS:
@@ -296,12 +295,3 @@ def synthesize_with_plans(
         rows.append(Submission(f"{seed.id}_{i:05d}", mutated, score))
         plans.append(kinds)
     return Dataset(tuple(rows)), plans
-
-
-def synthesize(
-    seeds: list[Submission],
-    count: int,
-    rubric: Rubric,
-    rng: np.random.Generator,
-) -> Dataset:
-    return synthesize_with_plans(seeds, count, rubric, rng)[0]

@@ -338,45 +338,15 @@ class GridSearchResult:
     table: list = field(default_factory=list)  # (params, fold_rmses, mean_rmse)
 
 
-def _family_fns(family: str, seed: int):
-    if family == "rf":
-        def fit(X, y, p):
-            params = TreeParams(
-                max_depth=p.get("max_depth"),
-                min_samples_split=p.get("min_samples_split", 2),
-                min_samples_leaf=p.get("min_samples_leaf", 1),
-                feature_subsample=p.get("feature_subsample", RF_DEFAULT_SUBSAMPLE),
-                seed=seed,
-            )
-            return rf_fit(X, y, n_trees=p.get("n_trees", 100), params=params,
-                          bootstrap=p.get("bootstrap", True))
-        return fit, rf_predict
-    if family == "ridge":
-        return (lambda X, y, p: ridge_fit(X, y, lam=p.get("lambda", 1.0)),
-                ridge_predict)
-    if family == "knn":
-        return lambda X, y, p: knn_fit(X, y, k=p.get("k", 5)), knn_predict
-    if family == "gbt":
-        def fit(X, y, p):
-            return gbt_fit(
-                X, y,
-                n_rounds=p.get("n_rounds", 100),
-                learning_rate=p.get("learning_rate", 0.1),
-                max_depth=p.get("max_depth", 3),
-                leaf_l2=p.get("leaf_l2", 1.0),
-                seed=seed,
-            )
-        return fit, gbt_predict
-    raise FitError(f"unknown model family {family!r}")
-
-
-def grid_search_cv(family: str, grid: dict[str, list], X, y,
+def grid_search_cv(fit, predict, grid: dict[str, list], X, y,
                    k: int = 5, seed: int = 0) -> GridSearchResult:
-    """Exhaustive grid over k-fold mean RMSE; ties keep earliest grid order."""
+    """Exhaustive grid over k-fold mean RMSE; ties keep earliest grid order.
+
+    `fit(X, y, params)` returns a model and `predict(model, X)` its scores.
+    """
     if not grid:
         raise FitError("empty grid")
     X, y = validate_features(X, y)
-    fit, predict = _family_fns(family, seed)
     folds = kfold_split(X.shape[0], k=k, seed=seed)
     keys = list(grid.keys())
     table = []

@@ -17,7 +17,7 @@ from cgrader import persist, synth
 from cgrader.cli import EXIT_OK, main
 from cgrader.clex import detokenize, tokenize
 from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, split
-from cgrader.hybrid import HybridKind, hybrid_fit, hybrid_predict
+from cgrader.hybrid import hybrid_fit, hybrid_predict
 from cgrader.metrics import mae, mape, r2, rmse
 from cgrader.neural import CnnRegressor, CnnSpec, LstmRegressor, LstmSpec, TrainConfig
 from cgrader.neural import mse_loss, train
@@ -222,8 +222,8 @@ def test_criterion_09_end_to_end_experiment(tmp_path):
             for path in sorted(SEED_DIR.glob("*.c"))
         ]
         assert len(seeds) >= 5
-        ds = synth.synthesize(seeds, 400, synth.Rubric(),
-                              np.random.default_rng(0))
+        ds, _ = synth.synthesize_with_plans(seeds, 400, synth.Rubric(),
+                                            np.random.default_rng(0))
         data = tmp_path / "corpus.csv"
         save_dataset(ds, data)
 
@@ -270,13 +270,14 @@ def test_criterion_10_hybrid_composition():
     Xv = rng.normal(size=(8, 6, 4))
     yv = rng.uniform(0, 10, 8)
     cfg = TrainConfig(max_epochs=3, batch_size=8, learning_rate=0.01)
-    for kind, spec in (
-        (HybridKind.CNN_RF,
-         CnnSpec(conv_filters=3, kernel_size=3, pool_size=2, dense_units=8)),
-        (HybridKind.LSTM_RF, LstmSpec(units=5, dense_units=8)),
+    for net in (
+        CnnRegressor(CnnSpec(conv_filters=3, kernel_size=3, pool_size=2,
+                             dense_units=8), 6, 4),
+        LstmRegressor(LstmSpec(units=5, dense_units=8), 6, 4),
     ):
-        model, _ = hybrid_fit(kind, X, y, Xv, yv, cfg, n_trees=5, net_spec=spec)
-        before = copy.deepcopy(model.feature_net.params)
+        train(net, X, y, Xv, yv, cfg)
+        before = copy.deepcopy(net.params)
+        model = hybrid_fit(net, X, y, n_trees=5)
         X_new = rng.normal(size=(100, 6, 4))
         assert np.array_equal(
             hybrid_predict(model, X_new),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from cgrader import persist, pipeline
 from cgrader.cli import EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset
-from cgrader.synth import Rubric, synthesize
+from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, split
+from cgrader.kinds import KINDS
+from cgrader.synth import Rubric, synthesize_with_plans
 from cgrader.tabular import TreeNode
 
 SEED_CODE = """\
@@ -39,7 +41,7 @@ def seed_dir(tmp_path):
 @pytest.fixture
 def corpus_csv(tmp_path):
     seeds = [Submission("sum", SEED_CODE, 10.0)]
-    ds = synthesize(seeds, 80, Rubric(), np.random.default_rng(0))
+    ds, _ = synthesize_with_plans(seeds, 80, Rubric(), np.random.default_rng(0))
     path = tmp_path / "corpus.csv"
     save_dataset(ds, path)
     return path
@@ -166,16 +168,76 @@ class TestExperimentCommand:
         assert rows[0] == ["model", "split", "rmse", "mae", "r2", "mape"]
         assert len(rows) == 17  # 8 models x 2 splits
         assert [r[0] for r in rows[1:]] == [
-            k for k in pipeline.ALL_KINDS for _ in range(2)
+            k for k in KINDS for _ in range(2)
         ]
         with open(doc["output"]["curves"], encoding="utf-8", newline="") as fh:
             curve_rows = list(csv.reader(fh))
         assert curve_rows[0] == ["model", "epoch", "train_loss", "val_loss"]
         assert {r[0] for r in curve_rows[1:]} == {"cnn", "lstm", "cnn_rf", "lstm_rf"}
         models_dir = tmp_path / "models"
-        assert sorted(p.stem for p in models_dir.glob("*.json")) == sorted(
-            pipeline.ALL_KINDS
-        )
+        assert sorted(p.stem for p in models_dir.glob("*.json")) == sorted(KINDS)
+
+    def test_hybrids_reuse_the_trained_net(self, tmp_path, corpus_csv):
+        path, doc = self.make_config(tmp_path, corpus_csv)
+        assert main(["experiment", "--config", str(path)]) == EXIT_OK
+        docs = {kind: json.loads((tmp_path / "models" / f"{kind}.json").read_text())
+                for kind in ("cnn", "lstm", "cnn_rf", "lstm_rf")}
+        for net, hybrid in (("cnn", "cnn_rf"), ("lstm", "lstm_rf")):
+            assert docs[hybrid]["state"]["net"] == {
+                "params": docs[net]["params"], "state": docs[net]["state"]}
+        # `train --model cnn_rf` trains the same net as `train --model cnn`.
+        outputs = {}
+        for kind in ("cnn", "cnn_rf"):
+            out = tmp_path / f"train-{kind}.json"
+            assert main(["train", "--data", str(corpus_csv), "--model", kind,
+                         "--dim", "32", "--seq-len", "8", "--max-epochs", "2",
+                         "--seed", "4", "--out", str(out)]) == EXIT_OK
+            outputs[kind] = json.loads(out.read_text())
+        assert outputs["cnn_rf"]["state"]["net"] == {
+            "params": outputs["cnn"]["params"], "state": outputs["cnn"]["state"]}
+
+    def test_failed_net_named_in_its_hybrid_error(self, tmp_path, corpus_csv):
+        # Sequences shorter than the CNN kernel fail the CNN; the LSTM trains.
+        path, doc = self.make_config(
+            tmp_path, corpus_csv,
+            embedding={"provider": "tfidf", "dim": 32, "seq_len": 2})
+        assert main(["experiment", "--config", str(path)]) == EXIT_PARTIAL
+        with open(doc["output"]["report"], encoding="utf-8", newline="") as fh:
+            rows = {(r["model"], r["split"]): r for r in csv.DictReader(fh)}
+        cnn_error = rows[("cnn", "")]["error"]
+        assert "shorter than kernel" in cnn_error
+        assert rows[("cnn_rf", "")]["error"] == f"base net cnn failed: {cnn_error}"
+        assert rows[("lstm_rf", "test")]["error"] == ""
+
+    def test_zero_scores_are_valid(self, tmp_path, corpus_csv):
+        ds = load_dataset(corpus_csv)
+        rows = tuple(dataclasses.replace(row, score=0.0) if i % 4 == 0 else row
+                     for i, row in enumerate(ds.rows))
+        zero_csv = tmp_path / "zeros.csv"
+        save_dataset(Dataset(rows), zero_csv)
+        parts = split(load_dataset(zero_csv), (0.5, 0.25, 0.25), 0)
+        assert 0.0 in parts.train.scores() and 0.0 in parts.test.scores()
+        path, doc = self.make_config(tmp_path, zero_csv)
+        assert main(["experiment", "--config", str(path)]) == EXIT_OK
+        with open(doc["output"]["report"], encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert "error" not in reader.fieldnames
+            assert len(list(reader)) == 16
+
+    def test_unknown_vector_key_exits_2(self, tmp_path, corpus_csv):
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text(
+            "\n".join(json.dumps({"id": row.id, "pooled": [1.0, 2.0],
+                                  "tokens": [[1.0, 2.0]]})
+                      for row in load_dataset(corpus_csv).rows),
+            encoding="utf-8")
+        assert main(["train", "--data", str(corpus_csv), "--model", "ridge",
+                     "--embedding", "external", "--vectors", str(vectors),
+                     "--out", str(tmp_path / "m.json")]) == EXIT_USAGE
+        path, _ = self.make_config(
+            tmp_path, corpus_csv,
+            embedding={"provider": "external", "vectors": str(vectors)})
+        assert main(["experiment", "--config", str(path)]) == EXIT_USAGE
 
     def test_unknown_config_key_exits_2(self, tmp_path, corpus_csv):
         path, _ = self.make_config(tmp_path, corpus_csv, extra="oops")

@@ -12,7 +12,6 @@ from cgrader.embed import (
     UnsupportedEmbedding,
     fnv1a_64,
     load_external_embeddings,
-    pool,
     tfidf_embed,
     tfidf_fit,
 )
@@ -94,20 +93,6 @@ class TestTfIdfEmbed:
         assert np.array_equal(a.sequence, b.sequence)
 
 
-class TestPool:
-    def test_single_row(self):
-        assert np.array_equal(pool(np.array([[1.0, 2.0]])), [1.0, 2.0])
-
-    def test_column_means(self):
-        assert np.array_equal(pool(np.array([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0])
-
-    def test_padding_excluded(self):
-        assert np.array_equal(pool(np.array([[1.0, 2.0], [0.0, 0.0]])), [1.0, 2.0])
-
-    def test_all_zero(self):
-        assert np.array_equal(pool(np.zeros((3, 2))), [0.0, 0.0])
-
-
 class TestProviders:
     def test_tfidf_provider_shapes(self):
         provider = TfIdfProvider.fit(["int x;", "int y;"], d=32, L=8)
@@ -163,12 +148,32 @@ class TestExternal:
     def test_token_sequences_padded(self, tmp_path):
         path = write_jsonl(
             tmp_path,
-            [{"id": "a", "pooled": [1, 2], "tokens": [[1, 2], [3, 4]]}],
+            [{"id": "a", "pooled": [1, 2], "sequence": [[1, 2], [3, 4]]}],
         )
         provider = load_external_embeddings(path, seq_len=5)
         seq = provider.embed_by_id("a").sequence
         assert seq.shape == (5, 2)
         assert np.all(seq[2:] == 0)
+
+    def test_readme_format_loads_sequences(self, tmp_path):
+        path = write_jsonl(
+            tmp_path,
+            [
+                {"id": "a", "pooled": [1, 2], "sequence": [[1, 2], [3, 4], [5, 6]]},
+                {"id": "b", "pooled": [3, 4], "sequence": [[7, 8]]},
+            ],
+        )
+        provider = load_external_embeddings(path, seq_len=2)
+        assert np.array_equal(provider.embed_by_id("a").sequence, [[1, 2], [3, 4]])
+        assert np.array_equal(provider.embed_by_id("b").sequence, [[7, 8], [0, 0]])
+
+    def test_tokens_key_rejected(self, tmp_path):
+        path = write_jsonl(
+            tmp_path,
+            [{"id": "a", "pooled": [1, 2], "tokens": [[1, 2], [3, 4]]}],
+        )
+        with pytest.raises(EmbeddingFormatError, match="line 1.*'tokens'.*'sequence'"):
+            load_external_embeddings(path)
 
     def test_embed_code_unsupported(self, tmp_path):
         path = write_jsonl(tmp_path, [{"id": "a", "pooled": [1, 2]}])

@@ -60,8 +60,9 @@ class TestMape:
         assert mape([10, 5], [9, 6]) == pytest.approx(15.0, abs=1e-12)
 
     def test_zero_target_errors(self):
-        with pytest.raises(MetricError):
-            mape([0, 5], [1, 5])
+        # The error at a 0 target has no relative size: it is left out.
+        assert mape([0, 5], [1, 4]) == pytest.approx(20.0, abs=1e-12)
+        assert math.isnan(mape([0, 0], [1, 2]))
 
 
 class TestR2:

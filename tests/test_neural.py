@@ -12,7 +12,6 @@ from cgrader.neural import (
     ShapeError,
     TrainConfig,
     TrainingError,
-    extract_features,
     mse_loss,
     train,
 )
@@ -268,13 +267,13 @@ class TestFeatures:
         for L in (8, 16, 33):
             model = CnnRegressor(spec, L, 4)
             X = np.random.default_rng(0).normal(size=(2, L, 4))
-            feats = extract_features(model, X)
+            feats = model.features(X)
             assert feats.shape == (2, 32 * ((L - 2) // 2))
 
     def test_lstm_feature_length(self):
         model = LstmRegressor(LstmSpec(units=128), 6, 4)
         X = np.random.default_rng(0).normal(size=(3, 6, 4))
-        assert extract_features(model, X).shape == (3, 128)
+        assert model.features(X).shape == (3, 128)
 
     def test_features_deterministic(self):
         model = toy_lstm(dropout=0.4)

@@ -3,8 +3,8 @@ import pytest
 
 from cgrader import persist
 from cgrader.embed import TfIdfProvider
-from cgrader.hybrid import HybridKind, hybrid_fit, hybrid_predict
-from cgrader.neural import CnnRegressor, CnnSpec, LstmRegressor, LstmSpec, TrainConfig
+from cgrader.hybrid import hybrid_fit, hybrid_predict
+from cgrader.neural import CnnRegressor, CnnSpec, LstmRegressor, LstmSpec, TrainConfig, train
 from cgrader.tabular import (
     gbt_fit,
     gbt_predict,
@@ -74,8 +74,9 @@ def test_hybrid_round_trip(tmp_path):
     Xv, yv = seq_data(seed=2, n=5)
     spec = CnnSpec(conv_filters=3, kernel_size=3, pool_size=2, dense_units=8)
     cfg = TrainConfig(max_epochs=2, batch_size=4, learning_rate=0.01)
-    model, _ = hybrid_fit(HybridKind.CNN_RF, X, y, Xv, yv, cfg, n_trees=3,
-                          net_spec=spec)
+    net = CnnRegressor(spec, 6, 4)
+    train(net, X, y, Xv, yv, cfg)
+    model = hybrid_fit(net, X, y, n_trees=3)
     loaded, _ = round_trip(tmp_path, "cnn_rf", model)
     assert np.array_equal(hybrid_predict(model, X), hybrid_predict(loaded, X))
 

@@ -15,7 +15,6 @@ from cgrader.synth import (
     inject_syntax_error,
     remove_output,
     score_for,
-    synthesize,
     synthesize_with_plans,
     truncate_half,
 )
@@ -150,12 +149,12 @@ def load_seeds():
 class TestSynthesize:
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
-            synthesize(load_seeds(), 0, Rubric(), np.random.default_rng(0))
+            synthesize_with_plans(load_seeds(), 0, Rubric(), np.random.default_rng(0))
 
     def test_determinism(self):
         seeds = load_seeds()
-        a = synthesize(seeds, 40, Rubric(), np.random.default_rng(7))
-        b = synthesize(seeds, 40, Rubric(), np.random.default_rng(7))
+        a = synthesize_with_plans(seeds, 40, Rubric(), np.random.default_rng(7))[0]
+        b = synthesize_with_plans(seeds, 40, Rubric(), np.random.default_rng(7))[0]
         assert a == b
 
     def test_scores_and_plans_consistent(self):
@@ -177,4 +176,4 @@ class TestSynthesize:
     def test_non_full_marks_seed_rejected(self):
         bad = [Submission("s", "int main(){return 0;}", 8.0)]
         with pytest.raises(ValueError, match="full-marks"):
-            synthesize(bad, 5, Rubric(), np.random.default_rng(0))
+            synthesize_with_plans(bad, 5, Rubric(), np.random.default_rng(0))

@@ -23,6 +23,14 @@ from cgrader.tabular import (
 )
 
 
+def ridge_family(X, y, params):
+    return ridge_fit(X, y, params["lambda"])
+
+
+def knn_family(X, y, params):
+    return knn_fit(X, y, params["k"])
+
+
 # --- independent oracles ---------------------------------------------------
 
 
@@ -345,20 +353,20 @@ class TestGridSearch:
 
     def test_single_combo(self):
         X, y = self.data()
-        result = grid_search_cv("ridge", {"lambda": [1.0]}, X, y, seed=1)
+        result = grid_search_cv(ridge_family, ridge_predict, {"lambda": [1.0]}, X, y, seed=1)
         assert result.best_params == {"lambda": 1.0}
         assert len(result.table) == 1
 
     def test_determinism(self):
         X, y = self.data()
-        a = grid_search_cv("knn", {"k": [1, 3, 5]}, X, y, seed=2)
-        b = grid_search_cv("knn", {"k": [1, 3, 5]}, X, y, seed=2)
+        a = grid_search_cv(knn_family, knn_predict, {"k": [1, 3, 5]}, X, y, seed=2)
+        b = grid_search_cv(knn_family, knn_predict, {"k": [1, 3, 5]}, X, y, seed=2)
         assert a.table == b.table
 
     def test_matches_brute_force_oracle(self):
         X, y = self.data()
         grid = {"lambda": [0.01, 0.1, 1.0, 10.0]}
-        result = grid_search_cv("ridge", grid, X, y, k=5, seed=4)
+        result = grid_search_cv(ridge_family, ridge_predict, grid, X, y, k=5, seed=4)
         # Independent re-evaluation of every combo with its own loop.
         folds = kfold_split(30, k=5, seed=4)
         best = None
@@ -379,9 +387,9 @@ class TestGridSearch:
     def test_empty_grid(self):
         X, y = self.data()
         with pytest.raises(FitError):
-            grid_search_cv("ridge", {}, X, y)
+            grid_search_cv(ridge_family, ridge_predict, {}, X, y)
 
     def test_fit_error_names_combo(self):
         X, y = self.data()
         with pytest.raises(FitError, match="k"):
-            grid_search_cv("knn", {"k": [1000]}, X, y)
+            grid_search_cv(knn_family, knn_predict, {"k": [1000]}, X, y)
