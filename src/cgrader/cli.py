@@ -4,8 +4,8 @@ Subcommands: synth (build a fault-injected corpus), train (fit one model),
 grade (score a single C file), experiment (run all eight models and emit
 the report + loss-curve CSVs).
 
-Exit codes: 0 success, 1 partial experiment failure, 2 usage/config error,
-3 runtime fit error.
+Exit codes: 0 success, 1 partial experiment failure, 2 any input error (`main`
+prints it as one `error:` line), 3 runtime fit error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, kinds, metrics, persist, pipeline, synth
-from .corpus import DatasetError, Submission, load_dataset, save_dataset, split
+from .corpus import Submission, dataset_stats, load_dataset, save_dataset, split
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -34,19 +34,15 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed_dir = Path(args.seeds)
-    files = sorted(seed_dir.glob("*.c")) if seed_dir.is_dir() else []
+    files = sorted(Path(args.seeds).glob("*.c"))
     if not files:
-        return _fail(EXIT_USAGE, f"no .c seed files in {args.seeds}")
+        raise ValueError(f"no .c seed files in {args.seeds}")
     seeds = [
         Submission(path.stem, path.read_text(encoding="utf-8"), 10.0)
         for path in files
     ]
     rng = np.random.default_rng(args.seed)
-    try:
-        ds, plans = synth.synthesize_with_plans(seeds, args.count, synth.Rubric(), rng)
-    except (synth.NotMutableError, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    ds, plans = synth.synthesize_with_plans(seeds, args.count, synth.Rubric(), rng)
     save_dataset(ds, args.out)
     if args.plans:
         with open(args.plans, "w", encoding="utf-8", newline="") as fh:
@@ -54,68 +50,37 @@ def cmd_synth(args) -> int:
             writer.writerow(["id", "kinds"])
             for row, kinds in zip(ds.rows, plans):
                 writer.writerow([row.id, "+".join(sorted(k.value for k in kinds))])
-    histogram = {}
-    for row in ds.rows:
-        histogram[row.score] = histogram.get(row.score, 0) + 1
+    histogram = dataset_stats(ds).score_histogram
     print(f"wrote {len(ds)} rows to {args.out}")
     for score in sorted(histogram):
         print(f"score {score:g}: {histogram[score]}")
     return EXIT_OK
 
 
-def _parse_ratios(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated ratios, got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
-def _build_provider(args, train_ds):
-    return pipeline.build_provider(
-        args.embedding, train_ds, args.dim, args.seq_len, args.vectors
-    )
-
-
-def _print_metrics(y, yhat, split_name):
-    row = metrics.evaluate(y, yhat, "model", split_name)
-    print(
-        f"{split_name}: rmse={row.rmse:.4f} mae={row.mae:.4f} "
-        f"r2={row.r2:.4f} mape={row.mape:.4f}"
-    )
-
-
 def cmd_train(args) -> int:
-    try:
-        ratios = _parse_ratios(args.split)
-        train_cfg = TrainConfig(
-            max_epochs=args.max_epochs, batch_size=args.batch_size,
-            learning_rate=args.learning_rate, patience=args.patience,
-        )
-        ds = load_dataset(args.data)
-        parts = split(ds, ratios, args.seed)
-    except (ValueError, OSError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    kind = args.model
-    try:
-        provider = _build_provider(args, parts.train)
-        X_train, S_train = pipeline.embed_dataset(provider, parts.train)
-        X_val, S_val = pipeline.embed_dataset(provider, parts.validation)
-    except (embed.EmbeddingFormatError, embed.EmbeddingLookupError,
-            pipeline.ConfigError, OSError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    train_cfg = TrainConfig(
+        max_epochs=args.max_epochs, batch_size=args.batch_size,
+        learning_rate=args.learning_rate, patience=args.patience,
+    )
+    ratios = [float(r) for r in args.split.split(",")]
+    parts = split(load_dataset(args.data), ratios, args.seed)
+    provider = pipeline.build_provider(
+        args.embedding, parts.train, args.dim, args.seq_len, args.vectors
+    )
+    X_train, S_train = pipeline.embed_dataset(provider, parts.train)
+    X_val, S_val = pipeline.embed_dataset(provider, parts.validation)
     y_train = parts.train.scores()
     y_val = parts.validation.scores()
     spec = {}
     if args.grid:
-        try:
-            spec["grid"] = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            return _fail(EXIT_USAGE, f"bad grid file: {exc}")
+        spec["grid"] = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+        pipeline.check_json(spec["grid"], pipeline.GRID_SCHEMA, f"--grid {args.grid}")
     data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, train_cfg)
+    kind = args.model
     try:
         trained = kinds.fit(kind, data, args.seed, spec)
-    except kinds.KindError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    except kinds.KindError:
+        raise
     except Exception as exc:
         return _fail(EXIT_FIT, f"fit failed: {exc}")
     if trained.history is None:
@@ -128,60 +93,37 @@ def cmd_train(args) -> int:
         ("validation", X_val, S_val, y_val),
     ):
         yhat = pipeline.predict_kind(kind, trained.model, pooled, sequences)
-        _print_metrics(y, yhat, split_name)
+        row = metrics.evaluate(y, yhat, "model", split_name)
+        print(f"{split_name}: rmse={row.rmse:.4f} mae={row.mae:.4f} "
+              f"r2={row.r2:.4f} mape={row.mape:.4f}")
     persist.save_model(args.out, kind, trained.model, provider.config())
     print(f"model written to {args.out}")
     return EXIT_OK
 
 
 def cmd_grade(args) -> int:
-    try:
-        kind, model, emb_config = persist.load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(EXIT_USAGE, f"cannot load model: {exc}")
-    try:
-        code = Path(args.code).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        provider = persist.provider_from_config(emb_config)
-        embedding = provider.embed_code(code)
-    except embed.UnsupportedEmbedding:
-        return _fail(
-            EXIT_USAGE,
-            "this model uses an external vector file and cannot embed ad-hoc "
-            "code; train with the tfidf provider to grade new files",
-        )
-    except (ValueError, OSError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    pooled = embedding.pooled[None, :]
-    sequences = (
-        embedding.sequence[None, :, :] if embedding.sequence is not None else None
-    )
-    score = pipeline.predict_kind(kind, model, pooled, sequences)[0]
+    kind, model, emb_config = persist.load_model(args.model)
+    code = Path(args.code).read_text(encoding="utf-8")
+    embedding = persist.provider_from_config(emb_config).embed_code(code)
+    sequences = None if embedding.sequence is None else embedding.sequence[None]
+    score = pipeline.predict_kind(kind, model, embedding.pooled[None], sequences)[0]
+    if not np.isfinite(score):
+        raise ValueError(f"{args.model}: the model predicts a non-finite score")
     print(f"{float(np.clip(score, 0.0, 10.0)):.2f}")
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        cfg = pipeline.ExperimentConfig.from_dict(
-            doc, base_dir=str(Path(args.config).resolve().parent)
-        )
-    except (OSError, json.JSONDecodeError, pipeline.ConfigError, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        result = pipeline.run_experiment(cfg)
-    except (DatasetError, pipeline.ConfigError, embed.EmbeddingFormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    cfg = pipeline.ExperimentConfig.from_dict(
+        doc, base_dir=str(Path(args.config).resolve().parent)
+    )
+    result = pipeline.run_experiment(cfg)
     print(f"report written to {cfg.report_path}")
     print(f"curves written to {cfg.curves_path}")
-    if result.errors:
-        for kind, message in result.errors.items():
-            print(f"error: {kind}: {message}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    for kind, message in result.errors.items():
+        print(f"error: {kind}: {message}", file=sys.stderr)
+    return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,8 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one subcommand; every input error exits 2 with one `error:` line."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, LookupError) as exc:
+        return _fail(EXIT_USAGE, str(exc))
 
 
 if __name__ == "__main__":

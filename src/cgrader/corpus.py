@@ -87,12 +87,8 @@ def load_dataset(path) -> Dataset:
                     raise DatasetError(
                         f"{path}: line {reader.line_num}: bad score {score_text!r}"
                     ) from None
-                if not 0.0 <= score <= 10.0:
-                    raise DatasetError(
-                        f"{path}: row {sub_id!r}: score {score} outside [0, 10]"
-                    )
                 rows.append(Submission(sub_id, code, score))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise DatasetError(
                 f"{path}: line {reader.line_num}: malformed CSV: {exc}"
             ) from exc
@@ -113,6 +109,8 @@ def _format_score(score: float) -> str:
 
 def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:
     """Shuffle with a seeded PRNG, then cut floor(N*r1) / floor(N*r2) / rest."""
+    if len(ratios) != 3:
+        raise DatasetError(f"expected three split ratios, got {ratios}")
     r1, r2, r3 = ratios
     if min(r1, r2, r3) <= 0:
         raise DatasetError(f"split ratios must be positive, got {ratios}")

@@ -18,18 +18,17 @@ from .clex import TokenStream, significant_tokens, tokenize
 
 DEFAULT_TFIDF_DIM = 256
 DEFAULT_SEQ_LEN = 512
-DEFAULT_EXTERNAL_DIM = 768
 
 
 class EmbeddingFormatError(ValueError):
     """Bad vector file contents."""
 
 
-class EmbeddingLookupError(KeyError):
+class EmbeddingLookupError(LookupError):
     """No stored vector for the requested id."""
 
 
-class UnsupportedEmbedding(NotImplementedError):
+class UnsupportedEmbedding(ValueError):
     """Provider cannot embed this kind of input."""
 
 
@@ -138,9 +137,12 @@ class TfIdfProvider:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TfIdfProvider":
+        d, L, doc_count = int(cfg["d"]), int(cfg["L"]), int(cfg["doc_count"])
         doc_freq = np.asarray(cfg["doc_freq"], dtype=np.int64)
-        idf = np.log((1.0 + cfg["doc_count"]) / (1.0 + doc_freq)) + 1.0
-        return cls(TfIdfModel(cfg["d"], cfg["L"], cfg["doc_count"], doc_freq, idf))
+        if d < 8 or min(L, doc_count) < 0 or doc_freq.shape != (d,) or np.any(doc_freq < 0):
+            raise ValueError(f"bad TF-IDF config: d={d}, L={L}, doc_count={doc_count}")
+        idf = np.log((1.0 + doc_count) / (1.0 + doc_freq)) + 1.0
+        return cls(TfIdfModel(d, L, doc_count, doc_freq, idf))
 
 
 class ExternalProvider:
@@ -172,6 +174,33 @@ class ExternalProvider:
 _EXTERNAL_KEYS = ("id", "pooled", "sequence")
 
 
+def _vector_record(line: str, d: int | None, seq_len: int):
+    """(id, pooled, sequence or None) of one JSON-Lines record; d=None infers it."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or "id" not in obj or "pooled" not in obj:
+        raise ValueError("object must have 'id' and 'pooled'")
+    unknown = sorted(key for key in obj if key not in _EXTERNAL_KEYS)
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown}; allowed keys are 'id', "
+                         f"'pooled' and 'sequence' (per-token vectors)")
+    if isinstance(obj["id"], bool) or not isinstance(obj["id"], (str, int)):
+        raise ValueError("'id' must be a string or an integer")
+    pooled = np.asarray(obj["pooled"], dtype=np.float64)
+    if pooled.ndim != 1 or d not in (None, pooled.shape[0]) or not np.isfinite(pooled).all():
+        raise ValueError(f"pooled vector of shape {pooled.shape} must be finite and "
+                         f"1-D{'' if d is None else f' of length {d}'}")
+    d = pooled.shape[0]
+    sequence = None
+    if obj.get("sequence") is not None:
+        rows = np.asarray(obj["sequence"], dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != d or not np.isfinite(rows).all():
+            raise ValueError(f"sequence rows must be finite and x-by-{d}")
+        sequence = np.zeros((seq_len, d))
+        keep = min(seq_len, rows.shape[0])
+        sequence[:keep] = rows[:keep]
+    return str(obj["id"]), pooled, sequence
+
+
 def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalProvider:
     """Load `{"id", "pooled", "sequence"?}` JSON-Lines vectors; other keys are rejected."""
     table: dict[str, Embedding] = {}
@@ -181,40 +210,11 @@ def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalPr
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EmbeddingFormatError(
-                    f"{path}: line {line_num}: invalid JSON: {exc}"
-                ) from exc
-            if not isinstance(obj, dict) or "id" not in obj or "pooled" not in obj:
-                raise EmbeddingFormatError(
-                    f"{path}: line {line_num}: object must have 'id' and 'pooled'"
-                )
-            unknown = sorted(key for key in obj if key not in _EXTERNAL_KEYS)
-            if unknown:
-                raise EmbeddingFormatError(
-                    f"{path}: line {line_num}: unknown key(s) {unknown}; allowed "
-                    f"keys are 'id', 'pooled' and 'sequence' (per-token vectors)"
-                )
-            pooled = np.asarray(obj["pooled"], dtype=np.float64)
-            if d is None:
-                d = int(pooled.shape[0]) if pooled.ndim == 1 else -1
-            if pooled.ndim != 1 or pooled.shape[0] != d:
-                raise EmbeddingFormatError(
-                    f"{path}: line {line_num}: pooled vector has dimension "
-                    f"{pooled.shape}, expected ({d},)"
-                )
-            sequence = None
-            if obj.get("sequence") is not None:
-                rows = np.asarray(obj["sequence"], dtype=np.float64)
-                if rows.ndim != 2 or rows.shape[1] != d:
-                    raise EmbeddingFormatError(
-                        f"{path}: line {line_num}: sequence rows must be x-by-{d}"
-                    )
-                sequence = np.zeros((seq_len, d))
-                keep = min(seq_len, rows.shape[0])
-                sequence[:keep] = rows[:keep]
-            table[str(obj["id"])] = Embedding(pooled, sequence, d, seq_len)
+                sub_id, pooled, sequence = _vector_record(line, d, seq_len)
+            except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+                raise EmbeddingFormatError(f"{path}: line {line_num}: {exc}") from exc
+            d = pooled.shape[0]
+            table[sub_id] = Embedding(pooled, sequence, d, seq_len)
     if d is None:
         raise EmbeddingFormatError(f"{path}: no vectors found")
     return ExternalProvider(table, d, seq_len, str(path))

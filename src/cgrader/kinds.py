@@ -116,10 +116,10 @@ def _tree_to_dict(node: tabular.TreeNode) -> dict:
 
 def _tree_from_dict(doc: dict) -> tabular.TreeNode:
     if "leaf" in doc:
-        return tabular.TreeNode(value=doc["leaf"])
+        return tabular.TreeNode(value=float(doc["leaf"]))
     return tabular.TreeNode(
-        feature=doc["feature"],
-        threshold=doc["threshold"],
+        feature=int(doc["feature"]),
+        threshold=float(doc["threshold"]),
         left=_tree_from_dict(doc["left"]),
         right=_tree_from_dict(doc["right"]),
     )
@@ -132,6 +132,9 @@ def _forest_to_state(model: tabular.ForestModel):
 
 
 def _forest_from_state(params, state) -> tabular.ForestModel:
+    if not all(value is None or type(value) in (int, float, bool)
+               for value in params.values()):
+        raise TypeError("forest params are numbers, booleans or null")
     tree_params = tabular.TreeParams(
         max_depth=params["max_depth"],
         min_samples_split=params["min_samples_split"],
@@ -140,6 +143,8 @@ def _forest_from_state(params, state) -> tabular.ForestModel:
         seed=params["seed"],
     )
     trees = [_tree_from_dict(t) for t in state["trees"]]
+    if not trees:
+        raise ValueError("a forest has at least one tree")
     return tabular.ForestModel(trees, params["n_trees"], tree_params, params["bootstrap"])
 
 
@@ -151,11 +156,11 @@ def _gbt_to_state(model: tabular.GbtModel):
 
 def _gbt_from_state(params, state) -> tabular.GbtModel:
     return tabular.GbtModel(
-        state["base"],
+        float(state["base"]),
         [_tree_from_dict(t) for t in state["trees"]],
-        params["learning_rate"],
-        params["n_rounds"],
-        params["leaf_l2"],
+        float(params["learning_rate"]),
+        int(params["n_rounds"]),
+        float(params["leaf_l2"]),
     )
 
 
@@ -172,12 +177,16 @@ def _net(name, net_cls, spec_cls) -> Kind:
         return Fitted(net, history=history)
 
     def from_state(params, state):
-        p = dict(params)
-        seq_len, dim = p.pop("seq_len"), p.pop("dim")
-        net = net_cls(spec_cls(**p), seq_len, dim)
+        spec = spec_cls(**{f.name: type(f.default)(params[f.name])
+                           for f in dataclasses.fields(spec_cls)})
+        net = net_cls(spec, int(params["seq_len"]), int(params["dim"]))
+        if set(state) != set(net.params):
+            raise ValueError(f"net state holds {sorted(state)}, not {sorted(net.params)}")
         for key, blob in state.items():
-            net.params[key] = np.asarray(blob["data"], dtype=np.float64).reshape(
-                blob["shape"])
+            arr = np.asarray(blob["data"], dtype=np.float64).reshape(blob["shape"])
+            if arr.shape != net.params[key].shape:
+                raise ValueError(f"net state {key!r} has shape {arr.shape}")
+            net.params[key] = arr
         return net
 
     return Kind(name, fit, _net_predict, _net_to_state, from_state, sequences=True)
@@ -209,6 +218,8 @@ def _hybrid(name, base) -> Kind:
                     "head": {"params": head_params, "state": head_state}}
 
     def from_state(params, state):
+        if params:
+            raise ValueError("a hybrid keeps its params in its net and head")
         net = KINDS[base].from_state(state["net"]["params"], state["net"]["state"])
         head = _forest_from_state(state["head"]["params"], state["head"]["state"])
         return hybrid.HybridModel(net, head)
@@ -227,8 +238,8 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
             lambda X, y, p, seed: tabular.ridge_fit(X, y, lam=p.get("lambda", 1.0)),
             lambda model, X: tabular.ridge_predict(model, X),
             lambda m: ({"lambda": m.lam}, {"weights": m.weights.tolist(), "bias": m.bias}),
-            lambda p, s: tabular.RidgeModel(np.asarray(s["weights"]), s["bias"],
-                                            p["lambda"]),
+            lambda p, s: tabular.RidgeModel(np.asarray(s["weights"], dtype=np.float64),
+                                            float(s["bias"]), float(p["lambda"])),
             grid={"lambda": [0.1, 1.0, 10.0]}),
     _pooled("gbt", _gbt_fit, lambda model, X: tabular.gbt_predict(model, X),
             _gbt_to_state, _gbt_from_state,
@@ -237,7 +248,9 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
             lambda X, y, p, seed: tabular.knn_fit(X, y, k=p.get("k", 5)),
             lambda model, X: tabular.knn_predict(model, X),
             lambda m: ({"k": m.k}, {"X": m.X.tolist(), "y": m.y.tolist()}),
-            lambda p, s: tabular.KnnModel(np.asarray(s["X"]), np.asarray(s["y"]), p["k"]),
+            lambda p, s: tabular.KnnModel(np.asarray(s["X"], dtype=np.float64),
+                                          np.asarray(s["y"], dtype=np.float64),
+                                          int(p["k"])),
             grid={"k": [3, 5, 7]}),
     _net("cnn", neural.CnnRegressor, neural.CnnSpec),
     _net("lstm", neural.LstmRegressor, neural.LstmSpec),

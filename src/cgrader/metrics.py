@@ -1,9 +1,7 @@
-"""Regression metrics and the train/test report table."""
+"""Regression metrics and the rows of the train/test report."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -74,7 +72,6 @@ class MetricsRow:
 @dataclass
 class Report:
     rows: list[MetricsRow] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, row: MetricsRow):
         if any(
@@ -91,33 +88,3 @@ def evaluate(y, yhat, model_name: str, split_name: str) -> MetricsRow:
     return MetricsRow(
         model_name, split_name, rmse(y, yhat), mae(y, yhat), r2(y, yhat), mape(y, yhat)
     )
-
-
-def render_report(report: Report) -> str:
-    """CSV in the model order of `kinds.KINDS`, with 4-decimal values."""
-    # Imported here: kinds imports tabular, which imports this module.
-    from .kinds import KINDS
-
-    order = list(KINDS)
-
-    def order_key(row: MetricsRow):
-        model_rank = (order.index(row.model_name) if row.model_name in KINDS
-                      else len(order))
-        split_rank = 0 if row.split_name == "train" else 1
-        return (model_rank, row.model_name, split_rank)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in sorted(report.rows, key=order_key):
-        writer.writerow(
-            [
-                row.model_name,
-                row.split_name,
-                f"{row.rmse:.4f}",
-                f"{row.mae:.4f}",
-                f"{row.r2:.4f}",
-                f"{row.mape:.4f}",
-            ]
-        )
-    return buf.getvalue()

@@ -49,9 +49,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     patience: int = 5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
@@ -320,23 +317,27 @@ class LstmRegressor:
         return out
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, params: dict, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: dict, learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict, grads: dict):
-        cfg = self.cfg
         self.t += 1
         for key in params:
             g = grads[key]
-            self.m[key] = cfg.beta1 * self.m[key] + (1 - cfg.beta1) * g
-            self.v[key] = cfg.beta2 * self.v[key] + (1 - cfg.beta2) * (g * g)
-            m_hat = self.m[key] / (1 - cfg.beta1 ** self.t)
-            v_hat = self.v[key] / (1 - cfg.beta2 ** self.t)
-            params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * g
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1 - ADAM_BETA2) * (g * g)
+            m_hat = self.m[key] / (1 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[key] / (1 - ADAM_BETA2 ** self.t)
+            params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _dataset_loss(model, X, y, batch_size: int) -> float:
@@ -358,7 +359,7 @@ def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHi
     if X_train.shape[0] == 0 or X_val.shape[0] == 0:
         raise TrainingError("train and validation splits must be non-empty")
     rng = np.random.default_rng(cfg.seed)
-    adam = Adam(model.params, cfg)
+    adam = Adam(model.params, cfg.learning_rate)
     history = TrainingHistory()
     best_val = np.inf
     best_params = copy.deepcopy(model.params)

@@ -8,6 +8,7 @@ params and state come from its `kinds.KINDS` entry; trees serialize as nested
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -22,6 +23,16 @@ class PersistError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Reports any error of a wrongly shaped document as a PersistError."""
+    try:
+        yield
+    except (TypeError, AttributeError, LookupError, ArithmeticError, ValueError,
+            RecursionError) as exc:
+        raise PersistError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def model_to_doc(kind: str, model, embedding_config: dict) -> dict:
     if kind not in KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
@@ -32,20 +43,29 @@ def model_to_doc(kind: str, model, embedding_config: dict) -> dict:
 
 def model_from_doc(doc: dict):
     """Returns (kind, model, embedding_config)."""
+    if not isinstance(doc, dict):
+        raise PersistError("a model document is a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise PersistError(
             f"unsupported format_version {doc.get('format_version')!r}"
         )
-    kind = doc["model"]
+    kind = doc.get("model")
     if not isinstance(kind, str) or kind not in KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
-    model = KINDS[kind].from_state(doc.get("params", {}), doc.get("state", {}))
-    return kind, model, doc.get("embedding", {})
+    params, state = doc.get("params"), doc.get("state")
+    if not (isinstance(params, dict) and isinstance(state, dict)):
+        raise PersistError("a model document's params and state are JSON objects")
+    with _malformed(f"{kind} model"):
+        model = KINDS[kind].from_state(params, state)
+    return kind, model, doc.get("embedding")
 
 
 def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except OSError as exc:  # name the user's path, not the temp file's
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -62,14 +82,20 @@ def save_model(path, kind: str, model, embedding_config: dict) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_doc(json.load(fh))
+    with open(path, "r", encoding="utf-8") as fh, _malformed(f"model file {path}"):
+        doc = json.load(fh)
+    return model_from_doc(doc)
 
 
 def provider_from_config(cfg: dict):
-    provider = cfg.get("provider")
-    if provider == "tfidf":
-        return embed.TfIdfProvider.from_config(cfg)
+    provider = cfg.get("provider") if isinstance(cfg, dict) else None
     if provider == "external":
-        return embed.load_external_embeddings(cfg["path"], seq_len=cfg.get("L", embed.DEFAULT_SEQ_LEN))
-    raise PersistError(f"unknown embedding provider {provider!r}")
+        path, seq_len = cfg.get("path"), cfg.get("L")
+        if not isinstance(path, str) or type(seq_len) is not int:
+            raise PersistError("an external embedding config holds a 'path' string "
+                               "and an integer 'L'")
+        return embed.load_external_embeddings(path, seq_len=seq_len)
+    if provider != "tfidf":
+        raise PersistError(f"unknown embedding provider {provider!r}")
+    with _malformed("embedding config"):
+        return embed.TfIdfProvider.from_config(cfg)

@@ -24,6 +24,47 @@ class ConfigError(ValueError):
     pass
 
 
+_NUMBER = (int, float)
+_TYPE_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number"}
+_REQUIRED = {"config": ("data", "output"), "output": ("report", "curves", "models_dir")}
+GRID_SCHEMA = {"*": [object]}  # parameter name -> list of values
+# A dict is a JSON object with those keys ("*": any key), [T] an array of T,
+# a type a JSON scalar of that type; `object` is any JSON value.
+_SCHEMA = {
+    "data": str,
+    "output": {"report": str, "curves": str, "models_dir": str},
+    "embedding": {"provider": str, "dim": int, "seq_len": int, "vectors": str},
+    "split": {"ratios": [_NUMBER], "seed": int},
+    "train": {"max_epochs": int, "batch_size": int, "learning_rate": _NUMBER,
+              "patience": int},
+    "models": {kind: {"grid": GRID_SCHEMA, "params": {"*": object}}
+               for kind in kinds.KINDS},
+}
+
+
+def check_json(value, schema, where: str) -> None:
+    """Raises ConfigError naming the first place where `value` leaves `schema`."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        for key, item in value.items():
+            if key not in schema and "*" not in schema:
+                raise ConfigError(f"unknown key {key!r} in {where}")
+            check_json(item, schema.get(key, schema.get("*")),
+                       key if where == "config" else f"{where}.{key}")
+        for key in _REQUIRED.get(where, ()):
+            if key not in value:
+                raise ConfigError(f"{where} missing required key {key!r}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON array")
+        for i, item in enumerate(value):
+            check_json(item, schema[0], f"{where}[{i}]")
+    elif schema is not object and (isinstance(value, bool)
+                                   or not isinstance(value, schema)):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[schema]}")
+
+
 @dataclass
 class ExperimentConfig:
     data: str
@@ -41,45 +82,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
-        def check_keys(obj, allowed, where):
-            for key in obj:
-                if key not in allowed:
-                    raise ConfigError(f"unknown key {key!r} in {where}")
-
-        check_keys(doc, {"data", "embedding", "split", "models", "train", "output"},
-                   "config")
-        for required in ("data", "output"):
-            if required not in doc:
-                raise ConfigError(f"config missing required key {required!r}")
+        check_json(doc, _SCHEMA, "config")
         output = doc["output"]
-        check_keys(output, {"report", "curves", "models_dir"}, "output")
         emb = doc.get("embedding", {})
-        check_keys(emb, {"provider", "dim", "seq_len", "vectors"}, "embedding")
-        sp = doc.get("split", {})
-        check_keys(sp, {"ratios", "seed"}, "split")
-        train_doc = doc.get("train", {})
-        check_keys(
-            train_doc,
-            {"max_epochs", "batch_size", "learning_rate", "patience", "seed"},
-            "train",
-        )
-        models = doc.get("models", {})
-        check_keys(models, kinds.KINDS, "models")
-        grids = {}
-        for kind, spec in models.items():
-            check_keys(spec, {"grid", "params"}, f"models.{kind}")
-            grids[kind] = spec
         provider = emb.get("provider", "tfidf")
         if provider not in ("tfidf", "external"):
             raise ConfigError(f"unknown embedding provider {provider!r}")
+        sp = doc.get("split", {})
+        train_doc = doc.get("train", {})
         resolve = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
-        seed = sp.get("seed", 0)
         train_cfg = TrainConfig(
             max_epochs=train_doc.get("max_epochs", 50),
             batch_size=train_doc.get("batch_size", 64),
             learning_rate=train_doc.get("learning_rate", 1e-3),
             patience=train_doc.get("patience", 5),
-            seed=train_doc.get("seed", seed),
         )
         return cls(
             data=resolve(doc["data"]),
@@ -91,8 +107,8 @@ class ExperimentConfig:
             embedding_seq_len=emb.get("seq_len", embed.DEFAULT_SEQ_LEN),
             embedding_vectors=resolve(emb["vectors"]) if emb.get("vectors") else None,
             split_ratios=tuple(sp.get("ratios", (0.5, 0.25, 0.25))),
-            seed=seed,
-            grids=grids,
+            seed=sp.get("seed", 0),
+            grids=doc.get("models", {}),
             train=train_cfg,
         )
 
@@ -139,8 +155,6 @@ class ExperimentResult:
     report: metrics.Report
     histories: dict  # kind -> TrainingHistory (a hybrid holds its net's)
     errors: dict  # kind -> message
-    report_text: str = ""
-    curves_text: str = ""
 
 
 def render_curves(histories: dict) -> str:
@@ -158,28 +172,25 @@ def render_curves(histories: dict) -> str:
     return buf.getvalue()
 
 
-def render_report_with_errors(report: metrics.Report, errors: dict) -> str:
-    """Plain Table-II CSV; an extra `error` column appears only on failures."""
-    if not errors:
-        return metrics.render_report(report)
+def render_report(report: metrics.Report, errors: dict | None = None) -> str:
+    """Table-II CSV in `kinds.KINDS` order with 4-decimal values; an `error`
+    column appears only when some kind failed."""
+    tail = [""] if errors else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(metrics.REPORT_COLUMNS + ["error"])
-    by_model = {}
-    for row in report.rows:
-        by_model.setdefault(row.model_name, {})[row.split_name] = row
+    writer.writerow(metrics.REPORT_COLUMNS + (["error"] if errors else []))
+    rows = {(row.model_name, row.split_name): row for row in report.rows}
     for kind in kinds.KINDS:
-        if kind in errors:
+        if errors and kind in errors:
             writer.writerow([kind, "", "", "", "", "", errors[kind]])
             continue
         for split_name in ("train", "test"):
-            row = by_model.get(kind, {}).get(split_name)
-            if row is None:
-                continue
-            writer.writerow(
-                [kind, split_name, f"{row.rmse:.4f}", f"{row.mae:.4f}",
-                 f"{row.r2:.4f}", f"{row.mape:.4f}", ""]
-            )
+            row = rows.get((kind, split_name))
+            if row is not None:
+                writer.writerow(
+                    [kind, split_name, f"{row.rmse:.4f}", f"{row.mae:.4f}",
+                     f"{row.r2:.4f}", f"{row.mape:.4f}"] + tail
+                )
     return buf.getvalue()
 
 
@@ -198,9 +209,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     y_test = parts.test.scores()
 
     os.makedirs(cfg.models_dir, exist_ok=True)
-    report = metrics.Report(
-        metadata={"data": cfg.data, "seed": cfg.seed}
-    )
+    for path in (cfg.report_path, cfg.curves_path):  # fail before any training
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"no directory to write {path}")
+    report = metrics.Report()
     data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, cfg.train)
     fitted: dict = {}
     errors: dict = {}
@@ -226,9 +238,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     histories = {name: trained.history for name, trained in fitted.items()
                  if trained.history is not None}
-    result = ExperimentResult(report, histories, errors)
-    result.report_text = render_report_with_errors(report, errors)
-    result.curves_text = render_curves(histories)
-    persist.atomic_write_text(cfg.report_path, result.report_text)
-    persist.atomic_write_text(cfg.curves_path, result.curves_text)
-    return result
+    persist.atomic_write_text(cfg.report_path, render_report(report, errors))
+    persist.atomic_write_text(cfg.curves_path, render_curves(histories))
+    return ExperimentResult(report, histories, errors)

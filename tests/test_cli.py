@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from cgrader import persist, pipeline
 from cgrader.cli import EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, split
+from cgrader.embed import TfIdfProvider
 from cgrader.kinds import KINDS
 from cgrader.synth import Rubric, synthesize_with_plans
-from cgrader.tabular import TreeNode
+from cgrader.tabular import RidgeModel, TreeNode
 
 SEED_CODE = """\
 #include <stdio.h>
@@ -248,7 +250,37 @@ class TestExperimentCommand:
             == EXIT_USAGE
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestConfigParsing:
+    def test_readme_config_loads(self):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("### Experiment config"):]
+        block = section[section.index("```json") + len("```json"):]
+        doc = json.loads(block[:block.index("```")])
+        cfg = pipeline.ExperimentConfig.from_dict(doc, base_dir="/cfg")
+        assert cfg.data == "/cfg/corpus.csv"
+        assert cfg.embedding_seq_len == 16
+        assert cfg.grids["knn"] == {"grid": {"k": [3, 5, 7]}}
+        assert cfg.train.patience == 5
+
+    @pytest.mark.parametrize("section, value", [
+        ("embedding", {"dim": "256"}),
+        ("split", {"ratios": [0.5, "0.25", 0.25]}),
+        ("split", {"seed": True}),
+        ("train", {"learning_rate": [0.1]}),
+        ("models", {"rf": {"grid": {"max_depth": 8}}}),
+        ("models", {"knn": {"params": 3}}),
+    ])
+    def test_wrongly_typed_values_rejected(self, section, value):
+        with pytest.raises(pipeline.ConfigError):
+            pipeline.ExperimentConfig.from_dict({
+                "data": "d.csv",
+                "output": {"report": "r", "curves": "c", "models_dir": "m"},
+                section: value,
+            })
+
     def test_unknown_model_name_rejected(self):
         with pytest.raises(pipeline.ConfigError):
             pipeline.ExperimentConfig.from_dict({
@@ -274,3 +306,129 @@ class TestConfigParsing:
         assert cfg.split_ratios == (0.5, 0.25, 0.25)
         assert cfg.train.max_epochs == 50
         assert cfg.train.batch_size == 64
+
+
+def _experiment_config(tmp_path, corpus_csv, **overrides):
+    doc = {
+        "data": str(corpus_csv),
+        "output": {"report": str(tmp_path / "report.csv"),
+                   "curves": str(tmp_path / "curves.csv"),
+                   "models_dir": str(tmp_path / "models")},
+        "embedding": {"provider": "tfidf", "dim": 16, "seq_len": 4},
+    }
+    doc.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _ridge_doc(**overrides):
+    """A valid ridge model document over a 16-bucket TF-IDF."""
+    provider = TfIdfProvider.fit([SEED_CODE], d=16, L=4)
+    model = RidgeModel(np.zeros(16), 5.0, 1.0)
+    doc = persist.model_to_doc("ridge", model, provider.config())
+    doc.update(overrides)
+    return doc
+
+
+def _bad_input_argv(case, tmp_path, corpus_csv):
+    missing = tmp_path / "missing-dir"
+    program = tmp_path / "prog.c"
+    program.write_text(SEED_CODE, encoding="utf-8")
+    model = tmp_path / "model.json"
+    if case == "synth_out_in_missing_dir":
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        (seeds / "sum.c").write_text(SEED_CODE, encoding="utf-8")
+        return ["synth", "--seeds", str(seeds), "--count", "5",
+                "--out", str(missing / "corpus.csv")]
+    if case == "train_out_in_missing_dir":
+        return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
+                "--seq-len", "4", "--out", str(missing / "model.json")]
+    if case == "experiment_missing_data":
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv, data=str(tmp_path / "nope.csv"))]
+    if case == "experiment_report_in_missing_dir":
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv,
+            output={"report": str(missing / "report.csv"),
+                    "curves": str(tmp_path / "curves.csv"),
+                    "models_dir": str(tmp_path / "models")})]
+    if case == "experiment_vectors_lack_an_id":
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text(
+            "\n".join(json.dumps({"id": row.id, "pooled": [1.0, 2.0]})
+                      for row in load_dataset(corpus_csv).rows[:-1]),
+            encoding="utf-8")
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv,
+            embedding={"provider": "external", "vectors": str(vectors)})]
+    if case == "config_data_is_a_number":
+        return ["experiment", "--config", _experiment_config(tmp_path, corpus_csv,
+                                                              data=5)]
+    if case == "config_output_is_a_number":
+        return ["experiment", "--config", _experiment_config(tmp_path, corpus_csv,
+                                                              output=5)]
+    if case == "model_params_is_a_list":
+        model.write_text(json.dumps(_ridge_doc(params=[])), encoding="utf-8")
+    elif case == "model_is_a_list":
+        model.write_text(json.dumps([_ridge_doc()]), encoding="utf-8")
+    return ["grade", "--model", str(model), "--code", str(program)]
+
+
+INPUT_ERRORS = [
+    "synth_out_in_missing_dir",
+    "train_out_in_missing_dir",
+    "experiment_missing_data",
+    "experiment_report_in_missing_dir",
+    "experiment_vectors_lack_an_id",
+    "config_data_is_a_number",
+    "config_output_is_a_number",
+    "model_params_is_a_list",
+    "model_is_a_list",
+]
+
+
+class TestInputErrors:
+    """Every input error exits 2 with exactly one `error:` line on stderr."""
+
+    @pytest.mark.parametrize("case", INPUT_ERRORS)
+    def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_csv, capsys):
+        argv = _bad_input_argv(case, tmp_path, corpus_csv)
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_valid_model_still_grades(self, tmp_path, corpus_csv, capsys):
+        argv = _bad_input_argv("valid_model", tmp_path, corpus_csv)
+        (tmp_path / "model.json").write_text(json.dumps(_ridge_doc()), encoding="utf-8")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "5.00"
+
+    def test_missing_output_dir_names_the_given_path(self, tmp_path):
+        target = tmp_path / "missing-dir" / "report.csv"
+        with pytest.raises(FileNotFoundError) as err:
+            persist.atomic_write_text(target, "x")
+        assert err.value.filename == str(target)
+        assert ".tmp-" not in str(err.value)
+
+    def test_train_seed_is_an_unknown_key(self, tmp_path, corpus_csv, capsys):
+        config = _experiment_config(tmp_path, corpus_csv, train={"seed": 5})
+        assert main(["experiment", "--config", config]) == EXIT_USAGE
+        assert "unknown key 'seed' in train" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_bad_grid_file_exits_2(self, tmp_path, corpus_csv):
+        grid = tmp_path / "grid.json"
+        grid.write_text("[1, 2]", encoding="utf-8")
+        assert main(["train", "--data", str(corpus_csv), "--model", "ridge",
+                     "--grid", str(grid), "--out", str(tmp_path / "m.json")]) \
+            == EXIT_USAGE
+
+    def test_fit_failure_still_exits_3(self, tmp_path, corpus_csv, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"k": [1000]}', encoding="utf-8")
+        assert main(["train", "--data", str(corpus_csv), "--model", "knn",
+                     "--dim", "16", "--grid", str(grid),
+                     "--out", str(tmp_path / "m.json")]) == EXIT_FIT
+        assert capsys.readouterr().err.startswith("error: fit failed: ")

@@ -13,9 +13,9 @@ from cgrader.metrics import (
     mae,
     mape,
     r2,
-    render_report,
     rmse,
 )
+from cgrader.pipeline import render_report
 
 vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=40
@@ -128,6 +128,20 @@ class TestReport:
         splits = [line.split(",")[1] for line in lines[1:]]
         assert splits == ["train", "test"] * 3
         assert lines[1].endswith("1.5000,1.0000,0.2500,20.0000")
+
+    def test_error_column_only_on_failure(self):
+        report = Report()
+        for split_name in ["train", "test"]:
+            report.add(MetricsRow("rf", split_name, 1.5, 1.0, 0.25, 20.0))
+        lines = render_report(report, {"ridge": "fit failed"}).strip().split("\n")
+        assert lines == [
+            "model,split,rmse,mae,r2,mape,error",
+            "rf,train,1.5000,1.0000,0.2500,20.0000,",
+            "rf,test,1.5000,1.0000,0.2500,20.0000,",
+            "ridge,,,,,,fit failed",
+        ]
+        assert render_report(report, {}) == render_report(report)
+        assert "error" not in render_report(report)
 
     def test_evaluate_perfect_model(self):
         row = evaluate([3, 7, 9], [3, 7, 9], "rf", "test")
