@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import embed, kinds, metrics, persist, pipeline, synth
-from .corpus import Submission, dataset_stats, load_dataset, save_dataset, split
+from .corpus import (DEFAULT_RATIOS, Submission, dataset_stats, load_dataset,
+                     save_dataset, split)
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -73,7 +73,7 @@ def cmd_train(args) -> int:
     y_val = parts.validation.scores()
     spec = {}
     if args.grid:
-        spec["grid"] = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+        spec["grid"] = pipeline.read_json(args.grid)
         pipeline.check_json(spec["grid"], pipeline.GRID_SCHEMA, f"--grid {args.grid}")
     data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, train_cfg)
     kind = args.model
@@ -114,9 +114,8 @@ def cmd_grade(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     cfg = pipeline.ExperimentConfig.from_dict(
-        doc, base_dir=str(Path(args.config).resolve().parent)
+        pipeline.read_json(args.config), base_dir=str(Path(args.config).resolve().parent)
     )
     result = pipeline.run_experiment(cfg)
     print(f"report written to {cfg.report_path}")
@@ -147,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", help="JSON-Lines vector file for --embedding external")
     p.add_argument("--dim", type=int, default=embed.DEFAULT_TFIDF_DIM)
     p.add_argument("--seq-len", type=int, default=embed.DEFAULT_SEQ_LEN)
-    p.add_argument("--split", default="0.5,0.25,0.25")
+    p.add_argument("--split", default=",".join(map(str, DEFAULT_RATIOS)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--grid", help="JSON file: param name -> list of values")
-    p.add_argument("--max-epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("grade", help="predict the score of one C file")

@@ -125,15 +125,8 @@ def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:
     if min(n_train, n_val, n_test) == 0:
         raise DatasetError(f"split of {n} rows at {ratios} leaves an empty part")
     perm = np.random.default_rng(seed).permutation(n)
-    parts = (
-        perm[:n_train],
-        perm[n_train : n_train + n_val],
-        perm[n_train + n_val :],
-    )
-    train, val, test = (
-        Dataset(tuple(ds.rows[i] for i in idx)) for idx in parts
-    )
-    return SplitDataset(train, val, test)
+    parts = np.split(perm, [n_train, n_train + n_val])
+    return SplitDataset(*(Dataset(tuple(ds.rows[i] for i in idx)) for idx in parts))
 
 
 def dataset_stats(ds: Dataset) -> DatasetStats:

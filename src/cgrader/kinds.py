@@ -80,70 +80,38 @@ def _pooled(name, fit, predict, to_state, from_state, grid) -> Kind:
                 to_state, from_state, grid=grid)
 
 
+def _given(p: dict, *keys) -> dict:
+    """The entries of `p` under `keys`; an absent key keeps the callee's default."""
+    return {key: p[key] for key in keys if key in p}
+
+
 def _rf_fit(X, y, p, seed):
-    params = tabular.TreeParams(
-        max_depth=p.get("max_depth"),
-        min_samples_split=p.get("min_samples_split", 2),
-        min_samples_leaf=p.get("min_samples_leaf", 1),
-        feature_subsample=p.get("feature_subsample", tabular.RF_DEFAULT_SUBSAMPLE),
-        seed=seed,
-    )
-    return tabular.rf_fit(X, y, n_trees=p.get("n_trees", 100), params=params,
-                          bootstrap=p.get("bootstrap", True))
+    params = tabular.TreeParams(**{
+        "feature_subsample": tabular.RF_DEFAULT_SUBSAMPLE, "seed": seed,
+        **_given(p, "max_depth", "min_samples_split", "min_samples_leaf", "feature_subsample"),
+    })
+    return tabular.rf_fit(X, y, params=params, **_given(p, "n_trees", "bootstrap"))
 
 
 def _gbt_fit(X, y, p, seed):
-    return tabular.gbt_fit(
-        X, y,
-        n_rounds=p.get("n_rounds", 100),
-        learning_rate=p.get("learning_rate", 0.1),
-        max_depth=p.get("max_depth", 3),
-        leaf_l2=p.get("leaf_l2", 1.0),
-        seed=seed,
-    )
-
-
-def _tree_to_dict(node: tabular.TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(doc: dict) -> tabular.TreeNode:
-    if "leaf" in doc:
-        return tabular.TreeNode(value=float(doc["leaf"]))
-    return tabular.TreeNode(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_tree_from_dict(doc["left"]),
-        right=_tree_from_dict(doc["right"]),
-    )
+    return tabular.gbt_fit(X, y, seed=seed,
+                           **_given(p, "n_rounds", "learning_rate", "max_depth", "leaf_l2"))
 
 
 def _forest_to_state(model: tabular.ForestModel):
     params = {"n_trees": model.n_trees, "bootstrap": model.bootstrap,
               **dataclasses.asdict(model.tree_params)}
-    return params, {"trees": [_tree_to_dict(t) for t in model.trees]}
+    return params, {"trees": tabular.trees_to_doc(model.trees)}
 
 
 def _forest_from_state(params, state) -> tabular.ForestModel:
     if not all(value is None or type(value) in (int, float, bool)
                for value in params.values()):
         raise TypeError("forest params are numbers, booleans or null")
-    tree_params = tabular.TreeParams(
-        max_depth=params["max_depth"],
-        min_samples_split=params["min_samples_split"],
-        min_samples_leaf=params["min_samples_leaf"],
-        feature_subsample=params["feature_subsample"],
-        seed=params["seed"],
-    )
-    trees = [_tree_from_dict(t) for t in state["trees"]]
-    if not trees:
+    tree_params = tabular.TreeParams(**{f.name: params[f.name]
+                                        for f in dataclasses.fields(tabular.TreeParams)})
+    trees = tabular.trees_from_doc(state["trees"])
+    if not trees.roots.size:
         raise ValueError("a forest has at least one tree")
     return tabular.ForestModel(trees, params["n_trees"], tree_params, params["bootstrap"])
 
@@ -151,13 +119,13 @@ def _forest_from_state(params, state) -> tabular.ForestModel:
 def _gbt_to_state(model: tabular.GbtModel):
     params = {"n_rounds": model.n_rounds, "learning_rate": model.learning_rate,
               "leaf_l2": model.leaf_l2}
-    return params, {"base": model.base, "trees": [_tree_to_dict(t) for t in model.trees]}
+    return params, {"base": model.base, "trees": tabular.trees_to_doc(model.trees)}
 
 
 def _gbt_from_state(params, state) -> tabular.GbtModel:
     return tabular.GbtModel(
         float(state["base"]),
-        [_tree_from_dict(t) for t in state["trees"]],
+        tabular.trees_from_doc(state["trees"]),
         float(params["learning_rate"]),
         int(params["n_rounds"]),
         float(params["leaf_l2"]),

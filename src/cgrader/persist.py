@@ -2,8 +2,10 @@
 
 Document shape: {"format_version": 1, "model": kind, "embedding": provider
 config, "params": hyperparameters, "state": fitted state}. Each kind's
-params and state come from its `kinds.KINDS` entry; trees serialize as nested
-{"feature", "threshold", "left", "right"} / {"leaf"} nodes.
+params and state come from its `kinds.KINDS` entry. Trees serialize as nested
+{"feature", "threshold", "left", "right"} / {"leaf"} nodes, which
+`tabular.trees_to_doc`/`trees_from_doc` convert to and from node arrays; JSON
+nests one level per tree level, so a tree is limited to about 1,000 levels.
 """
 
 from __future__ import annotations

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import embed, kinds, metrics, persist
-from .corpus import Dataset, load_dataset, split
+from .corpus import DEFAULT_RATIOS, Dataset, load_dataset, split
 from .neural import TrainConfig
 
 
@@ -75,7 +76,7 @@ class ExperimentConfig:
     embedding_dim: int = embed.DEFAULT_TFIDF_DIM
     embedding_seq_len: int = embed.DEFAULT_SEQ_LEN
     embedding_vectors: str | None = None
-    split_ratios: tuple = (0.5, 0.25, 0.25)
+    split_ratios: tuple = DEFAULT_RATIOS
     seed: int = 0
     grids: dict = field(default_factory=dict)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -89,14 +90,7 @@ class ExperimentConfig:
         if provider not in ("tfidf", "external"):
             raise ConfigError(f"unknown embedding provider {provider!r}")
         sp = doc.get("split", {})
-        train_doc = doc.get("train", {})
         resolve = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
-        train_cfg = TrainConfig(
-            max_epochs=train_doc.get("max_epochs", 50),
-            batch_size=train_doc.get("batch_size", 64),
-            learning_rate=train_doc.get("learning_rate", 1e-3),
-            patience=train_doc.get("patience", 5),
-        )
         return cls(
             data=resolve(doc["data"]),
             report_path=resolve(output["report"]),
@@ -106,15 +100,26 @@ class ExperimentConfig:
             embedding_dim=emb.get("dim", embed.DEFAULT_TFIDF_DIM),
             embedding_seq_len=emb.get("seq_len", embed.DEFAULT_SEQ_LEN),
             embedding_vectors=resolve(emb["vectors"]) if emb.get("vectors") else None,
-            split_ratios=tuple(sp.get("ratios", (0.5, 0.25, 0.25))),
+            split_ratios=tuple(sp.get("ratios", DEFAULT_RATIOS)),
             seed=sp.get("seed", 0),
             grids=doc.get("models", {}),
-            train=train_cfg,
+            train=TrainConfig(**doc.get("train", {})),
         )
+
+
+def read_json(path):
+    """The JSON document in file `path`; one nested too deep to parse is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def build_provider(cfg_provider: str, train_ds: Dataset, dim: int, seq_len: int,
                    vectors_path=None):
+    if seq_len < 0:
+        raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
     if cfg_provider == "tfidf":
         return embed.TfIdfProvider.fit(
             [row.code for row in train_ds.rows], d=dim, L=seq_len
@@ -133,8 +138,13 @@ def _embed_row(provider, row):
 
 def embed_dataset(provider, ds: Dataset):
     """Returns (pooled (N,d), sequences (N,L,d) or None)."""
-    pooled = np.empty((len(ds), provider.dimension))
-    sequences = np.zeros((len(ds), provider.seq_len, provider.dimension))
+    n, L, d = len(ds), provider.seq_len, provider.dimension
+    pooled = np.empty((n, d))
+    try:
+        sequences = np.zeros((n, L, d))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array may hold
+        raise ConfigError(f"seq_len {L}: the ({n}, {L}, {d}) sequence tensor needs "
+                          f"{8 * n * L * d:,} bytes, more than can be allocated")
     have_sequences = True
     for i, row in enumerate(ds.rows):
         e = _embed_row(provider, row)

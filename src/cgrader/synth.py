@@ -89,13 +89,7 @@ _OUTPUT_CALLS = {"printf", "puts", "putchar"}
 
 
 def _rebuild(tokens: list[Token], replace: dict[int, str]) -> str:
-    parts = []
-    for i, tok in enumerate(tokens):
-        if i in replace:
-            parts.append(replace[i])  # "" deletes the token
-        else:
-            parts.append(tok.text)
-    return "".join(parts)
+    return "".join(replace.get(i, tok.text) for i, tok in enumerate(tokens))  # "" deletes
 
 
 def inject_syntax_error(code: str, rng: np.random.Generator) -> str:
@@ -150,7 +144,7 @@ def _inside_loop_header(tokens: list[Token], i: int) -> bool:
                 depth += 1
             elif tok.text == "(":
                 if depth == 0:
-                    k = _prev_significant(tokens, j)
+                    k = _first_significant(tokens, range(j - 1, -1, -1))
                     return (
                         k is not None
                         and tokens[k].kind is TokenKind.KEYWORD
@@ -162,11 +156,10 @@ def _inside_loop_header(tokens: list[Token], i: int) -> bool:
     return False
 
 
-def _prev_significant(tokens: list[Token], j: int) -> int | None:
-    for k in range(j - 1, -1, -1):
-        if tokens[k].kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT):
-            return k
-    return None
+def _first_significant(tokens: list[Token], indices) -> int | None:
+    """The first of `indices` whose token is neither whitespace nor a comment."""
+    return next((k for k in indices
+                 if tokens[k].kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)), None)
 
 
 def remove_output(code: str, rng: np.random.Generator) -> str:
@@ -175,7 +168,7 @@ def remove_output(code: str, rng: np.random.Generator) -> str:
     calls: list[tuple[int, int]] = []  # (identifier index, semicolon index)
     for i, tok in enumerate(tokens):
         if tok.kind is TokenKind.IDENTIFIER and tok.text in _OUTPUT_CALLS:
-            nxt = _next_significant(tokens, i)
+            nxt = _first_significant(tokens, range(i + 1, len(tokens)))
             if nxt is None or tokens[nxt].text != "(":
                 continue
             end = _statement_end(tokens, nxt)
@@ -185,13 +178,6 @@ def remove_output(code: str, rng: np.random.Generator) -> str:
         raise NotMutableError("no output call to remove")
     start, end = calls[rng.integers(len(calls))]
     return _rebuild(tokens, {i: "" for i in range(start, end + 1)})
-
-
-def _next_significant(tokens: list[Token], i: int) -> int | None:
-    for k in range(i + 1, len(tokens)):
-        if tokens[k].kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT):
-            return k
-    return None
 
 
 def _statement_end(tokens: list[Token], open_paren: int) -> int | None:
@@ -220,13 +206,7 @@ def truncate_half(code: str) -> str:
 
 # Plan mix: 20% clean, 20% syntax, 20% logic, 15% no-output, 15% multi-fault
 # (one of the valid two/three-kind combinations), 10% half-completed.
-_MULTI_FAULT_SETS = (
-    frozenset({MutationKind.NO_OUTPUT, MutationKind.SYNTAX_ERROR}),
-    frozenset({MutationKind.NO_OUTPUT, MutationKind.LOGIC_ERROR}),
-    frozenset(
-        {MutationKind.NO_OUTPUT, MutationKind.SYNTAX_ERROR, MutationKind.LOGIC_ERROR}
-    ),
-)
+_MULTI_FAULT_SETS = VALID_KIND_SETS[4:7]
 
 
 def draw_plan(rng: np.random.Generator) -> frozenset[MutationKind]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -65,16 +65,36 @@ class TreeParams:
 
 
 @dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | None = None
+class Trees:
+    """Regression trees as parallel node arrays, as in scikit-learn's `Tree`.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
+    Tree t starts at node `roots[t]`. Node i sends a row x to `left[i]` if
+    ``x[feature[i]] <= threshold[i]``, else to `right[i]`. A leaf has feature
+    -1, predicts `value` and is its own left and right child; unused slots hold 0.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_nodes(cls, roots, nodes) -> "Trees":
+        """`nodes` lists (feature, threshold, left, right, value) by node id."""
+        feature, threshold, left, right, value = zip(*nodes) if nodes else [()] * 5
+        ids = lambda column: np.array(column, dtype=np.intp)
+        return cls(ids(roots), ids(feature), np.array(threshold, dtype=np.float64),
+                   ids(left), ids(right), np.array(value, dtype=np.float64))
+
+    @classmethod
+    def stack(cls, trees: list["Trees"]) -> "Trees":
+        """One ensemble of `trees` in order; node ids shift past earlier trees."""
+        starts = np.cumsum([0] + [t.feature.size for t in trees])
+        parts = [(t.roots + s, t.feature, t.threshold, t.left + s, t.right + s, t.value)
+                 for t, s in zip(trees, starts)]
+        return cls(*map(np.concatenate, zip(*parts))) if trees else cls.from_nodes([], [])
 
 
 def _best_split(X, y, feats, min_samples_leaf):
@@ -103,19 +123,17 @@ def _best_split(X, y, feats, min_samples_leaf):
     if not valid.any():
         return None
     score = np.where(valid, score, np.inf)
-    best_score = score.min()
-    rows, cols = np.nonzero(score == best_score)
-    best = None
-    for r, c in zip(rows, cols):
-        threshold = (Xs[r, c] + Xs[r + 1, c]) / 2.0
-        key = (int(feats[c]), threshold)
-        if best is None or key < best:
-            best = key
-    return best
+    # Column-major, so the first minimum has the lowest feature, then threshold.
+    col, row = divmod(int(np.argmin(score.T)), n - 1)
+    return int(feats[col]), (Xs[row, col] + Xs[row + 1, col]) / 2.0
 
 
-def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None):
-    """Greedy CART regression tree. ``leaf_value`` overrides the leaf mean."""
+def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None) -> Trees:
+    """Greedy CART regression tree. ``leaf_value`` overrides the leaf mean.
+
+    Nodes are numbered depth-first, left child first, the order in which they
+    draw their feature subsample from `rng`.
+    """
     X, y = validate_features(X, y)
     if rng is None:
         rng = np.random.default_rng(params.seed)
@@ -123,8 +141,11 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
     m = math.ceil(params.feature_subsample * n_features)
     if leaf_value is None:
         leaf_value = lambda targets: float(np.mean(targets))
+    nodes = []
 
     def build(idx, depth):
+        node = len(nodes)
+        nodes.append(None)
         targets = y[idx]
         stop = (
             (params.max_depth is not None and depth >= params.max_depth)
@@ -141,23 +162,60 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
                 feature, threshold = found
                 mask = X[idx, feature] <= threshold
                 left = build(idx[mask], depth + 1)
-                right = build(idx[~mask], depth + 1)
-                return TreeNode(feature=feature, threshold=threshold,
-                                left=left, right=right)
-        return TreeNode(value=leaf_value(targets))
+                nodes[node] = (feature, threshold, left, build(idx[~mask], depth + 1), 0.0)
+                return node
+        nodes[node] = (-1, 0.0, node, node, leaf_value(targets))
+        return node
 
-    return build(np.arange(X.shape[0]), 0)
+    build(np.arange(X.shape[0]), 0)
+    return Trees.from_nodes([0], nodes)
 
 
-def tree_predict(tree: TreeNode, X) -> np.ndarray:
+def tree_predict(trees: Trees, X) -> np.ndarray:
+    """Every tree's prediction for every row, shape (n_trees, n_rows): all trees
+    step down one level at a time over all rows at once."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.empty(X.shape[0])
-    for i, x in enumerate(X):
-        node = tree
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        out[i] = node.value
-    return out
+    node = np.repeat(trees.roots[:, None], X.shape[0], axis=1)
+    rows = np.arange(X.shape[0])
+    while True:
+        feature = trees.feature[node]
+        if np.all(feature < 0):
+            return trees.value[node]
+        node = np.where(X[rows, feature] <= trees.threshold[node],
+                        trees.left[node], trees.right[node])
+
+
+def trees_to_doc(trees: Trees) -> list:
+    """Format v1: one nested {"feature", "threshold", "left", "right"} / {"leaf"}
+    document per tree, so JSON caps a tree at about 1,000 levels."""
+
+    def node_doc(i):
+        if trees.feature[i] < 0:
+            return {"leaf": float(trees.value[i])}
+        return {"feature": int(trees.feature[i]), "threshold": float(trees.threshold[i]),
+                "left": node_doc(trees.left[i]), "right": node_doc(trees.right[i])}
+
+    return [node_doc(root) for root in trees.roots]
+
+
+def trees_from_doc(docs: list) -> Trees:
+    """Inverse of `trees_to_doc`; a negative feature index is rejected."""
+    nodes = []
+
+    def add(doc):
+        node = len(nodes)
+        nodes.append(None)
+        if "leaf" in doc:
+            nodes[node] = (-1, 0.0, node, node, float(doc["leaf"]))
+            return node
+        feature, threshold = int(doc["feature"]), float(doc["threshold"])
+        if feature < 0:
+            raise ValueError(f"negative tree feature index {feature}")
+        left = add(doc["left"])
+        nodes[node] = (feature, threshold, left, add(doc["right"]), 0.0)
+        return node
+
+    return Trees.from_nodes([add(doc) for doc in docs], nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +224,7 @@ def tree_predict(tree: TreeNode, X) -> np.ndarray:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: Trees
     n_trees: int
     tree_params: TreeParams
     bootstrap: bool = True
@@ -189,13 +247,11 @@ def rf_fit(X, y, n_trees: int = 100, params: TreeParams | None = None,
         rng = np.random.default_rng(tree_seed)
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         trees.append(tree_fit(X[idx], y[idx], params, rng=rng))
-    return ForestModel(trees, n_trees, params, bootstrap)
+    return ForestModel(Trees.stack(trees), n_trees, params, bootstrap)
 
 
 def rf_predict(model: ForestModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    preds = np.mean([tree_predict(t, X) for t in model.trees], axis=0)
-    return _clamp(preds)
+    return _clamp(np.mean(tree_predict(model.trees, X), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +331,7 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
 @dataclass
 class GbtModel:
     base: float
-    trees: list[TreeNode]
+    trees: Trees
     learning_rate: float
     n_rounds: int
     leaf_l2: float
@@ -299,15 +355,15 @@ def gbt_fit(X, y, n_rounds: int = 100, learning_rate: float = 0.1,
         residuals = y - pred
         tree = tree_fit(X, residuals, params, rng=rng, leaf_value=leaf_value)
         trees.append(tree)
-        pred = pred + learning_rate * tree_predict(tree, X)
-    return GbtModel(base, trees, learning_rate, n_rounds, leaf_l2)
+        pred = pred + learning_rate * tree_predict(tree, X)[0]
+    return GbtModel(base, Trees.stack(trees), learning_rate, n_rounds, leaf_l2)
 
 
 def gbt_predict(model: GbtModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     preds = np.full(X.shape[0], model.base)
-    for tree in model.trees:
-        preds = preds + model.learning_rate * tree_predict(tree, X)
+    for tree_preds in tree_predict(model.trees, X):
+        preds = preds + model.learning_rate * tree_preds
     return _clamp(preds)
 
 
@@ -321,15 +377,7 @@ def kfold_split(n: int, k: int = 5, seed: int = 0) -> list[np.ndarray]:
         raise FitError(f"k={k} exceeds n={n}")
     if k < 1:
         raise FitError("k must be >= 1")
-    perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(perm[start : start + size])
-        start += size
-    return folds
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ def test_criterion_04_tree_oracle_equivalence():
             y = rng.uniform(0, 10, n)
             tree = tree_fit(X, y)
             assert np.array_equal(
-                tree_predict(tree, X), np.asarray(oracle_tree_predict(X, y))
+                tree_predict(tree, X)[0], np.asarray(oracle_tree_predict(X, y))
             )
 
 

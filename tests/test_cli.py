@@ -12,7 +12,7 @@ from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, spli
 from cgrader.embed import TfIdfProvider
 from cgrader.kinds import KINDS
 from cgrader.synth import Rubric, synthesize_with_plans
-from cgrader.tabular import RidgeModel, TreeNode
+from cgrader.tabular import RidgeModel, TreeParams, trees_from_doc
 
 SEED_CODE = """\
 #include <stdio.h>
@@ -118,10 +118,10 @@ class TestTrainCommand:
 class TestGradeCommand:
     def test_constant_model_prints_constant(self, tmp_path, capsys):
         from cgrader.embed import TfIdfProvider
-        from cgrader.tabular import ForestModel, TreeParams
+        from cgrader.tabular import ForestModel
 
         provider = TfIdfProvider.fit([SEED_CODE], d=16, L=4)
-        head = ForestModel(trees=[TreeNode(value=7.0)], n_trees=1,
+        head = ForestModel(trees=trees_from_doc([{"leaf": 7.0}]), n_trees=1,
                            tree_params=TreeParams())
         path = tmp_path / "const.json"
         persist.save_model(path, "rf", head, provider.config())
@@ -369,10 +369,29 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
     if case == "config_output_is_a_number":
         return ["experiment", "--config", _experiment_config(tmp_path, corpus_csv,
                                                               output=5)]
+    if case in ("config_nested_too_deep", "grid_nested_too_deep"):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        if case == "config_nested_too_deep":
+            return ["experiment", "--config", str(deep)]
+        return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
+                "--seq-len", "4", "--grid", str(deep), "--out", str(model)]
+    if case in ("seq_len_too_large", "seq_len_negative"):
+        seq_len = "1000000000000" if case == "seq_len_too_large" else "-5"
+        return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "8",
+                "--seq-len", seq_len, "--out", str(model)]
     if case == "model_params_is_a_list":
         model.write_text(json.dumps(_ridge_doc(params=[])), encoding="utf-8")
     elif case == "model_is_a_list":
         model.write_text(json.dumps([_ridge_doc()]), encoding="utf-8")
+    elif case == "model_feature_is_negative":
+        doc = _ridge_doc()
+        tree = {"feature": -1, "threshold": 0.5, "left": {"leaf": 1.0},
+                "right": {"leaf": 2.0}}
+        doc.update(model="rf", params={"n_trees": 1, "bootstrap": True,
+                                       **dataclasses.asdict(TreeParams())},
+                   state={"trees": [tree]})
+        model.write_text(json.dumps(doc), encoding="utf-8")
     return ["grade", "--model", str(model), "--code", str(program)]
 
 
@@ -386,6 +405,11 @@ INPUT_ERRORS = [
     "config_output_is_a_number",
     "model_params_is_a_list",
     "model_is_a_list",
+    "config_nested_too_deep",
+    "grid_nested_too_deep",
+    "seq_len_too_large",
+    "seq_len_negative",
+    "model_feature_is_negative",
 ]
 
 
@@ -398,6 +422,15 @@ class TestInputErrors:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("case, words", [
+        ("seq_len_too_large", ["seq_len", "bytes"]),
+        ("seq_len_negative", ["seq_len"]),
+    ])
+    def test_seq_len_errors_name_seq_len(self, case, words, tmp_path, corpus_csv, capsys):
+        assert main(_bad_input_argv(case, tmp_path, corpus_csv)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
 
     def test_valid_model_still_grades(self, tmp_path, corpus_csv, capsys):
         argv = _bad_input_argv("valid_model", tmp_path, corpus_csv)

@@ -91,7 +91,7 @@ class TestDeterminismAndDegeneracy:
         feats = model.feature_net.features(X)
         assert np.array_equal(
             hybrid_predict(model, X),
-            np.clip(tree_predict(model.head.trees[0], feats), 0, 10),
+            np.clip(tree_predict(model.head.trees, feats)[0], 0, 10),
         )
 
     def test_constant_scores_predict_constant(self):

@@ -1,20 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from cgrader import persist
+from cgrader import kinds, persist
 from cgrader.embed import TfIdfProvider
-from cgrader.hybrid import hybrid_fit, hybrid_predict
-from cgrader.neural import CnnRegressor, CnnSpec, LstmRegressor, LstmSpec, TrainConfig, train
-from cgrader.tabular import (
-    gbt_fit,
-    gbt_predict,
-    knn_fit,
-    knn_predict,
-    rf_fit,
-    rf_predict,
-    ridge_fit,
-    ridge_predict,
-)
+from cgrader.neural import TrainConfig
+from cgrader.tabular import ridge_fit, rf_predict
 
 
 def tab_data(seed=0):
@@ -24,9 +16,12 @@ def tab_data(seed=0):
     return X, y
 
 
-def seq_data(seed=0, n=10):
+def train_data(seed=0, n=16):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(n, 6, 4)), rng.uniform(0, 10, n)
+    sequences, val_sequences = rng.normal(size=(n, 6, 4)), rng.normal(size=(5, 6, 4))
+    return kinds.TrainData(sequences.mean(axis=1), sequences, rng.uniform(0, 10, n),
+                           val_sequences, rng.uniform(0, 10, 5),
+                           TrainConfig(max_epochs=2, batch_size=4, learning_rate=0.01))
 
 
 def round_trip(tmp_path, kind, model, emb=None):
@@ -37,48 +32,60 @@ def round_trip(tmp_path, kind, model, emb=None):
     return loaded, emb_cfg
 
 
-@pytest.mark.parametrize(
-    "kind,fit,predict",
-    [
-        ("rf", lambda X, y: rf_fit(X, y, n_trees=5), rf_predict),
-        ("ridge", lambda X, y: ridge_fit(X, y, 1.0), ridge_predict),
-        ("knn", lambda X, y: knn_fit(X, y, 3), knn_predict),
-        ("gbt", lambda X, y: gbt_fit(X, y, n_rounds=5), gbt_predict),
-    ],
-)
-def test_tabular_round_trip(tmp_path, kind, fit, predict):
-    X, y = tab_data()
-    model = fit(X, y)
+SMALL_PARAMS = {"rf": {"n_trees": 5}, "gbt": {"n_rounds": 5}, "knn": {"k": 3}}
+
+
+@pytest.mark.parametrize("kind", list(kinds.KINDS))
+def test_round_trip(tmp_path, kind):
+    data = train_data()
+    spec = {"grid": {}, "params": SMALL_PARAMS.get(kind, {})}
+    model = kinds.fit(kind, data, 0, spec).model
     loaded, _ = round_trip(tmp_path, kind, model)
-    assert np.array_equal(predict(model, X), predict(loaded, X))
+    predict = kinds.KINDS[kind].predict
+    assert np.array_equal(predict(model, data.pooled, data.sequences),
+                          predict(loaded, data.pooled, data.sequences))
 
 
-def test_cnn_round_trip(tmp_path):
-    spec = CnnSpec(conv_filters=3, kernel_size=3, pool_size=2, dense_units=8)
-    model = CnnRegressor(spec, 6, 4, seed=1)
-    X, _ = seq_data()
-    loaded, _ = round_trip(tmp_path, "cnn", model)
-    assert np.array_equal(model.predict(X), loaded.predict(X))
+GOLDEN_RF = (
+    '{"embedding": {"provider": "none"}, "format_version": 1, "model": "rf", '
+    '"params": {"bootstrap": true, "feature_subsample": 1.0, "max_depth": null, '
+    '"min_samples_leaf": 1, "min_samples_split": 2, "n_trees": 2, "seed": 0}, '
+    '"state": {"trees": [{"feature": 1, "left": {"leaf": 2.0}, "right": '
+    '{"feature": 0, "left": {"leaf": 4.0}, "right": {"leaf": 8.0}, '
+    '"threshold": -0.5}, "threshold": 0.5}, {"leaf": 6.5}]}}'
+)
 
 
-def test_lstm_round_trip(tmp_path):
-    spec = LstmSpec(units=5, dense_units=8)
-    model = LstmRegressor(spec, 6, 4, seed=1)
-    X, _ = seq_data()
-    loaded, _ = round_trip(tmp_path, "lstm", model)
-    assert np.array_equal(model.predict(X), loaded.predict(X))
+def test_golden_forest_doc(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(GOLDEN_RF, encoding="utf-8")
+    kind, model, emb = persist.load_model(path)
+    # Depth-first node ids, left child first; a leaf is feature -1 and links to itself.
+    assert model.trees.roots.tolist() == [0, 5]
+    assert model.trees.feature.tolist() == [1, -1, 0, -1, -1, -1]
+    assert model.trees.left.tolist() == [1, 1, 3, 3, 4, 5]
+    assert model.trees.right.tolist() == [2, 1, 4, 3, 4, 5]
+    X = [[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0]]
+    assert rf_predict(model, X).tolist() == [4.25, 5.25, 7.25]
+    persist.save_model(tmp_path / "again.json", kind, model, emb)
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == GOLDEN_RF
 
 
-def test_hybrid_round_trip(tmp_path):
-    X, y = seq_data(n=16)
-    Xv, yv = seq_data(seed=2, n=5)
-    spec = CnnSpec(conv_filters=3, kernel_size=3, pool_size=2, dense_units=8)
-    cfg = TrainConfig(max_epochs=2, batch_size=4, learning_rate=0.01)
-    net = CnnRegressor(spec, 6, 4)
-    train(net, X, y, Xv, yv, cfg)
-    model = hybrid_fit(net, X, y, n_trees=3)
-    loaded, _ = round_trip(tmp_path, "cnn_rf", model)
-    assert np.array_equal(hybrid_predict(model, X), hybrid_predict(loaded, X))
+def test_500_level_chain_tree(tmp_path):
+    depth = 500
+    tree = {"leaf": float(depth)}
+    for level in reversed(range(depth)):
+        tree = {"feature": 0, "threshold": level + 0.5, "left": {"leaf": float(level)},
+                "right": tree}
+    doc = json.loads(GOLDEN_RF)
+    doc["params"]["n_trees"] = 1
+    doc["state"]["trees"] = [tree]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    kind, model, emb = persist.load_model(path)
+    X = np.arange(depth + 1, dtype=np.float64)[:, None]
+    assert np.array_equal(rf_predict(model, X), np.clip(X[:, 0], 0, 10))
+    assert persist.model_to_doc(kind, model, emb) == doc
 
 
 def test_embedding_config_preserved(tmp_path):

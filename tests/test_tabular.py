@@ -20,6 +20,7 @@ from cgrader.tabular import (
     ridge_predict,
     tree_fit,
     tree_predict,
+    trees_from_doc,
 )
 
 
@@ -104,12 +105,12 @@ def oracle_ridge_gd(X, y, lam, iters=20000):
 class TestTree:
     def test_constant_targets_single_leaf(self):
         tree = tree_fit([[0.0], [1.0], [2.0]], [4.0, 4.0, 4.0])
-        assert tree.is_leaf and tree.value == 4.0
+        assert tree.feature[0] == -1 and tree.value[0] == 4.0
 
     def test_single_candidate_split(self):
         tree = tree_fit([[0.0], [1.0]], [0.0, 1.0])
-        assert tree.threshold == 0.5
-        assert np.array_equal(tree_predict(tree, [[0.0], [1.0]]), [0.0, 1.0])
+        assert tree.threshold[0] == 0.5
+        assert np.array_equal(tree_predict(tree, [[0.0], [1.0]])[0], [0.0, 1.0])
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(1234)
@@ -120,7 +121,7 @@ class TestTree:
                 X = rng.uniform(-5, 5, size=(n, 2))
             y = rng.uniform(0, 10, size=n)
             tree = tree_fit(X, y)
-            got = tree_predict(tree, X)
+            got = tree_predict(tree, X)[0]
             expected = oracle_tree_predict(X, y)
             assert np.array_equal(got, np.asarray(expected))
 
@@ -129,19 +130,19 @@ class TestTree:
         X = rng.normal(size=(30, 3))
         y = rng.uniform(0, 10, 30)
         tree = tree_fit(X, y)
-        assert rmse(y, tree_predict(tree, X)) == 0.0
+        assert rmse(y, tree_predict(tree, X)[0]) == 0.0
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 2))
         y = rng.uniform(0, 10, 40)
         tree = tree_fit(X, y, TreeParams(max_depth=1))
-        assert tree.left.is_leaf and tree.right.is_leaf
+        assert tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] == -1
 
     def test_min_samples_leaf(self):
         tree = tree_fit([[0.0], [1.0], [2.0]], [0.0, 5.0, 10.0],
                         TreeParams(min_samples_leaf=2))
-        assert tree.is_leaf
+        assert tree.feature[0] == -1
 
 
 # --- random forest ----------------------------------------------------------
@@ -156,7 +157,7 @@ class TestForest:
         forest = rf_fit(X, y, n_trees=1, params=params, bootstrap=False)
         tree = tree_fit(X, y, params, rng=np.random.default_rng(
             np.random.SeedSequence(5).spawn(1)[0]))
-        assert np.array_equal(rf_predict(forest, X), np.clip(tree_predict(tree, X), 0, 10))
+        assert np.array_equal(rf_predict(forest, X), np.clip(tree_predict(tree, X)[0], 0, 10))
 
     def test_constant_targets(self):
         X = np.random.default_rng(0).normal(size=(12, 2))
@@ -177,15 +178,15 @@ class TestForest:
         y = rng.uniform(0, 10, 40)
         forest = rf_fit(X, y, n_trees=7)
         grid = rng.normal(size=(20, 3))
-        per_tree = np.array([tree_predict(t, grid) for t in forest.trees])
+        per_tree = tree_predict(forest.trees, grid)
         preds = rf_predict(forest, grid)
         assert np.all(preds >= per_tree.min(axis=0) - 1e-12)
         assert np.all(preds <= per_tree.max(axis=0) + 1e-12)
 
     def test_clamped_to_score_range(self):
-        from cgrader.tabular import ForestModel, TreeNode
+        from cgrader.tabular import ForestModel
 
-        model = ForestModel([TreeNode(value=12.0), TreeNode(value=12.0)], 2,
+        model = ForestModel(trees_from_doc([{"leaf": 12.0}, {"leaf": 12.0}]), 2,
                             TreeParams())
         assert rf_predict(model, [[0.0]]) == 10.0
 
@@ -294,7 +295,7 @@ class TestGbt:
         tree = tree_fit(X, y - base, TreeParams(seed=0),
                         rng=np.random.default_rng(0))
         assert np.allclose(
-            gbt_predict(model, X), np.clip(base + tree_predict(tree, X), 0, 10)
+            gbt_predict(model, X), np.clip(base + tree_predict(tree, X)[0], 0, 10)
         )
 
     def test_training_rmse_non_increasing(self):
@@ -307,18 +308,9 @@ class TestGbt:
                             max_depth=2, leaf_l2=0.0)
             base = np.full(50, model.base)
             preds = base + model.learning_rate * np.sum(
-                [np.asarray([_tree_val(t, x) for x in X]) for t in model.trees],
-                axis=0,
-            )
+                tree_predict(model.trees, X), axis=0)
             errors.append(rmse(y, preds))
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
-
-
-def _tree_val(tree, x):
-    node = tree
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
 
 
 # --- cross-validation and grid search ----------------------------------------
