@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -74,7 +75,8 @@ def cmd_train(args) -> int:
     spec = {}
     if args.grid:
         spec["grid"] = pipeline.read_json(args.grid)
-        pipeline.check_json(spec["grid"], pipeline.GRID_SCHEMA, f"--grid {args.grid}")
+        pipeline.check_json(spec["grid"], pipeline.grid_schema(args.model),
+                            f"--grid {args.grid}")
     data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, train_cfg)
     kind = args.model
     try:
@@ -125,7 +127,10 @@ def cmd_experiment(args) -> int:
     return EXIT_PARTIAL if result.errors else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it takes about as
+    long as grading one file with a small model."""
     parser = argparse.ArgumentParser(
         prog="cgrader", description="Auto-grading pipeline for C assignments"
     )

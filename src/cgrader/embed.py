@@ -32,6 +32,20 @@ class UnsupportedEmbedding(ValueError):
     """Provider cannot embed this kind of input."""
 
 
+class SequenceTooLarge(ValueError):
+    """A dense sequence tensor has more bytes than can be allocated."""
+
+
+def sequence_zeros(shape: tuple, name: str) -> np.ndarray:
+    """Zeros of `shape`; if they cannot be allocated, an error naming `name`."""
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array may hold
+        raise SequenceTooLarge(f"{name}: the {shape} sequence tensor needs "
+                               f"{8 * math.prod(shape):,} bytes, more than can be "
+                               f"allocated") from None
+
+
 @dataclass(frozen=True)
 class Embedding:
     pooled: np.ndarray  # (d,)
@@ -93,7 +107,7 @@ def tfidf_embed(model: TfIdfModel, code: str) -> Embedding:
         norm = math.sqrt(float(pooled @ pooled))
         if norm > 0:
             pooled = pooled / norm
-    sequence = np.zeros((model.L, model.d))
+    sequence = sequence_zeros((model.L, model.d), f"L {model.L}")
     for t, b in enumerate(buckets[: model.L]):
         sequence[t, b] = model.idf[b]
     return Embedding(pooled, sequence, model.d, model.L)

@@ -51,10 +51,11 @@ class Kind:
     name: str
     fit: Callable  # (TrainData, config entry, seed, base net's Fitted) -> Fitted
     predict: Callable  # (model, pooled, sequences) -> scores
-    to_state: Callable  # model -> (params, state) of its JSON document
+    to_state: Callable  # model -> (params, state); state arrays stay numpy arrays
     from_state: Callable  # (params, state) -> model
     sequences: bool = False  # needs token sequences
     grid: dict | None = None  # default CV grid
+    params: tuple = ()  # the param keys a grid or config may set
     base: str | None = None  # hybrids: the net kind whose features feed the head
 
 
@@ -62,7 +63,7 @@ class Kind:
 # Pooled-vector kinds: k-fold grid search, then a refit on the whole split
 
 
-def _pooled(name, fit, predict, to_state, from_state, grid) -> Kind:
+def _pooled(name, fit, predict, to_state, from_state, grid, params) -> Kind:
     """`fit(X, y, params, seed)` and `predict(model, X)` work on pooled vectors."""
 
     def fit_kind(data, spec, seed, base):
@@ -77,31 +78,42 @@ def _pooled(name, fit, predict, to_state, from_state, grid) -> Kind:
         return Fitted(fit(data.pooled, data.y, params, seed), params=params)
 
     return Kind(name, fit_kind, lambda model, pooled, sequences: predict(model, pooled),
-                to_state, from_state, grid=grid)
+                to_state, from_state, grid=grid, params=params)
 
 
-def _given(p: dict, *keys) -> dict:
-    """The entries of `p` under `keys`; an absent key keeps the callee's default."""
-    return {key: p[key] for key in keys if key in p}
+def _given(p: dict, name: str) -> dict:
+    """The entries of `p` under kind `name`'s param keys; an absent key keeps
+    the callee's default."""
+    return {key: p[key] for key in KINDS[name].params if key in p}
+
+
+_TREE_KEYS = ("max_depth", "min_samples_split", "min_samples_leaf", "feature_subsample")
 
 
 def _rf_fit(X, y, p, seed):
+    forest = _given(p, "rf")
+    tree = {key: forest.pop(key) for key in _TREE_KEYS if key in forest}
     params = tabular.TreeParams(**{
-        "feature_subsample": tabular.RF_DEFAULT_SUBSAMPLE, "seed": seed,
-        **_given(p, "max_depth", "min_samples_split", "min_samples_leaf", "feature_subsample"),
-    })
-    return tabular.rf_fit(X, y, params=params, **_given(p, "n_trees", "bootstrap"))
+        "feature_subsample": tabular.RF_DEFAULT_SUBSAMPLE, "seed": seed, **tree})
+    return tabular.rf_fit(X, y, params=params, **forest)
 
 
 def _gbt_fit(X, y, p, seed):
-    return tabular.gbt_fit(X, y, seed=seed,
-                           **_given(p, "n_rounds", "learning_rate", "max_depth", "leaf_l2"))
+    return tabular.gbt_fit(X, y, seed=seed, **_given(p, "gbt"))
+
+
+def _floats(value, ndim: int) -> np.ndarray:
+    """`value` if it is a float64 array of `ndim` dimensions, else ValueError."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and value.ndim == ndim):
+        raise ValueError(f"expected a {ndim}-D float64 array, not {value!r:.60}")
+    return value
 
 
 def _forest_to_state(model: tabular.ForestModel):
     params = {"n_trees": model.n_trees, "bootstrap": model.bootstrap,
               **dataclasses.asdict(model.tree_params)}
-    return params, {"trees": tabular.trees_to_doc(model.trees)}
+    return params, {"trees": vars(model.trees)}
 
 
 def _forest_from_state(params, state) -> tabular.ForestModel:
@@ -110,7 +122,7 @@ def _forest_from_state(params, state) -> tabular.ForestModel:
         raise TypeError("forest params are numbers, booleans or null")
     tree_params = tabular.TreeParams(**{f.name: params[f.name]
                                         for f in dataclasses.fields(tabular.TreeParams)})
-    trees = tabular.trees_from_doc(state["trees"])
+    trees = tabular.Trees(**state["trees"]).check()
     if not trees.roots.size:
         raise ValueError("a forest has at least one tree")
     return tabular.ForestModel(trees, params["n_trees"], tree_params, params["bootstrap"])
@@ -119,17 +131,24 @@ def _forest_from_state(params, state) -> tabular.ForestModel:
 def _gbt_to_state(model: tabular.GbtModel):
     params = {"n_rounds": model.n_rounds, "learning_rate": model.learning_rate,
               "leaf_l2": model.leaf_l2}
-    return params, {"base": model.base, "trees": tabular.trees_to_doc(model.trees)}
+    return params, {"base": model.base, "trees": vars(model.trees)}
 
 
 def _gbt_from_state(params, state) -> tabular.GbtModel:
     return tabular.GbtModel(
         float(state["base"]),
-        tabular.trees_from_doc(state["trees"]),
+        tabular.Trees(**state["trees"]).check(),
         float(params["learning_rate"]),
         int(params["n_rounds"]),
         float(params["leaf_l2"]),
     )
+
+
+def _knn_from_state(params, state) -> tabular.KnnModel:
+    X, y = _floats(state["X"], 2), _floats(state["y"], 1)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"knn state holds {X.shape[0]} rows and {y.shape[0]} targets")
+    return tabular.KnnModel(X, y, int(params["k"]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +169,8 @@ def _net(name, net_cls, spec_cls) -> Kind:
         net = net_cls(spec, int(params["seq_len"]), int(params["dim"]))
         if set(state) != set(net.params):
             raise ValueError(f"net state holds {sorted(state)}, not {sorted(net.params)}")
-        for key, blob in state.items():
-            arr = np.asarray(blob["data"], dtype=np.float64).reshape(blob["shape"])
-            if arr.shape != net.params[key].shape:
+        for key, arr in state.items():
+            if _floats(arr, net.params[key].ndim).shape != net.params[key].shape:
                 raise ValueError(f"net state {key!r} has shape {arr.shape}")
             net.params[key] = arr
         return net
@@ -166,9 +184,7 @@ def _net_predict(model, pooled, sequences):
 
 def _net_to_state(net):
     params = {**dataclasses.asdict(net.spec), "seq_len": net.seq_len, "dim": net.dim}
-    state = {key: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-             for key, arr in net.params.items()}
-    return params, state
+    return params, dict(net.params)
 
 
 def _hybrid(name, base) -> Kind:
@@ -201,25 +217,24 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
     _pooled("rf", _rf_fit, lambda model, X: tabular.rf_predict(model, X),
             _forest_to_state, _forest_from_state,
             grid={"max_depth": [None, 8], "min_samples_split": [2, 4],
-                  "min_samples_leaf": [1, 2]}),
+                  "min_samples_leaf": [1, 2]},
+            params=("n_trees", "bootstrap") + _TREE_KEYS),
     _pooled("ridge",
             lambda X, y, p, seed: tabular.ridge_fit(X, y, lam=p.get("lambda", 1.0)),
             lambda model, X: tabular.ridge_predict(model, X),
-            lambda m: ({"lambda": m.lam}, {"weights": m.weights.tolist(), "bias": m.bias}),
-            lambda p, s: tabular.RidgeModel(np.asarray(s["weights"], dtype=np.float64),
-                                            float(s["bias"]), float(p["lambda"])),
-            grid={"lambda": [0.1, 1.0, 10.0]}),
+            lambda m: ({"lambda": m.lam}, {"weights": m.weights, "bias": m.bias}),
+            lambda p, s: tabular.RidgeModel(_floats(s["weights"], 1), float(s["bias"]),
+                                            float(p["lambda"])),
+            grid={"lambda": [0.1, 1.0, 10.0]}, params=("lambda",)),
     _pooled("gbt", _gbt_fit, lambda model, X: tabular.gbt_predict(model, X),
             _gbt_to_state, _gbt_from_state,
-            grid={"n_rounds": [100], "learning_rate": [0.1], "max_depth": [3]}),
+            grid={"n_rounds": [100], "learning_rate": [0.1], "max_depth": [3]},
+            params=("n_rounds", "learning_rate", "max_depth", "leaf_l2")),
     _pooled("knn",
             lambda X, y, p, seed: tabular.knn_fit(X, y, k=p.get("k", 5)),
             lambda model, X: tabular.knn_predict(model, X),
-            lambda m: ({"k": m.k}, {"X": m.X.tolist(), "y": m.y.tolist()}),
-            lambda p, s: tabular.KnnModel(np.asarray(s["X"], dtype=np.float64),
-                                          np.asarray(s["y"], dtype=np.float64),
-                                          int(p["k"])),
-            grid={"k": [3, 5, 7]}),
+            lambda m: ({"k": m.k}, {"X": m.X, "y": m.y}),
+            _knn_from_state, grid={"k": [3, 5, 7]}, params=("k",)),
     _net("cnn", neural.CnnRegressor, neural.CnnSpec),
     _net("lstm", neural.LstmRegressor, neural.LstmSpec),
     _hybrid("cnn_rf", "cnn"),

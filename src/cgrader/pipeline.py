@@ -28,7 +28,13 @@ class ConfigError(ValueError):
 _NUMBER = (int, float)
 _TYPE_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number"}
 _REQUIRED = {"config": ("data", "output"), "output": ("report", "curves", "models_dir")}
-GRID_SCHEMA = {"*": [object]}  # parameter name -> list of values
+
+
+def grid_schema(kind: str) -> dict:
+    """A grid of `kind`: each of its param keys -> a list of values."""
+    return {key: [object] for key in kinds.KINDS[kind].params}
+
+
 # A dict is a JSON object with those keys ("*": any key), [T] an array of T,
 # a type a JSON scalar of that type; `object` is any JSON value.
 _SCHEMA = {
@@ -38,7 +44,8 @@ _SCHEMA = {
     "split": {"ratios": [_NUMBER], "seed": int},
     "train": {"max_epochs": int, "batch_size": int, "learning_rate": _NUMBER,
               "patience": int},
-    "models": {kind: {"grid": GRID_SCHEMA, "params": {"*": object}}
+    "models": {kind: {"grid": grid_schema(kind),
+                      "params": dict.fromkeys(kinds.KINDS[kind].params, object)}
                for kind in kinds.KINDS},
 }
 
@@ -140,11 +147,7 @@ def embed_dataset(provider, ds: Dataset):
     """Returns (pooled (N,d), sequences (N,L,d) or None)."""
     n, L, d = len(ds), provider.seq_len, provider.dimension
     pooled = np.empty((n, d))
-    try:
-        sequences = np.zeros((n, L, d))
-    except (MemoryError, ValueError):  # ValueError: more bytes than an array may hold
-        raise ConfigError(f"seq_len {L}: the ({n}, {L}, {d}) sequence tensor needs "
-                          f"{8 * n * L * d:,} bytes, more than can be allocated")
+    sequences = embed.sequence_zeros((n, L, d), f"seq_len {L}")
     have_sequences = True
     for i, row in enumerate(ds.rows):
         e = _embed_row(provider, row)

@@ -96,6 +96,37 @@ class Trees:
                  for t, s in zip(trees, starts)]
         return cls(*map(np.concatenate, zip(*parts))) if trees else cls.from_nodes([], [])
 
+    def check(self) -> "Trees":
+        """Returns self if its arrays form trees, else raises ValueError.
+
+        Ids are 1-D intp arrays and `threshold`/`value` 1-D float64 ones, all
+        node arrays of one length. Every root and child id names a node; an
+        internal node's children have larger ids than it has, and a leaf links
+        to itself, so every walk from a root ends at a leaf.
+        """
+        for name, arr in vars(self).items():
+            dtype = np.dtype(np.float64 if name in ("threshold", "value") else np.intp)
+            if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1):
+                raise ValueError(f"tree array {name!r} is not a 1-D {dtype} array")
+            if name != "roots" and arr.size != self.feature.size:
+                raise ValueError(f"tree array {name!r} has {arr.size} nodes, "
+                                 f"'feature' has {self.feature.size}")
+        ids = np.arange(self.feature.size)
+        leaf = self.feature == -1
+        links = np.where(leaf, (self.left == ids) & (self.right == ids),
+                         (self.left > ids) & (self.right > ids)
+                         & (self.left < ids.size) & (self.right < ids.size))
+        bad = np.flatnonzero((self.feature < -1) | ~links)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"tree node {i} (feature {self.feature[i]}) links to "
+                             f"{self.left[i]} and {self.right[i]}: a leaf (feature -1) "
+                             f"links to itself, any other node to two later nodes "
+                             f"below {ids.size}")
+        if np.any((self.roots < 0) | (self.roots >= ids.size)):
+            raise ValueError(f"a tree root is not one of the {ids.size} node ids")
+        return self
+
 
 def _best_split(X, y, feats, min_samples_leaf):
     """Minimal summed child SSE over midpoint thresholds of `feats`.
@@ -168,6 +199,9 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
         return node
 
     build(np.arange(X.shape[0]), 0)
+    # `build` refers to itself; without this, the cycle keeps X and y alive
+    # until the cyclic garbage collector next runs.
+    del build
     return Trees.from_nodes([0], nodes)
 
 
@@ -185,21 +219,9 @@ def tree_predict(trees: Trees, X) -> np.ndarray:
                         trees.left[node], trees.right[node])
 
 
-def trees_to_doc(trees: Trees) -> list:
-    """Format v1: one nested {"feature", "threshold", "left", "right"} / {"leaf"}
-    document per tree, so JSON caps a tree at about 1,000 levels."""
-
-    def node_doc(i):
-        if trees.feature[i] < 0:
-            return {"leaf": float(trees.value[i])}
-        return {"feature": int(trees.feature[i]), "threshold": float(trees.threshold[i]),
-                "left": node_doc(trees.left[i]), "right": node_doc(trees.right[i])}
-
-    return [node_doc(root) for root in trees.roots]
-
-
 def trees_from_doc(docs: list) -> Trees:
-    """Inverse of `trees_to_doc`; a negative feature index is rejected."""
+    """Trees of model format v1: one nested {"feature", "threshold", "left",
+    "right"} / {"leaf"} document per tree, numbered depth-first."""
     nodes = []
 
     def add(doc):
@@ -209,8 +231,6 @@ def trees_from_doc(docs: list) -> Trees:
             nodes[node] = (-1, 0.0, node, node, float(doc["leaf"]))
             return node
         feature, threshold = int(doc["feature"]), float(doc["threshold"])
-        if feature < 0:
-            raise ValueError(f"negative tree feature index {feature}")
         left = add(doc["left"])
         nodes[node] = (feature, threshold, left, add(doc["right"]), 0.0)
         return node

@@ -322,10 +322,10 @@ def _experiment_config(tmp_path, corpus_csv, **overrides):
     return str(path)
 
 
-def _ridge_doc(**overrides):
-    """A valid ridge model document over a 16-bucket TF-IDF."""
-    provider = TfIdfProvider.fit([SEED_CODE], d=16, L=4)
-    model = RidgeModel(np.zeros(16), 5.0, 1.0)
+def _ridge_doc(d=16, **overrides):
+    """A valid ridge model document over a `d`-bucket TF-IDF."""
+    provider = TfIdfProvider.fit([SEED_CODE], d=d, L=4)
+    model = RidgeModel(np.zeros(d), 5.0, 1.0)
     doc = persist.model_to_doc("ridge", model, provider.config())
     doc.update(overrides)
     return doc
@@ -388,9 +388,14 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         doc = _ridge_doc()
         tree = {"feature": -1, "threshold": 0.5, "left": {"leaf": 1.0},
                 "right": {"leaf": 2.0}}
-        doc.update(model="rf", params={"n_trees": 1, "bootstrap": True,
-                                       **dataclasses.asdict(TreeParams())},
+        doc.update(format_version=1, model="rf",  # a v1 doc: trees nest
+                   params={"n_trees": 1, "bootstrap": True,
+                           **dataclasses.asdict(TreeParams())},
                    state={"trees": [tree]})
+        model.write_text(json.dumps(doc), encoding="utf-8")
+    elif case == "model_L_too_large":
+        doc = _ridge_doc(d=256)
+        doc["embedding"]["L"] = 1_000_000_000_000
         model.write_text(json.dumps(doc), encoding="utf-8")
     return ["grade", "--model", str(model), "--code", str(program)]
 
@@ -410,6 +415,7 @@ INPUT_ERRORS = [
     "seq_len_too_large",
     "seq_len_negative",
     "model_feature_is_negative",
+    "model_L_too_large",
 ]
 
 
@@ -426,6 +432,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("case, words", [
         ("seq_len_too_large", ["seq_len", "bytes"]),
         ("seq_len_negative", ["seq_len"]),
+        ("model_L_too_large", ["L 1000000000000", "2,048,000,000,000,000 bytes"]),
     ])
     def test_seq_len_errors_name_seq_len(self, case, words, tmp_path, corpus_csv, capsys):
         assert main(_bad_input_argv(case, tmp_path, corpus_csv)) == EXIT_USAGE
@@ -450,6 +457,33 @@ class TestInputErrors:
         assert main(["experiment", "--config", config]) == EXIT_USAGE
         assert "unknown key 'seed' in train" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("kind, where, key", [
+        ("gbt", "grid", "max_dpeth"),
+        ("gbt", "params", "max_dpeth"),
+        ("lstm_rf", "params", "n_trees"),  # the nets and hybrids take no keys
+    ])
+    def test_unknown_param_key_in_config_exits_2(self, kind, where, key, tmp_path,
+                                                 corpus_csv, capsys):
+        value = [3] if where == "grid" else 3
+        config = _experiment_config(tmp_path, corpus_csv,
+                                    models={kind: {where: {key: value}}})
+        assert main(["experiment", "--config", config]) == EXIT_USAGE
+        assert f"unknown key {key!r} in models.{kind}.{where}" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()  # before any model trains
+
+    @pytest.mark.parametrize("kind, key", [("gbt", "max_dpeth"), ("cnn", "units")])
+    def test_unknown_grid_key_in_train_exits_2(self, kind, key, tmp_path, corpus_csv,
+                                               capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({key: [3]}), encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(corpus_csv), "--model", kind, "--dim", "16",
+                     "--seq-len", "4", "--grid", str(grid), "--out", str(out)]) \
+            == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"unknown key {key!r} in --grid {grid}" in captured.err
+        assert "params:" not in captured.out and not out.exists()
 
     def test_bad_grid_file_exits_2(self, tmp_path, corpus_csv):
         grid = tmp_path / "grid.json"

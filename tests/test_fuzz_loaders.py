@@ -39,8 +39,9 @@ PROGRAMS = [
 ]
 
 # Replacements that are wrong in any place of a model or vectors document: no
-# field there takes a non-numeric string, an object or an array of strings,
-# except that "x" is a valid (unknown) vectors id.
+# field there takes an object or an array of strings, and no field takes the
+# string "x": a stored array's "b64" and "dtype" are strings, but "x" is
+# neither valid base64 nor a dtype; "x" is a valid (unknown) vectors id.
 WRONG = ["x", {"x": 1}, [["x"]]]
 
 text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)

@@ -1,12 +1,18 @@
+import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cgrader import kinds, persist
+from cgrader.cli import main
 from cgrader.embed import TfIdfProvider
 from cgrader.neural import TrainConfig
-from cgrader.tabular import ridge_fit, rf_predict
+from cgrader.tabular import ForestModel, TreeParams, Trees, ridge_fit, rf_predict
 
 
 def tab_data(seed=0):
@@ -54,21 +60,43 @@ GOLDEN_RF = (
     '{"feature": 0, "left": {"leaf": 4.0}, "right": {"leaf": 8.0}, '
     '"threshold": -0.5}, "threshold": 0.5}, {"leaf": 6.5}]}}'
 )
+# The same forest in format v2: node ids "<i8", thresholds and values "<f8".
+GOLDEN_RF_V2 = (
+    '{"embedding": {"provider": "none"}, "format_version": 2, "model": "rf", '
+    '"params": {"bootstrap": true, "feature_subsample": 1.0, "max_depth": null, '
+    '"min_samples_leaf": 1, "min_samples_split": 2, "n_trees": 2, "seed": 0}, '
+    '"state": {"trees": {'
+    '"feature": {"b64": "AQAAAAAAAAD//////////wAAAAAAAAAA////////////////////////////////", '
+    '"dtype": "<i8", "shape": [6]}, '
+    '"left": {"b64": "AQAAAAAAAAABAAAAAAAAAAMAAAAAAAAAAwAAAAAAAAAEAAAAAAAAAAUAAAAAAAAA", '
+    '"dtype": "<i8", "shape": [6]}, '
+    '"right": {"b64": "AgAAAAAAAAABAAAAAAAAAAQAAAAAAAAAAwAAAAAAAAAEAAAAAAAAAAUAAAAAAAAA", '
+    '"dtype": "<i8", "shape": [6]}, '
+    '"roots": {"b64": "AAAAAAAAAAAFAAAAAAAAAA==", "dtype": "<i8", "shape": [2]}, '
+    '"threshold": {"b64": "AAAAAAAA4D8AAAAAAAAAAAAAAAAAAOC/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", '
+    '"dtype": "<f8", "shape": [6]}, '
+    '"value": {"b64": "AAAAAAAAAAAAAAAAAAAAQAAAAAAAAAAAAAAAAAAAEEAAAAAAAAAgQAAAAAAAABpA", '
+    '"dtype": "<f8", "shape": [6]}}}}'
+)
 
 
 def test_golden_forest_doc(tmp_path):
-    path = tmp_path / "golden.json"
-    path.write_text(GOLDEN_RF, encoding="utf-8")
-    kind, model, emb = persist.load_model(path)
-    # Depth-first node ids, left child first; a leaf is feature -1 and links to itself.
-    assert model.trees.roots.tolist() == [0, 5]
-    assert model.trees.feature.tolist() == [1, -1, 0, -1, -1, -1]
-    assert model.trees.left.tolist() == [1, 1, 3, 3, 4, 5]
-    assert model.trees.right.tolist() == [2, 1, 4, 3, 4, 5]
-    X = [[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0]]
-    assert rf_predict(model, X).tolist() == [4.25, 5.25, 7.25]
-    persist.save_model(tmp_path / "again.json", kind, model, emb)
-    assert (tmp_path / "again.json").read_text(encoding="utf-8") == GOLDEN_RF
+    for golden in (GOLDEN_RF, GOLDEN_RF_V2):
+        path = tmp_path / "golden.json"
+        path.write_text(golden, encoding="utf-8")
+        kind, model, emb = persist.load_model(path)
+        # Depth-first node ids, left child first; a leaf is feature -1 and links
+        # to itself.
+        assert model.trees.roots.tolist() == [0, 5]
+        assert model.trees.feature.tolist() == [1, -1, 0, -1, -1, -1]
+        assert model.trees.threshold.tolist() == [0.5, 0.0, -0.5, 0.0, 0.0, 0.0]
+        assert model.trees.left.tolist() == [1, 1, 3, 3, 4, 5]
+        assert model.trees.right.tolist() == [2, 1, 4, 3, 4, 5]
+        assert model.trees.value.tolist() == [0.0, 2.0, 0.0, 4.0, 8.0, 6.5]
+        X = [[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0]]
+        assert rf_predict(model, X).tolist() == [4.25, 5.25, 7.25]
+        persist.save_model(tmp_path / "again.json", kind, model, emb)
+        assert (tmp_path / "again.json").read_text(encoding="utf-8") == GOLDEN_RF_V2
 
 
 def test_500_level_chain_tree(tmp_path):
@@ -85,7 +113,111 @@ def test_500_level_chain_tree(tmp_path):
     kind, model, emb = persist.load_model(path)
     X = np.arange(depth + 1, dtype=np.float64)[:, None]
     assert np.array_equal(rf_predict(model, X), np.clip(X[:, 0], 0, 10))
-    assert persist.model_to_doc(kind, model, emb) == doc
+    persist.save_model(tmp_path / "v2.json", kind, model, emb)
+    kind, again, emb = persist.load_model(tmp_path / "v2.json")
+    assert all(np.array_equal(a, b) for a, b in zip(vars(model.trees).values(),
+                                                    vars(again.trees).values()))
+    assert persist.model_to_doc(kind, again, emb) == persist.model_to_doc(kind, model, emb)
+
+
+def chain_forest(depth):
+    """One tree of `depth` levels on feature 0: a row x goes left to a leaf of
+    value level % 10 at the first level with x <= level - depth + 0.5, and a row
+    with x >= 0 reaches the last leaf, of value 7."""
+    nodes = []
+    for level in range(depth):
+        node = len(nodes)
+        nodes += [(0, level - depth + 0.5, node + 1, node + 2, 0.0),
+                  (-1, 0.0, node + 1, node + 1, float(level % 10))]
+    nodes.append((-1, 0.0, len(nodes), len(nodes), 7.0))
+    return ForestModel(Trees.from_nodes([0], nodes), 1, TreeParams())
+
+
+def test_5000_level_chain_tree_saves_loads_and_grades(tmp_path, capsys):
+    depth = 5000
+    provider = TfIdfProvider.fit(["int x;", "int y;"], d=16, L=4)
+    path = tmp_path / "chain.json"
+    persist.save_model(path, "rf", chain_forest(depth), provider.config())
+    kind, model, _ = persist.load_model(path)
+    X = np.arange(-depth, 1, dtype=np.float64)[:, None]
+    assert rf_predict(model, X).tolist() == [level % 10 for level in range(depth)] + [7.0]
+    program = tmp_path / "prog.c"
+    program.write_text("int main(void) { return 0; }", encoding="utf-8")
+    assert main(["grade", "--model", str(path), "--code", str(program)]) == 0
+    assert capsys.readouterr().out.strip() == "7.00"
+
+
+V1_DIR = Path(__file__).resolve().parent / "data" / "v1"
+
+
+@pytest.mark.parametrize("kind", list(kinds.KINDS))
+def test_v1_file_predicts_recorded_values(tmp_path, kind):
+    """Each file was written by the format v1 writer, with its predictions."""
+    expected = json.loads((V1_DIR / "expected.json").read_text(encoding="utf-8"))
+    loaded_kind, model, emb = persist.load_model(V1_DIR / f"{kind}.json")
+    assert loaded_kind == kind
+    embedded = [persist.provider_from_config(emb).embed_code(code)
+                for code in expected["programs"]]
+    pooled = np.array([e.pooled for e in embedded])
+    sequences = np.array([e.sequence for e in embedded])
+    predict = kinds.KINDS[kind].predict
+    assert predict(model, pooled, sequences).tolist() == expected["predictions"][kind]
+    again, _ = round_trip(tmp_path, kind, model, emb)
+    assert predict(again, pooled, sequences).tolist() == expected["predictions"][kind]
+
+
+def break_golden(case):
+    """The v2 golden forest, over a TF-IDF that grades, with one fault `case`."""
+    doc = json.loads(GOLDEN_RF_V2)
+    doc["embedding"] = TfIdfProvider.fit(["int x;"], d=8, L=4).config()
+    trees = doc["state"]["trees"]
+    if case in ("<f4", ">f8", "|O"):
+        trees["threshold"]["dtype"] = case
+    elif case == "shape_mismatch":
+        trees["value"]["shape"] = [5]
+    elif case == "huge_shape":
+        trees["value"]["shape"] = [10**12]
+    elif case == "invalid_base64":
+        trees["value"]["b64"] = "not base64!"
+    else:  # (side, node, new child) edits; the first two make every walk loop
+        edits = {"links_to_itself": [("left", 0, 0), ("right", 0, 0)],
+                 "links_to_ancestor": [("left", 0, 2), ("left", 2, 0), ("right", 2, 0)],
+                 "child_out_of_range": [("right", 0, 6)]}[case]
+        for side, node, child in edits:
+            ids = np.frombuffer(base64.b64decode(trees[side]["b64"]), "<i8").copy()
+            ids[node] = child
+            trees[side]["b64"] = base64.b64encode(ids.tobytes()).decode("ascii")
+    return doc
+
+
+MALFORMED_V2 = {  # fault -> words its error line names
+    "<f4": ["dtype", "<f4"],
+    ">f8": ["dtype", ">f8"],
+    "|O": ["dtype", "|O"],
+    "shape_mismatch": ["shape [5]", "bytes"],
+    "huge_shape": ["shape [1000000000000]", "bytes"],
+    "invalid_base64": ["base64"],
+    "links_to_itself": ["tree node 0", "links to 0 and 0"],
+    "links_to_ancestor": ["tree node 2", "links to 0 and 0"],
+    "child_out_of_range": ["tree node 0", "links to 1 and 6"],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_V2))
+def test_malformed_v2_doc_exits_2(tmp_path, case):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(break_golden(case)), encoding="utf-8")
+    (tmp_path / "prog.c").write_text("int x;", encoding="utf-8")
+    # A subprocess with a time limit: a tree walk that never reaches a leaf
+    # would otherwise hang the suite.
+    done = subprocess.run(
+        [sys.executable, "-m", "cgrader.cli", "grade", "--model", str(path),
+         "--code", str(tmp_path / "prog.c")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(persist.__file__).parents[1])})
+    err = done.stderr.splitlines()
+    assert done.returncode == 2 and len(err) == 1 and err[0].startswith("error: "), err
+    assert all(word in err[0] for word in MALFORMED_V2[case]), err
 
 
 def test_embedding_config_preserved(tmp_path):
