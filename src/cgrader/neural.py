@@ -239,9 +239,33 @@ class LstmRegressor:
             mask_x = np.ones((batch, self.dim))
             mask_h = np.ones((batch, h_units))
         p = self.params
-        h = np.zeros((batch, h_units))
-        c = np.zeros((batch, h_units))
-        steps = []
+        # Inference keeps no step's arrays; a backward pass after it
+        # recomputes them.
+        steps = [] if training else None
+        for h, step in self._steps(X, mask_x, mask_h):
+            if training:
+                steps.append(step)
+        h1 = _relu(h @ p["w1"] + p["b1"])
+        pre2 = h1 @ p["w2"] + p["b2"]
+        out = _relu(pre2)[:, 0]
+        cache = {
+            "X": X,
+            "steps": steps,
+            "h_final": h,
+            "h1": h1,
+            "pre2": pre2,
+            "mask_x": mask_x,
+            "mask_h": mask_h,
+        }
+        return out, cache
+
+    def _steps(self, X, mask_x, mask_h):
+        """Runs the recurrence, yielding each step's hidden state and the
+        arrays the step's backward pass needs."""
+        p = self.params
+        h_units = self.spec.units
+        h = np.zeros((X.shape[0], h_units))
+        c = np.zeros((X.shape[0], h_units))
         for t in range(self.seq_len):
             xt = X[:, t, :] * mask_x
             hd = h * mask_h
@@ -254,24 +278,15 @@ class LstmRegressor:
             c = gf * c_prev + gi * gg
             tanh_c = np.tanh(c)
             h = go * tanh_c
-            steps.append((xt, hd, gi, gf, gg, go, c_prev, tanh_c))
-        h1 = _relu(h @ p["w1"] + p["b1"])
-        pre2 = h1 @ p["w2"] + p["b2"]
-        out = _relu(pre2)[:, 0]
-        cache = {
-            "steps": steps,
-            "h_final": h,
-            "h1": h1,
-            "pre2": pre2,
-            "mask_x": mask_x,
-            "mask_h": mask_h,
-        }
-        return out, cache
+            yield h, (xt, hd, gi, gf, gg, go, c_prev, tanh_c)
 
     def backward(self, cache, dout):
         p = self.params
         h_units = self.spec.units
         steps = cache["steps"]
+        if steps is None:
+            steps = [step for _, step in
+                     self._steps(cache["X"], cache["mask_x"], cache["mask_h"])]
         h1, pre2 = cache["h1"], cache["pre2"]
         mask_h = cache["mask_h"]
         batch = h1.shape[0]

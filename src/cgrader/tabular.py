@@ -128,42 +128,47 @@ class Trees:
         return self
 
 
-def _best_split(X, y, feats, min_samples_leaf):
+def _best_split(Xf, y, feats, min_samples_leaf):
     """Minimal summed child SSE over midpoint thresholds of `feats`.
 
-    Returns (feature, threshold) or None. Ties: lowest feature index, then
-    lowest threshold.
+    `Xf` holds the node's rows of the columns `feats`, in increasing order.
+    Columns constant over those rows have no threshold and are dropped before
+    any sorting. Returns (feature, threshold) or None. Ties: lowest feature
+    index, then lowest threshold.
     """
     n = y.shape[0]
-    Xf = X[:, feats]
+    varies = (Xf[1:] != Xf[0]).any(axis=0)
+    if not varies.all():
+        feats, Xf = feats[varies], Xf[:, varies]
     order = np.argsort(Xf, axis=0, kind="stable")
-    Xs = np.take_along_axis(Xf, order, axis=0)
+    Xs = Xf[order, np.arange(feats.size)]
     ys = y[order]
     s1 = np.cumsum(ys, axis=0)
     s2 = np.cumsum(ys * ys, axis=0)
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    # Candidate row i splits after the i + 1 smallest values; rows lo..hi-1
+    # leave at least min_samples_leaf rows on each side.
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
     right_n = n - left_n
-    left_sse = s2[:-1] - s1[:-1] ** 2 / left_n
-    right_sse = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / right_n
+    a1, a2 = s1[lo:hi], s2[lo:hi]
+    left_sse = a2 - a1 ** 2 / left_n
+    right_sse = (s2[-1] - a2) - (s1[-1] - a1) ** 2 / right_n
     score = left_sse + right_sse
-    valid = (
-        (Xs[1:] > Xs[:-1])
-        & (left_n >= min_samples_leaf)
-        & (right_n >= min_samples_leaf)
-    )
+    valid = Xs[lo + 1 : hi + 1] > Xs[lo:hi]
     if not valid.any():
         return None
-    score = np.where(valid, score, np.inf)
+    score[~valid] = np.inf
     # Column-major, so the first minimum has the lowest feature, then threshold.
-    col, row = divmod(int(np.argmin(score.T)), n - 1)
-    return int(feats[col]), (Xs[row, col] + Xs[row + 1, col]) / 2.0
+    col, row = divmod(int(np.argmin(score.T)), hi - lo)
+    return int(feats[col]), (Xs[lo + row, col] + Xs[lo + row + 1, col]) / 2.0
 
 
 def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None) -> Trees:
     """Greedy CART regression tree. ``leaf_value`` overrides the leaf mean.
 
     Nodes are numbered depth-first, left child first, the order in which they
-    draw their feature subsample from `rng`.
+    draw their feature subsample from `rng`. The build keeps its pending right
+    subtrees on a stack, so depth is limited by memory only.
     """
     X, y = validate_features(X, y)
     if rng is None:
@@ -171,37 +176,38 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
     n_features = X.shape[1]
     m = math.ceil(params.feature_subsample * n_features)
     if leaf_value is None:
-        leaf_value = lambda targets: float(np.mean(targets))
+        leaf_value = lambda targets: float(targets.sum() / targets.size)
     nodes = []
-
-    def build(idx, depth):
+    # (rows, depth, parent): the node popped next is its parent's left child,
+    # numbered parent + 1, unless it names the parent whose right child it is.
+    stack = [(np.arange(X.shape[0]), 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
         node = len(nodes)
-        nodes.append(None)
+        if parent >= 0:
+            nodes[parent][3] = node
         targets = y[idx]
         stop = (
             (params.max_depth is not None and depth >= params.max_depth)
             or idx.shape[0] < params.min_samples_split
             or np.all(targets == targets[0])
         )
+        found = None
         if not stop:
             if m < n_features:
                 feats = np.sort(rng.choice(n_features, size=m, replace=False))
             else:
                 feats = np.arange(n_features)
-            found = _best_split(X[idx], targets, feats, params.min_samples_leaf)
-            if found is not None:
-                feature, threshold = found
-                mask = X[idx, feature] <= threshold
-                left = build(idx[mask], depth + 1)
-                nodes[node] = (feature, threshold, left, build(idx[~mask], depth + 1), 0.0)
-                return node
-        nodes[node] = (-1, 0.0, node, node, leaf_value(targets))
-        return node
-
-    build(np.arange(X.shape[0]), 0)
-    # `build` refers to itself; without this, the cycle keeps X and y alive
-    # until the cyclic garbage collector next runs.
-    del build
+            found = _best_split(X[idx[:, None], feats], targets, feats,
+                                params.min_samples_leaf)
+        if found is None:
+            nodes.append((-1, 0.0, node, node, leaf_value(targets)))
+            continue
+        feature, threshold = found
+        nodes.append([feature, threshold, node + 1, None, 0.0])
+        mask = X[idx, feature] <= threshold
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, -1))
     return Trees.from_nodes([0], nodes)
 
 

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,17 @@ class TestFeatures:
         model = toy_lstm(dropout=0.4)
         X = np.random.default_rng(1).normal(size=(2, TOY_L, TOY_D))
         assert np.array_equal(model.features(X), model.features(X))
+
+    def test_lstm_inference_memory_does_not_grow_with_length(self):
+        def peak_bytes(seq_len):
+            model = LstmRegressor(LstmSpec(units=32, dense_units=8), seq_len, 16)
+            X = np.random.default_rng(0).normal(size=(100, seq_len, 16))
+            tracemalloc.start()
+            try:
+                model.predict(X)
+                model.features(X)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(64) < 1.5 * peak_bytes(8)

@@ -12,7 +12,8 @@ from cgrader import kinds, persist
 from cgrader.cli import main
 from cgrader.embed import TfIdfProvider
 from cgrader.neural import TrainConfig
-from cgrader.tabular import ForestModel, TreeParams, Trees, ridge_fit, rf_predict
+from cgrader.tabular import (ForestModel, TreeParams, Trees, ridge_fit, rf_predict,
+                              tree_fit)
 
 
 def tab_data(seed=0):
@@ -145,6 +146,36 @@ def test_5000_level_chain_tree_saves_loads_and_grades(tmp_path, capsys):
     program.write_text("int main(void) { return 0; }", encoding="utf-8")
     assert main(["grade", "--model", str(path), "--code", str(program)]) == 0
     assert capsys.readouterr().out.strip() == "7.00"
+
+
+def test_fitted_chain_deeper_than_the_recursion_limit_saves_loads_and_grades(
+        tmp_path, capsys):
+    # y = 3**i puts the best split just below the largest target at every
+    # node, so the tree is a chain of n - 1 levels. Past about 640 levels the
+    # squares overflow, so the test lowers the recursion limit below n.
+    n = 400
+    X = np.zeros((n, 16))
+    X[:, 0] = np.arange(n) - (n - 1)
+    y = 3.0 ** (np.arange(n) - n // 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n - 100)
+    try:
+        trees = tree_fit(X, y)
+    finally:
+        sys.setrecursionlimit(limit)
+    depth = np.zeros(trees.feature.size, dtype=int)
+    for node in np.flatnonzero(trees.feature >= 0):
+        depth[[trees.left[node], trees.right[node]]] = depth[node] + 1
+    assert depth.max() == n - 1
+    provider = TfIdfProvider.fit(["int x;", "int y;"], d=16, L=4)
+    path = tmp_path / "fitted_chain.json"
+    persist.save_model(path, "rf", ForestModel(trees, 1, TreeParams()), provider.config())
+    _, model, _ = persist.load_model(path)
+    assert np.array_equal(rf_predict(model, X), np.clip(y, 0, 10))
+    program = tmp_path / "prog.c"
+    program.write_text("int main(void) { return 0; }", encoding="utf-8")
+    assert main(["grade", "--model", str(path), "--code", str(program)]) == 0
+    assert capsys.readouterr().out.strip() == "10.00"
 
 
 V1_DIR = Path(__file__).resolve().parent / "data" / "v1"

@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from cgrader import tabular
 from cgrader.metrics import rmse
 from cgrader.tabular import (
     FitError,
@@ -143,6 +145,135 @@ class TestTree:
         tree = tree_fit([[0.0], [1.0], [2.0]], [0.0, 5.0, 10.0],
                         TreeParams(min_samples_leaf=2))
         assert tree.feature[0] == -1
+
+
+# --- exactness against the split search and build as they were ---------------
+
+
+def reference_best_split(X, y, feats, min_samples_leaf):
+    """The split search before constant columns were dropped: every drawn
+    column of the node is sorted and scored."""
+    n = y.shape[0]
+    Xf = X[:, feats]
+    order = np.argsort(Xf, axis=0, kind="stable")
+    Xs = np.take_along_axis(Xf, order, axis=0)
+    ys = y[order]
+    s1 = np.cumsum(ys, axis=0)
+    s2 = np.cumsum(ys * ys, axis=0)
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
+    left_sse = s2[:-1] - s1[:-1] ** 2 / left_n
+    right_sse = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / right_n
+    score = left_sse + right_sse
+    valid = (
+        (Xs[1:] > Xs[:-1])
+        & (left_n >= min_samples_leaf)
+        & (right_n >= min_samples_leaf)
+    )
+    if not valid.any():
+        return None
+    score = np.where(valid, score, np.inf)
+    col, row = divmod(int(np.argmin(score.T)), n - 1)
+    return int(feats[col]), (Xs[row, col] + Xs[row + 1, col]) / 2.0
+
+
+def reference_tree_fit(X, y, params=TreeParams(), rng=None, leaf_value=None):
+    """The recursive build on `reference_best_split`."""
+    X, y = tabular.validate_features(X, y)
+    if rng is None:
+        rng = np.random.default_rng(params.seed)
+    n_features = X.shape[1]
+    m = math.ceil(params.feature_subsample * n_features)
+    if leaf_value is None:
+        leaf_value = lambda targets: float(np.mean(targets))
+    nodes = []
+
+    def build(idx, depth):
+        node = len(nodes)
+        nodes.append(None)
+        targets = y[idx]
+        stop = (
+            (params.max_depth is not None and depth >= params.max_depth)
+            or idx.shape[0] < params.min_samples_split
+            or np.all(targets == targets[0])
+        )
+        if not stop:
+            if m < n_features:
+                feats = np.sort(rng.choice(n_features, size=m, replace=False))
+            else:
+                feats = np.arange(n_features)
+            found = reference_best_split(X[idx], targets, feats, params.min_samples_leaf)
+            if found is not None:
+                feature, threshold = found
+                mask = X[idx, feature] <= threshold
+                left = build(idx[mask], depth + 1)
+                nodes[node] = (feature, threshold, left, build(idx[~mask], depth + 1), 0.0)
+                return node
+        nodes[node] = (-1, 0.0, node, node, leaf_value(targets))
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return tabular.Trees.from_nodes([0], nodes)
+
+
+def tied_data(rng):
+    """Small integer-valued data full of ties: some all-zero columns, sparse
+    columns, columns zero wherever column 0 is small (so constant in a
+    subtree), duplicate rows, and targets with many equal values."""
+    n = int(rng.integers(2, 41))
+    p = int(rng.integers(1, 9))
+    X = rng.integers(0, int(rng.integers(1, 5)), size=(n, p)).astype(np.float64)
+    X[:, rng.random(p) < 0.4] *= rng.random((n, 1)) < 0.2
+    X[:, rng.random(p) < 0.3] *= X[:, :1] > 1
+    X[:, rng.random(p) < 0.2] = 0.0
+    y = rng.integers(0, int(rng.integers(1, 6)), size=n) * rng.choice([0.5, 1.0, 2.5])
+    rows = rng.integers(0, n, size=n) if rng.random() < 0.5 else np.arange(n)
+    return X[rows], y[rows]
+
+
+def random_tree_params(rng, subsample):
+    return TreeParams(max_depth=[None, 2, 3][int(rng.integers(3))],
+                      min_samples_split=int(rng.integers(2, 5)),
+                      min_samples_leaf=int(rng.integers(1, 4)),
+                      feature_subsample=subsample, seed=int(rng.integers(1000)))
+
+
+def assert_same_trees(got, expected):
+    for name, arr in vars(expected).items():
+        assert getattr(got, name).dtype == arr.dtype, name
+        assert np.array_equal(getattr(got, name), arr), name
+
+
+class TestMatchesReferenceBuild:
+    """Dropping constant columns and building from a stack leave every
+    node array as the recursive full-width search made it."""
+
+    def test_tree_fit(self):
+        rng = np.random.default_rng(90)
+        for _ in range(250):
+            X, y = tied_data(rng)
+            params = random_tree_params(rng, [1.0, 0.5, 1 / 3][int(rng.integers(3))])
+            assert_same_trees(tree_fit(X, y, params), reference_tree_fit(X, y, params))
+
+    def test_rf_fit(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        cases = [(*tied_data(rng), random_tree_params(rng, [1.0, 1 / 3][i % 2]))
+                 for i in range(150)]
+        fits = [rf_fit(X, y, n_trees=3, params=params) for X, y, params in cases]
+        monkeypatch.setattr(tabular, "tree_fit", reference_tree_fit)
+        for (X, y, params), forest in zip(cases, fits):
+            assert_same_trees(forest.trees, rf_fit(X, y, n_trees=3, params=params).trees)
+
+    def test_gbt_fit(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        cases = [(*tied_data(rng), [None, 2, 3][i % 3], float(rng.choice([0.0, 1.0])))
+                 for i in range(150)]
+        fit = lambda X, y, depth, l2: gbt_fit(X, y, n_rounds=4, learning_rate=0.5,
+                                               max_depth=depth, leaf_l2=l2).trees
+        fits = [fit(*case) for case in cases]
+        monkeypatch.setattr(tabular, "tree_fit", reference_tree_fit)
+        for case, trees in zip(cases, fits):
+            assert_same_trees(trees, fit(*case))
 
 
 # --- random forest ----------------------------------------------------------
