@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, kinds, metrics, persist, pipeline, synth
-from .corpus import (DEFAULT_RATIOS, Submission, dataset_stats, load_dataset,
-                     save_dataset, split)
+from .corpus import DEFAULT_RATIOS, Submission, save_dataset, score_histogram
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -51,7 +50,7 @@ def cmd_synth(args) -> int:
             writer.writerow(["id", "kinds"])
             for row, kinds in zip(ds.rows, plans):
                 writer.writerow([row.id, "+".join(sorted(k.value for k in kinds))])
-    histogram = dataset_stats(ds).score_histogram
+    histogram = score_histogram(ds)
     print(f"wrote {len(ds)} rows to {args.out}")
     for score in sorted(histogram):
         print(f"score {score:g}: {histogram[score]}")
@@ -59,25 +58,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_cfg = TrainConfig(
-        max_epochs=args.max_epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, patience=args.patience,
-    )
+    train_cfg = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
+                            learning_rate=args.learning_rate, patience=args.patience)
     ratios = [float(r) for r in args.split.split(",")]
-    parts = split(load_dataset(args.data), ratios, args.seed)
-    provider = pipeline.build_provider(
-        args.embedding, parts.train, args.dim, args.seq_len, args.vectors
-    )
-    X_train, S_train = pipeline.embed_dataset(provider, parts.train)
-    X_val, S_val = pipeline.embed_dataset(provider, parts.validation)
-    y_train = parts.train.scores()
-    y_val = parts.validation.scores()
+    data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
+                                         args.dim, args.seq_len, args.vectors, train_cfg)
     spec = {}
     if args.grid:
         spec["grid"] = pipeline.read_json(args.grid)
         pipeline.check_json(spec["grid"], pipeline.grid_schema(args.model),
                             f"--grid {args.grid}")
-    data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, train_cfg)
     kind = args.model
     try:
         trained = kinds.fit(kind, data, args.seed, spec)
@@ -90,12 +80,9 @@ def cmd_train(args) -> int:
     else:
         print(f"stopped at epoch {trained.history.stopped_epoch}, "
               f"best epoch {trained.history.best_epoch}")
-    for split_name, pooled, sequences, y in (
-        ("train", X_train, S_train, y_train),
-        ("validation", X_val, S_val, y_val),
-    ):
-        yhat = pipeline.predict_kind(kind, trained.model, pooled, sequences)
-        row = metrics.evaluate(y, yhat, "model", split_name)
+    for split_name, part in (("train", data.train), ("validation", data.validation)):
+        yhat = pipeline.predict_kind(kind, trained.model, part.pooled, part.sequences)
+        row = metrics.evaluate(part.y, yhat, "model", split_name)
         print(f"{split_name}: rmse={row.rmse:.4f} mae={row.mae:.4f} "
               f"r2={row.r2:.4f} mape={row.mape:.4f}")
     persist.save_model(args.out, kind, trained.model, provider.config())
@@ -119,12 +106,12 @@ def cmd_experiment(args) -> int:
     cfg = pipeline.ExperimentConfig.from_dict(
         pipeline.read_json(args.config), base_dir=str(Path(args.config).resolve().parent)
     )
-    result = pipeline.run_experiment(cfg)
+    errors = pipeline.run_experiment(cfg)
     print(f"report written to {cfg.report_path}")
     print(f"curves written to {cfg.curves_path}")
-    for kind, message in result.errors.items():
+    for kind, message in errors.items():
         print(f"error: {kind}: {message}", file=sys.stderr)
-    return EXIT_PARTIAL if result.errors else EXIT_OK
+    return EXIT_PARTIAL if errors else EXIT_OK
 
 
 @functools.cache
@@ -147,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single model")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, choices=list(kinds.KINDS))
-    p.add_argument("--embedding", choices=["tfidf", "external"], default="tfidf")
+    p.add_argument("--embedding", choices=list(embed.PROVIDERS), default="tfidf")
     p.add_argument("--vectors", help="JSON-Lines vector file for --embedding external")
     p.add_argument("--dim", type=int, default=embed.DEFAULT_TFIDF_DIM)
     p.add_argument("--seq-len", type=int, default=embed.DEFAULT_SEQ_LEN)

@@ -1,10 +1,11 @@
-"""Dataset model: CSV ingestion, seeded splitting, descriptive statistics."""
+"""Dataset model: CSV ingestion, seeded splitting, the score histogram."""
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +54,6 @@ class SplitDataset:
     train: Dataset
     validation: Dataset
     test: Dataset
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    row_count: int
-    total_words: int
-    max_words_per_row: int
-    score_histogram: dict[float, int] = field(default_factory=dict)
 
 
 def load_dataset(path) -> Dataset:
@@ -129,14 +122,6 @@ def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:
     return SplitDataset(*(Dataset(tuple(ds.rows[i] for i in idx)) for idx in parts))
 
 
-def dataset_stats(ds: Dataset) -> DatasetStats:
-    """Whitespace-word counts and an exact-value score histogram."""
-    total = 0
-    max_per_row = 0
-    histogram: dict[float, int] = {}
-    for row in ds.rows:
-        words = len(row.code.split())
-        total += words
-        max_per_row = max(max_per_row, words)
-        histogram[row.score] = histogram.get(row.score, 0) + 1
-    return DatasetStats(len(ds), total, max_per_row, histogram)
+def score_histogram(ds: Dataset) -> dict[float, int]:
+    """Row count per exact score value."""
+    return dict(Counter(row.score for row in ds.rows))

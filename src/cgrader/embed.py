@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clex import TokenStream, significant_tokens, tokenize
+from .clex import significant_tokens, tokenize
 
 DEFAULT_TFIDF_DIM = 256
 DEFAULT_SEQ_LEN = 512
 
 
 class EmbeddingFormatError(ValueError):
-    """Bad vector file contents."""
+    """Bad vector file or embedding config contents."""
 
 
 class EmbeddingLookupError(LookupError):
@@ -72,109 +72,99 @@ def fnv1a_64(text: str) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class TfIdfModel:
+@dataclass(frozen=True, eq=False)
+class TfIdfProvider:
+    """Deterministic hashed TF-IDF embeddings fitted on a token corpus."""
+
     d: int
     L: int
     doc_count: int
     doc_freq: np.ndarray  # (d,) ints
-    idf: np.ndarray  # (d,)
-
-
-def tfidf_fit(corpus: list[TokenStream], d: int = DEFAULT_TFIDF_DIM,
-              L: int = DEFAULT_SEQ_LEN) -> TfIdfModel:
-    if d < 8:
-        raise ValueError(f"hash dimension must be >= 8, got {d}")
-    if not corpus:
-        raise ValueError("cannot fit TF-IDF on an empty corpus")
-    doc_freq = np.zeros(d, dtype=np.int64)
-    for stream in corpus:
-        buckets = {fnv1a_64(tok.text) % d for tok in significant_tokens(stream)}
-        for b in buckets:
-            doc_freq[b] += 1
-    n = len(corpus)
-    idf = np.log((1.0 + n) / (1.0 + doc_freq)) + 1.0
-    return TfIdfModel(d, L, n, doc_freq, idf)
-
-
-def tfidf_embed(model: TfIdfModel, code: str) -> Embedding:
-    tokens = significant_tokens(tokenize(code))
-    buckets = [fnv1a_64(tok.text) % model.d for tok in tokens]
-    pooled = np.zeros(model.d)
-    if buckets:
-        counts = np.bincount(buckets, minlength=model.d).astype(np.float64)
-        pooled = (counts / len(buckets)) * model.idf
-        norm = math.sqrt(float(pooled @ pooled))
-        if norm > 0:
-            pooled = pooled / norm
-    sequence = sequence_zeros((model.L, model.d), f"L {model.L}")
-    for t, b in enumerate(buckets[: model.L]):
-        sequence[t, b] = model.idf[b]
-    return Embedding(pooled, sequence, model.d, model.L)
-
-
-class TfIdfProvider:
-    """Deterministic hashed TF-IDF embeddings fitted on a token corpus."""
+    idf: np.ndarray = field(init=False, repr=False)  # (d,)
 
     name = "tfidf"
 
-    def __init__(self, model: TfIdfModel):
-        self.model = model
+    def __post_init__(self):
+        idf = np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
+        object.__setattr__(self, "idf", idf)
 
     @classmethod
     def fit(cls, codes: list[str], d: int = DEFAULT_TFIDF_DIM,
             L: int = DEFAULT_SEQ_LEN) -> "TfIdfProvider":
-        return cls(tfidf_fit([tokenize(code) for code in codes], d=d, L=L))
+        if d < 8:
+            raise ValueError(f"hash dimension must be >= 8, got {d}")
+        if not codes:
+            raise ValueError("cannot fit TF-IDF on an empty corpus")
+        doc_freq = np.zeros(d, dtype=np.int64)
+        for code in codes:
+            buckets = {fnv1a_64(tok.text) % d for tok in significant_tokens(tokenize(code))}
+            doc_freq[list(buckets)] += 1
+        return cls(d, L, len(codes), doc_freq)
 
-    @property
-    def dimension(self) -> int:
-        return self.model.d
-
-    @property
-    def seq_len(self) -> int:
-        return self.model.L
+    @classmethod
+    def build(cls, codes: list[str], d: int, L: int, vectors=None) -> "TfIdfProvider":
+        """The provider of a run whose train part holds `codes`."""
+        return cls.fit(codes, d=d, L=L)
 
     def embed_code(self, code: str) -> Embedding:
-        return tfidf_embed(self.model, code)
+        tokens = significant_tokens(tokenize(code))
+        buckets = [fnv1a_64(tok.text) % self.d for tok in tokens]
+        pooled = np.zeros(self.d)
+        if buckets:
+            counts = np.bincount(buckets, minlength=self.d).astype(np.float64)
+            pooled = (counts / len(buckets)) * self.idf
+            norm = math.sqrt(float(pooled @ pooled))
+            if norm > 0:
+                pooled = pooled / norm
+        sequence = sequence_zeros((self.L, self.d), f"L {self.L}")
+        for t, b in enumerate(buckets[: self.L]):
+            sequence[t, b] = self.idf[b]
+        return Embedding(pooled, sequence, self.d, self.L)
 
-    def embed_by_id(self, sub_id: str) -> Embedding:
-        raise UnsupportedEmbedding("TF-IDF provider embeds code text, not ids")
+    def embed_row(self, row) -> Embedding:
+        return self.embed_code(row.code)
 
     def config(self) -> dict:
-        return {
-            "provider": "tfidf",
-            "d": self.model.d,
-            "L": self.model.L,
-            "doc_count": self.model.doc_count,
-            "doc_freq": self.model.doc_freq.tolist(),
-        }
+        return {"provider": self.name, "d": self.d, "L": self.L,
+                "doc_count": self.doc_count, "doc_freq": self.doc_freq.tolist()}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TfIdfProvider":
-        d, L, doc_count = int(cfg["d"]), int(cfg["L"]), int(cfg["doc_count"])
-        doc_freq = np.asarray(cfg["doc_freq"], dtype=np.int64)
-        if d < 8 or min(L, doc_count) < 0 or doc_freq.shape != (d,) or np.any(doc_freq < 0):
-            raise ValueError(f"bad TF-IDF config: d={d}, L={L}, doc_count={doc_count}")
-        idf = np.log((1.0 + doc_count) / (1.0 + doc_freq)) + 1.0
-        return cls(TfIdfModel(d, L, doc_count, doc_freq, idf))
+        try:
+            d, L, doc_count = int(cfg["d"]), int(cfg["L"]), int(cfg["doc_count"])
+            doc_freq = np.asarray(cfg["doc_freq"], dtype=np.int64)
+            if (d < 8 or min(L, doc_count) < 0 or doc_freq.shape != (d,)
+                    or np.any(doc_freq < 0)):
+                raise ValueError(f"bad TF-IDF config: d={d}, L={L}, doc_count={doc_count}")
+            return cls(d, L, doc_count, doc_freq)
+        except (TypeError, LookupError, ArithmeticError, ValueError, RecursionError) as exc:
+            raise EmbeddingFormatError(
+                f"malformed embedding config: {type(exc).__name__}: {exc}") from exc
 
 
+@dataclass(frozen=True, eq=False)
 class ExternalProvider:
     """Precomputed vectors keyed by submission id (JSON Lines)."""
 
+    table: dict  # id -> Embedding
+    d: int
+    L: int
+    path: str = ""
+
     name = "external"
 
-    def __init__(self, table: dict[str, Embedding], d: int, L: int, path: str = ""):
-        self._table = table
-        self.dimension = d
-        self.seq_len = L
-        self.path = path
+    @classmethod
+    def build(cls, codes: list[str], d: int, L: int, vectors=None) -> "ExternalProvider":
+        """The provider of a run: the file `vectors`; `codes` and `d` play no part."""
+        if vectors is None:
+            raise ValueError("external provider needs a vectors path")
+        return load_external_embeddings(vectors, seq_len=L)
 
-    def embed_by_id(self, sub_id: str) -> Embedding:
+    def embed_row(self, row) -> Embedding:
         try:
-            return self._table[sub_id]
+            return self.table[row.id]
         except KeyError:
-            raise EmbeddingLookupError(f"no stored vector for id {sub_id!r}") from None
+            raise EmbeddingLookupError(f"no stored vector for id {row.id!r}") from None
 
     def embed_code(self, code: str) -> Embedding:
         raise UnsupportedEmbedding(
@@ -182,7 +172,15 @@ class ExternalProvider:
         )
 
     def config(self) -> dict:
-        return {"provider": "external", "path": self.path, "L": self.seq_len}
+        return {"provider": self.name, "path": self.path, "L": self.L}
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "ExternalProvider":
+        path, L = cfg.get("path"), cfg.get("L")
+        if not isinstance(path, str) or type(L) is not int:
+            raise EmbeddingFormatError("an external embedding config holds a 'path' "
+                                       "string and an integer 'L'")
+        return load_external_embeddings(path, seq_len=L)
 
 
 _EXTERNAL_KEYS = ("id", "pooled", "sequence")
@@ -232,3 +230,7 @@ def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalPr
     if d is None:
         raise EmbeddingFormatError(f"{path}: no vectors found")
     return ExternalProvider(table, d, seq_len, str(path))
+
+
+# Provider name (as in configs, model files and `--embedding`) -> class.
+PROVIDERS = {provider.name: provider for provider in (TfIdfProvider, ExternalProvider)}

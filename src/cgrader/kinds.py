@@ -28,15 +28,21 @@ class KindError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrainData:
-    """The training inputs of one run, shared by every kind."""
+class Split:
+    """One embedded part of a corpus."""
 
     pooled: np.ndarray  # (N, d)
     sequences: np.ndarray | None  # (N, L, d); None when the provider has none
     y: np.ndarray
-    val_sequences: np.ndarray | None
-    y_val: np.ndarray
-    train: neural.TrainConfig  # net settings; each net runs under its kind's seed
+
+
+@dataclass(frozen=True)
+class TrainData:
+    """The training inputs of one run, shared by every kind."""
+
+    train: Split
+    validation: Split  # the nets early-stop on it
+    config: neural.TrainConfig  # net settings; each net runs under its kind's seed
 
 
 @dataclass
@@ -72,10 +78,10 @@ def _pooled(name, fit, predict, to_state, from_state, grid, params) -> Kind:
         if chosen_grid:
             search = tabular.grid_search_cv(
                 lambda X, y, p: fit(X, y, p, seed), predict, chosen_grid,
-                data.pooled, data.y, k=CV_FOLDS, seed=seed,
+                data.train.pooled, data.train.y, k=CV_FOLDS, seed=seed,
             )
             params.update(search.best_params)
-        return Fitted(fit(data.pooled, data.y, params, seed), params=params)
+        return Fitted(fit(data.train.pooled, data.train.y, params, seed), params=params)
 
     return Kind(name, fit_kind, lambda model, pooled, sequences: predict(model, pooled),
                 to_state, from_state, grid=grid, params=params)
@@ -157,23 +163,16 @@ def _knn_from_state(params, state) -> tabular.KnnModel:
 
 def _net(name, net_cls, spec_cls) -> Kind:
     def fit(data, spec, seed, base):
-        net = net_cls(spec_cls(), data.sequences.shape[1], data.sequences.shape[2],
-                      seed=seed)
-        history = neural.train(net, data.sequences, data.y, data.val_sequences,
-                               data.y_val, dataclasses.replace(data.train, seed=seed))
+        net = net_cls(spec_cls(), *data.train.sequences.shape[1:], seed=seed)
+        history = neural.train(net, data.train.sequences, data.train.y,
+                               data.validation.sequences, data.validation.y,
+                               dataclasses.replace(data.config, seed=seed))
         return Fitted(net, history=history)
 
     def from_state(params, state):
         spec = spec_cls(**{f.name: type(f.default)(params[f.name])
                            for f in dataclasses.fields(spec_cls)})
-        net = net_cls(spec, int(params["seq_len"]), int(params["dim"]))
-        if set(state) != set(net.params):
-            raise ValueError(f"net state holds {sorted(state)}, not {sorted(net.params)}")
-        for key, arr in state.items():
-            if _floats(arr, net.params[key].ndim).shape != net.params[key].shape:
-                raise ValueError(f"net state {key!r} has shape {arr.shape}")
-            net.params[key] = arr
-        return net
+        return net_cls(spec, int(params["seq_len"]), int(params["dim"]), params=state)
 
     return Kind(name, fit, _net_predict, _net_to_state, from_state, sequences=True)
 
@@ -191,7 +190,7 @@ def _hybrid(name, base) -> Kind:
     def fit(data, spec, seed, base_fit):
         params = tabular.TreeParams(feature_subsample=tabular.RF_DEFAULT_SUBSAMPLE,
                                     seed=seed)
-        model = hybrid.hybrid_fit(base_fit.model, data.sequences, data.y,
+        model = hybrid.hybrid_fit(base_fit.model, data.train.sequences, data.train.y,
                                   rf_params=params)
         return Fitted(model, history=base_fit.history)
 
@@ -257,7 +256,7 @@ def fit(name: str, data: TrainData, base_seed: int, spec: dict | None = None,
     first, under the net's own seed, when it is absent.
     """
     kind = KINDS[name]
-    if kind.sequences and data.sequences is None:
+    if kind.sequences and data.train.sequences is None:
         raise KindError("embedding provider supplies no token sequences")
     base = None
     if kind.base is not None:

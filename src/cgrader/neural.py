@@ -80,6 +80,25 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _init_params(layout: dict, seed: int, given: dict | None) -> dict:
+    """A net's arrays, each name in `layout` -> (shape, Glorot fans or None for
+    zeros): drawn from `seed`, or the `given` trained ones once checked."""
+    if given is None:
+        rng = np.random.default_rng(seed)
+        return {name: np.zeros(shape) if fans is None else _glorot(rng, shape, *fans)
+                for name, (shape, fans) in layout.items()}
+    if set(given) != set(layout):
+        raise ValueError(f"net state holds {sorted(given)}, not {sorted(layout)}")
+    for name, arr in given.items():
+        shape = layout[name][0]
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.ndim == len(shape)):
+            raise ValueError(f"expected a {len(shape)}-D float64 array, not {arr!r:.60}")
+        if arr.shape != shape:
+            raise ValueError(f"net state {name!r} has shape {arr.shape}")
+    return given
+
+
 def _relu(x):
     return np.maximum(x, 0.0)
 
@@ -91,7 +110,8 @@ def _sigmoid(x):
 class CnnRegressor:
     """Conv1d (valid, ReLU) -> max pool -> dense ReLU -> linear output."""
 
-    def __init__(self, spec: CnnSpec, seq_len: int, dim: int, seed: int = 0):
+    def __init__(self, spec: CnnSpec, seq_len: int, dim: int, seed: int = 0,
+                 params: dict | None = None):
         if seq_len < spec.kernel_size:
             raise ShapeError(
                 f"sequence length {seq_len} shorter than kernel {spec.kernel_size}"
@@ -105,15 +125,11 @@ class CnnRegressor:
             raise ShapeError("pooled length is zero; sequence too short")
         self.feature_len = self.pool_len * spec.conv_filters
         k, d, f, u = spec.kernel_size, dim, spec.conv_filters, spec.dense_units
-        rng = np.random.default_rng(seed)
-        self.params = {
-            "conv_w": _glorot(rng, (k, d, f), k * d, f),
-            "conv_b": np.zeros(f),
-            "w1": _glorot(rng, (self.feature_len, u), self.feature_len, u),
-            "b1": np.zeros(u),
-            "w2": _glorot(rng, (u, 1), u, 1),
-            "b2": np.zeros(1),
-        }
+        self.params = _init_params({  # each layer's weights, then its biases
+            "conv_w": ((k, d, f), (k * d, f)), "conv_b": ((f,), None),
+            "w1": ((self.feature_len, u), (self.feature_len, u)), "b1": ((u,), None),
+            "w2": ((u, 1), (u, 1)), "b2": ((1,), None),
+        }, seed, params)
 
     def forward(self, X, training: bool = False, rng=None, masks=None):
         X = np.asarray(X, dtype=np.float64)
@@ -190,7 +206,8 @@ class LstmRegressor:
     The output unit itself uses ReLU, so raw predictions are >= 0.
     """
 
-    def __init__(self, spec: LstmSpec, seq_len: int, dim: int, seed: int = 0):
+    def __init__(self, spec: LstmSpec, seq_len: int, dim: int, seed: int = 0,
+                 params: dict | None = None):
         if seq_len < 1:
             raise ShapeError("sequence length must be >= 1")
         self.spec = spec
@@ -198,16 +215,11 @@ class LstmRegressor:
         self.dim = dim
         self.feature_len = spec.units
         h, d, u = spec.units, dim, spec.dense_units
-        rng = np.random.default_rng(seed)
-        self.params = {
-            "wx": _glorot(rng, (d, 4 * h), d, h),
-            "wh": _glorot(rng, (h, 4 * h), h, h),
-            "b": np.zeros(4 * h),
-            "w1": _glorot(rng, (h, u), h, u),
-            "b1": np.zeros(u),
-            "w2": _glorot(rng, (u, 1), u, 1),
-            "b2": np.zeros(1),
-        }
+        self.params = _init_params({  # each layer's weights, then its biases
+            "wx": ((d, 4 * h), (d, h)), "wh": ((h, 4 * h), (h, h)), "b": ((4 * h,), None),
+            "w1": ((h, u), (h, u)), "b1": ((u,), None),
+            "w2": ((u, 1), (u, 1)), "b2": ((1,), None),
+        }, seed, params)
 
     def sample_masks(self, batch: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """One inverted-scaling dropout mask pair per sequence."""

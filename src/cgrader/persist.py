@@ -170,14 +170,8 @@ def load_model(path):
 
 
 def provider_from_config(cfg: dict):
-    provider = cfg.get("provider") if isinstance(cfg, dict) else None
-    if provider == "external":
-        path, seq_len = cfg.get("path"), cfg.get("L")
-        if not isinstance(path, str) or type(seq_len) is not int:
-            raise PersistError("an external embedding config holds a 'path' string "
-                               "and an integer 'L'")
-        return embed.load_external_embeddings(path, seq_len=seq_len)
-    if provider != "tfidf":
-        raise PersistError(f"unknown embedding provider {provider!r}")
-    with _malformed("embedding config"):
-        return embed.TfIdfProvider.from_config(cfg)
+    """The embedding provider a model file's `embedding` config describes."""
+    name = cfg.get("provider") if isinstance(cfg, dict) else None
+    if not isinstance(name, str) or name not in embed.PROVIDERS:
+        raise PersistError(f"unknown embedding provider {name!r}")
+    return embed.PROVIDERS[name].from_config(cfg)

@@ -94,7 +94,7 @@ class ExperimentConfig:
         output = doc["output"]
         emb = doc.get("embedding", {})
         provider = emb.get("provider", "tfidf")
-        if provider not in ("tfidf", "external"):
+        if provider not in embed.PROVIDERS:
             raise ConfigError(f"unknown embedding provider {provider!r}")
         sp = doc.get("split", {})
         resolve = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
@@ -127,47 +127,42 @@ def build_provider(cfg_provider: str, train_ds: Dataset, dim: int, seq_len: int,
                    vectors_path=None):
     if seq_len < 0:
         raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
-    if cfg_provider == "tfidf":
-        return embed.TfIdfProvider.fit(
-            [row.code for row in train_ds.rows], d=dim, L=seq_len
-        )
-    if vectors_path is None:
-        raise ConfigError("external provider needs a vectors path")
-    return embed.load_external_embeddings(vectors_path, seq_len=seq_len)
-
-
-def _embed_row(provider, row):
-    try:
-        return provider.embed_code(row.code)
-    except embed.UnsupportedEmbedding:
-        return provider.embed_by_id(row.id)
+    return embed.PROVIDERS[cfg_provider].build(
+        [row.code for row in train_ds.rows], dim, seq_len, vectors_path)
 
 
 def embed_dataset(provider, ds: Dataset):
     """Returns (pooled (N,d), sequences (N,L,d) or None)."""
-    n, L, d = len(ds), provider.seq_len, provider.dimension
+    n, L, d = len(ds), provider.L, provider.d
     pooled = np.empty((n, d))
     sequences = embed.sequence_zeros((n, L, d), f"seq_len {L}")
-    have_sequences = True
     for i, row in enumerate(ds.rows):
-        e = _embed_row(provider, row)
+        e = provider.embed_row(row)
         pooled[i] = e.pooled
         if e.sequence is None:
-            have_sequences = False
-        elif have_sequences:
+            sequences = None
+        elif sequences is not None:
             sequences[i] = e.sequence
-    return pooled, sequences if have_sequences else None
+    return pooled, sequences
+
+
+def embed_split(provider, ds: Dataset) -> kinds.Split:
+    return kinds.Split(*embed_dataset(provider, ds), ds.scores())
+
+
+def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len: int,
+            vectors_path, train_cfg: TrainConfig):
+    """The start of `train` and `experiment`: split, build the provider on the train
+    part, embed train and validation. Returns (TrainData, provider, test part)."""
+    parts = split(load_dataset(data_path), ratios, seed)
+    provider = build_provider(provider_name, parts.train, dim, seq_len, vectors_path)
+    data = kinds.TrainData(embed_split(provider, parts.train),
+                           embed_split(provider, parts.validation), train_cfg)
+    return data, provider, parts.test
 
 
 def predict_kind(kind: str, model, pooled, sequences):
     return kinds.KINDS[kind].predict(model, pooled, sequences)
-
-
-@dataclass
-class ExperimentResult:
-    report: metrics.Report
-    histories: dict  # kind -> TrainingHistory (a hybrid holds its net's)
-    errors: dict  # kind -> message
 
 
 def render_curves(histories: dict) -> str:
@@ -207,26 +202,18 @@ def render_report(report: metrics.Report, errors: dict | None = None) -> str:
     return buf.getvalue()
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    ds = load_dataset(cfg.data)
-    parts = split(ds, cfg.split_ratios, cfg.seed)
-    provider = build_provider(
-        cfg.embedding_provider, parts.train, cfg.embedding_dim,
-        cfg.embedding_seq_len, cfg.embedding_vectors,
-    )
-    X_train, S_train = embed_dataset(provider, parts.train)
-    X_val, S_val = embed_dataset(provider, parts.validation)
-    X_test, S_test = embed_dataset(provider, parts.test)
-    y_train = parts.train.scores()
-    y_val = parts.validation.scores()
-    y_test = parts.test.scores()
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Fits, reports and saves every kind; returns kind -> message of each failure."""
+    data, provider, test_ds = prepare(
+        cfg.data, cfg.split_ratios, cfg.seed, cfg.embedding_provider,
+        cfg.embedding_dim, cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train)
+    test = embed_split(provider, test_ds)
 
     os.makedirs(cfg.models_dir, exist_ok=True)
     for path in (cfg.report_path, cfg.curves_path):  # fail before any training
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"no directory to write {path}")
     report = metrics.Report()
-    data = kinds.TrainData(X_train, S_train, y_train, S_val, y_val, cfg.train)
     fitted: dict = {}
     errors: dict = {}
     emb_config = provider.config()
@@ -238,12 +225,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     f"base net {kind.base} failed: {errors[kind.base]}")
             trained = kinds.fit(name, data, cfg.seed, cfg.grids.get(name), fitted)
             fitted[name] = trained
-            for split_name, pooled, sequences, y in (
-                ("train", X_train, S_train, y_train),
-                ("test", X_test, S_test, y_test),
-            ):
-                yhat = predict_kind(name, trained.model, pooled, sequences)
-                report.add(metrics.evaluate(y, yhat, name, split_name))
+            for split_name, part in (("train", data.train), ("test", test)):
+                yhat = predict_kind(name, trained.model, part.pooled, part.sequences)
+                report.add(metrics.evaluate(part.y, yhat, name, split_name))
             persist.save_model(os.path.join(cfg.models_dir, f"{name}.json"), name,
                                trained.model, emb_config)
         except Exception as exc:
@@ -253,4 +237,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                  if trained.history is not None}
     persist.atomic_write_text(cfg.report_path, render_report(report, errors))
     persist.atomic_write_text(cfg.curves_path, render_curves(histories))
-    return ExperimentResult(report, histories, errors)
+    return errors

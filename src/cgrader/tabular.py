@@ -171,6 +171,10 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
     subtrees on a stack, so depth is limited by memory only.
     """
     X, y = validate_features(X, y)
+    with np.errstate(over="ignore"):  # |split score| <= len(y) * sum(y**2)
+        if not math.isfinite(y.size * float(y @ y)):
+            raise FitError(f"targets too large for CART split scores: len(y) * "
+                           f"sum(y**2) must stay below {np.finfo(np.float64).max:.4g}")
     if rng is None:
         rng = np.random.default_rng(params.seed)
     n_features = X.shape[1]

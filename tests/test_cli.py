@@ -64,7 +64,11 @@ class TestSynthCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "kinds"]
         assert len(rows) == 31
-        assert "wrote 30 rows" in capsys.readouterr().out
+        histogram = {}
+        for row in ds.rows:
+            histogram[row.score] = histogram.get(row.score, 0) + 1
+        assert capsys.readouterr().out.splitlines() == [f"wrote 30 rows to {out}"] + [
+            f"score {score:g}: {histogram[score]}" for score in sorted(histogram)]
 
     def test_empty_seed_dir_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -113,6 +117,46 @@ class TestTrainCommand:
                      "--embedding", "external",
                      "--out", str(tmp_path / "m.json")])
         assert code == EXIT_USAGE
+
+
+# One settings set, given once as an experiment config and once as train flags.
+SAME_RUN = {"dim": 16, "seq_len": 8, "seed": 2, "max_epochs": 2,
+            "rf_grid": {"n_trees": [10], "max_depth": [4]}}
+
+
+@pytest.fixture(scope="module")
+def experiment_run(tmp_path_factory):
+    """A corpus like `corpus_csv` and the model files of one experiment on it."""
+    work = tmp_path_factory.mktemp("same-run")
+    seeds = [Submission("sum", SEED_CODE, 10.0)]
+    ds, _ = synthesize_with_plans(seeds, 80, Rubric(), np.random.default_rng(0))
+    save_dataset(ds, work / "corpus.csv")
+    (work / "rf-grid.json").write_text(json.dumps(SAME_RUN["rf_grid"]), encoding="utf-8")
+    config = {
+        "data": str(work / "corpus.csv"),
+        "output": {"report": str(work / "report.csv"),
+                   "curves": str(work / "curves.csv"),
+                   "models_dir": str(work / "models")},
+        "embedding": {"dim": SAME_RUN["dim"], "seq_len": SAME_RUN["seq_len"]},
+        "split": {"seed": SAME_RUN["seed"]},
+        "train": {"max_epochs": SAME_RUN["max_epochs"]},
+        "models": {"rf": {"grid": SAME_RUN["rf_grid"]}},
+    }
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", str(work / "config.json")]) == EXIT_OK
+    return work
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_train_writes_the_experiments_model_file(experiment_run, kind):
+    out = experiment_run / f"train-{kind}.json"
+    grid = ["--grid", str(experiment_run / "rf-grid.json")] if kind == "rf" else []
+    assert main(["train", "--data", str(experiment_run / "corpus.csv"), "--model", kind,
+                 "--dim", str(SAME_RUN["dim"]), "--seq-len", str(SAME_RUN["seq_len"]),
+                 "--seed", str(SAME_RUN["seed"]),
+                 "--max-epochs", str(SAME_RUN["max_epochs"]),
+                 "--out", str(out), *grid]) == EXIT_OK
+    assert out.read_bytes() == (experiment_run / "models" / f"{kind}.json").read_bytes()
 
 
 class TestGradeCommand:

@@ -9,9 +9,9 @@ from cgrader.corpus import (
     Dataset,
     DatasetError,
     Submission,
-    dataset_stats,
     load_dataset,
     save_dataset,
+    score_histogram,
     split,
 )
 
@@ -124,23 +124,17 @@ class TestSplit:
 
 class TestStats:
     def test_empty(self):
-        stats = dataset_stats(Dataset(()))
-        assert (stats.row_count, stats.total_words, stats.max_words_per_row) == (0, 0, 0)
-        assert stats.score_histogram == {}
+        assert score_histogram(Dataset(())) == {}
 
     def test_single_row(self):
-        stats = dataset_stats(Dataset((Submission("a", "int x ;", 5.0),)))
-        assert stats.total_words == 3
-        assert stats.max_words_per_row == 3
+        assert score_histogram(Dataset((Submission("a", "int x ;", 5.0),))) == {5.0: 1}
 
-    def test_max_across_rows(self):
+    def test_histogram_counts_each_score(self):
         ds = Dataset(
             (
                 Submission("a", "x y", 5.0),
                 Submission("b", "a b c d e", 6.0),
+                Submission("c", "z", 5.0),
             )
         )
-        stats = dataset_stats(ds)
-        assert stats.total_words == 7
-        assert stats.max_words_per_row == 5
-        assert stats.score_histogram == {5.0: 1, 6.0: 1}
+        assert score_histogram(ds) == {5.0: 2, 6.0: 1}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cgrader.clex import tokenize
+from cgrader.corpus import Submission
 from cgrader.embed import (
     EmbeddingFormatError,
     EmbeddingLookupError,
@@ -12,13 +12,11 @@ from cgrader.embed import (
     UnsupportedEmbedding,
     fnv1a_64,
     load_external_embeddings,
-    tfidf_embed,
-    tfidf_fit,
 )
 
 
 def fit(codes, d=16, L=8):
-    return tfidf_fit([tokenize(c) for c in codes], d=d, L=L)
+    return TfIdfProvider.fit(codes, d=d, L=L)
 
 
 class TestFnv:
@@ -52,43 +50,43 @@ class TestTfIdfFit:
 
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
-            tfidf_fit([], d=16, L=8)
+            TfIdfProvider.fit([], d=16, L=8)
 
 
 class TestTfIdfEmbed:
     def test_empty_code(self):
         model = fit(["int x;"])
-        e = tfidf_embed(model, "")
+        e = model.embed_code("")
         assert np.all(e.pooled == 0)
         assert np.all(e.sequence == 0)
 
     def test_single_token_unit_norm(self):
         model = fit(["int x;"])
-        e = tfidf_embed(model, "x")
+        e = model.embed_code("x")
         assert np.count_nonzero(e.pooled) == 1
         assert np.linalg.norm(e.pooled) == pytest.approx(1.0, abs=1e-12)
 
     def test_pooled_norm_one_or_zero(self):
         model = fit(["int x;", "for (i=0;i<3;i++) x+=i;"])
         for code in ["int x;", "", "a b c d e f", "/* only a comment */"]:
-            norm = np.linalg.norm(tfidf_embed(model, code).pooled)
+            norm = np.linalg.norm(model.embed_code(code).pooled)
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
 
     def test_sequence_truncated_to_cap(self):
         model = fit(["int x;"], L=4)
-        e = tfidf_embed(model, "a b c d e f g h i")
+        e = model.embed_code("a b c d e f g h i")
         assert e.sequence.shape == (4, model.d)
         assert all(np.any(row != 0) for row in e.sequence)
 
     def test_sequence_padded(self):
         model = fit(["int x;"], L=6)
-        e = tfidf_embed(model, "a b")
+        e = model.embed_code("a b")
         assert np.all(e.sequence[2:] == 0)
 
     def test_determinism(self):
         model = fit(["int x;"])
-        a = tfidf_embed(model, "int x = 3;")
-        b = tfidf_embed(model, "int x = 3;")
+        a = model.embed_code("int x = 3;")
+        b = model.embed_code("int x = 3;")
         assert np.array_equal(a.pooled, b.pooled)
         assert np.array_equal(a.sequence, b.sequence)
 
@@ -96,10 +94,9 @@ class TestTfIdfEmbed:
 class TestProviders:
     def test_tfidf_provider_shapes(self):
         provider = TfIdfProvider.fit(["int x;", "int y;"], d=32, L=8)
-        e = provider.embed_code("int z;")
+        e = provider.embed_code("int x;")
         assert (e.d, e.L) == (32, 8)
-        with pytest.raises(UnsupportedEmbedding):
-            provider.embed_by_id("s1")
+        assert np.array_equal(provider.embed_row(row("s1")).sequence, e.sequence)
 
     def test_tfidf_config_round_trip(self):
         provider = TfIdfProvider.fit(["int x;", "int y;"], d=32, L=8)
@@ -107,6 +104,11 @@ class TestProviders:
         a = provider.embed_code("int q = 4;")
         b = clone.embed_code("int q = 4;")
         assert np.array_equal(a.pooled, b.pooled)
+
+
+def row(sub_id):
+    """A corpus row with id `sub_id`; external vectors are looked up by id."""
+    return Submission(sub_id, "int x;", 5.0)
 
 
 def write_jsonl(tmp_path, lines):
@@ -125,8 +127,8 @@ class TestExternal:
             ],
         )
         provider = load_external_embeddings(path)
-        assert provider.dimension == 4
-        assert np.array_equal(provider.embed_by_id("a").pooled, [1, 2, 3, 4])
+        assert provider.d == 4
+        assert np.array_equal(provider.embed_row(row("a")).pooled, [1, 2, 3, 4])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = write_jsonl(
@@ -143,7 +145,7 @@ class TestExternal:
         path = write_jsonl(tmp_path, [{"id": "a", "pooled": [1, 2]}])
         provider = load_external_embeddings(path)
         with pytest.raises(EmbeddingLookupError):
-            provider.embed_by_id("missing")
+            provider.embed_row(row("missing"))
 
     def test_token_sequences_padded(self, tmp_path):
         path = write_jsonl(
@@ -151,7 +153,7 @@ class TestExternal:
             [{"id": "a", "pooled": [1, 2], "sequence": [[1, 2], [3, 4]]}],
         )
         provider = load_external_embeddings(path, seq_len=5)
-        seq = provider.embed_by_id("a").sequence
+        seq = provider.embed_row(row("a")).sequence
         assert seq.shape == (5, 2)
         assert np.all(seq[2:] == 0)
 
@@ -164,8 +166,8 @@ class TestExternal:
             ],
         )
         provider = load_external_embeddings(path, seq_len=2)
-        assert np.array_equal(provider.embed_by_id("a").sequence, [[1, 2], [3, 4]])
-        assert np.array_equal(provider.embed_by_id("b").sequence, [[7, 8], [0, 0]])
+        assert np.array_equal(provider.embed_row(row("a")).sequence, [[1, 2], [3, 4]])
+        assert np.array_equal(provider.embed_row(row("b")).sequence, [[7, 8], [0, 0]])
 
     def test_tokens_key_rejected(self, tmp_path):
         path = write_jsonl(

@@ -337,8 +337,8 @@ def model_docs():
     pooled = np.array([e.pooled for e in embedded])
     sequences = np.array([e.sequence for e in embedded])
     y = rng.uniform(3, 10, len(codes))
-    data = kinds.TrainData(pooled, sequences, y, sequences, y,
-                           TrainConfig(max_epochs=1, batch_size=4))
+    part = kinds.Split(pooled, sequences, y)
+    data = kinds.TrainData(part, part, TrainConfig(max_epochs=1, batch_size=4))
     specs = {"rf": {"grid": {}, "params": {"n_trees": 2, "max_depth": 2}},
              "gbt": {"grid": {}, "params": {"n_rounds": 2, "max_depth": 2}},
              "ridge": {"grid": {}}, "knn": {"grid": {}, "params": {"k": 3}}}

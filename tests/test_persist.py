@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgrader import kinds, persist
+from cgrader import kinds, neural, persist
 from cgrader.cli import main
 from cgrader.embed import TfIdfProvider
 from cgrader.neural import TrainConfig
@@ -26,9 +26,10 @@ def tab_data(seed=0):
 def train_data(seed=0, n=16):
     rng = np.random.default_rng(seed)
     sequences, val_sequences = rng.normal(size=(n, 6, 4)), rng.normal(size=(5, 6, 4))
-    return kinds.TrainData(sequences.mean(axis=1), sequences, rng.uniform(0, 10, n),
-                           val_sequences, rng.uniform(0, 10, 5),
-                           TrainConfig(max_epochs=2, batch_size=4, learning_rate=0.01))
+    return kinds.TrainData(
+        kinds.Split(sequences.mean(axis=1), sequences, rng.uniform(0, 10, n)),
+        kinds.Split(val_sequences.mean(axis=1), val_sequences, rng.uniform(0, 10, 5)),
+        TrainConfig(max_epochs=2, batch_size=4, learning_rate=0.01))
 
 
 def round_trip(tmp_path, kind, model, emb=None):
@@ -49,8 +50,28 @@ def test_round_trip(tmp_path, kind):
     model = kinds.fit(kind, data, 0, spec).model
     loaded, _ = round_trip(tmp_path, kind, model)
     predict = kinds.KINDS[kind].predict
-    assert np.array_equal(predict(model, data.pooled, data.sequences),
-                          predict(loaded, data.pooled, data.sequences))
+    train = data.train
+    assert np.array_equal(predict(model, train.pooled, train.sequences),
+                          predict(loaded, train.pooled, train.sequences))
+
+
+def test_nets_load_without_drawing_a_random_init(tmp_path, monkeypatch):
+    data, fitted = train_data(), {}
+    nets = [kind for kind in kinds.KINDS if kinds.KINDS[kind].sequences]
+    for kind in nets:
+        fitted[kind] = kinds.fit(kind, data, 0, None, fitted)
+        persist.save_model(tmp_path / f"{kind}.json", kind, fitted[kind].model,
+                           {"provider": "none"})
+
+    def no_draws(*args):
+        raise AssertionError("a loaded net drew a random init")
+
+    monkeypatch.setattr(neural, "_glorot", no_draws)
+    for kind in nets:
+        _, loaded, _ = persist.load_model(tmp_path / f"{kind}.json")
+        predict = kinds.KINDS[kind].predict
+        assert np.array_equal(predict(loaded, None, data.train.sequences),
+                              predict(fitted[kind].model, None, data.train.sequences))
 
 
 GOLDEN_RF = (

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,29 @@ class TestTree:
         tree = tree_fit([[0.0], [1.0], [2.0]], [0.0, 5.0, 10.0],
                         TreeParams(min_samples_leaf=2))
         assert tree.feature[0] == -1
+
+    def test_targets_whose_split_scores_overflow_are_rejected(self):
+        # Squares of 2**549 overflow float64: the split scores would turn inf
+        # or NaN and the root would split at 0.5, not at the SSE optimum.
+        X = np.arange(1100.0)[:, None]
+        with pytest.raises(FitError, match=r"len\(y\) \* sum\(y\*\*2\)"):
+            tree_fit(X, 2.0 ** (np.arange(1100) - 550))
+
+    def test_huge_in_range_targets_split_at_the_exact_optimum(self):
+        X = np.arange(1100.0)[:, None]
+        y = 2.0 ** (np.arange(1100) - 600)
+        with np.errstate(over="raise", invalid="raise"):
+            tree = tree_fit(X, y, TreeParams(max_depth=1))
+        # Exact summed child SSE of splitting after the i smallest rows.
+        ys = [Fraction(2) ** (i - 600) for i in range(1100)]
+        total, total_sq = sum(ys), sum(v * v for v in ys)
+        left = left_sq = 0
+        sse = {}
+        for i, v in enumerate(ys[:-1], start=1):
+            left, left_sq = left + v, left_sq + v * v
+            sse[i] = (left_sq - left * left / i + (total_sq - left_sq)
+                      - (total - left) ** 2 / (1100 - i))
+        assert tree.threshold[0] == min(sse, key=sse.get) - 0.5
 
 
 # --- exactness against the split search and build as they were ---------------
