@@ -92,8 +92,11 @@ def cmd_train(args) -> int:
 
 def cmd_grade(args) -> int:
     kind, model, emb_config = persist.load_model(args.model)
+    provider = persist.provider_class(emb_config)
+    if not provider.embeds_code:  # say so before reading a vectors file
+        raise embed.UnsupportedEmbedding(embed.NO_AD_HOC_CODE)
     code = Path(args.code).read_text(encoding="utf-8")
-    embedding = persist.provider_from_config(emb_config).embed_code(code)
+    embedding = provider.from_config(emb_config).embed_code(code)
     sequences = None if embedding.sequence is None else embedding.sequence[None]
     score = pipeline.predict_kind(kind, model, embedding.pooled[None], sequences)[0]
     if not np.isfinite(score):

@@ -32,6 +32,9 @@ class UnsupportedEmbedding(ValueError):
     """Provider cannot embed this kind of input."""
 
 
+NO_AD_HOC_CODE = "external vector files cannot embed ad-hoc code; use the tfidf provider"
+
+
 class SequenceTooLarge(ValueError):
     """A dense sequence tensor has more bytes than can be allocated."""
 
@@ -83,6 +86,7 @@ class TfIdfProvider:
     idf: np.ndarray = field(init=False, repr=False)  # (d,)
 
     name = "tfidf"
+    embeds_code = True  # any source text, so `grade` can score a new file
 
     def __post_init__(self):
         idf = np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
@@ -152,6 +156,7 @@ class ExternalProvider:
     path: str = ""
 
     name = "external"
+    embeds_code = False  # only the ids in its file
 
     @classmethod
     def build(cls, codes: list[str], d: int, L: int, vectors=None) -> "ExternalProvider":
@@ -167,9 +172,7 @@ class ExternalProvider:
             raise EmbeddingLookupError(f"no stored vector for id {row.id!r}") from None
 
     def embed_code(self, code: str) -> Embedding:
-        raise UnsupportedEmbedding(
-            "external vector files cannot embed ad-hoc code; use the tfidf provider"
-        )
+        raise UnsupportedEmbedding(NO_AD_HOC_CODE)
 
     def config(self) -> dict:
         return {"provider": self.name, "path": self.path, "L": self.L}

@@ -66,7 +66,8 @@ class Kind:
 
 
 # ---------------------------------------------------------------------------
-# Pooled-vector kinds: k-fold grid search, then a refit on the whole split
+# Pooled-vector kinds: k-fold grid search, then a refit on the whole split (a
+# one-point grid skips the search)
 
 
 def _pooled(name, fit, predict, to_state, from_state, grid, params) -> Kind:
@@ -75,7 +76,10 @@ def _pooled(name, fit, predict, to_state, from_state, grid, params) -> Kind:
     def fit_kind(data, spec, seed, base):
         params = dict(spec.get("params") or {})
         chosen_grid = spec.get("grid", grid)
-        if chosen_grid:
+        if chosen_grid and all(len(values) == 1 for values in chosen_grid.values()):
+            # one point: CV would only rank it first, so fit it once
+            params.update({key: values[0] for key, values in chosen_grid.items()})
+        elif chosen_grid:
             search = tabular.grid_search_cv(
                 lambda X, y, p: fit(X, y, p, seed), predict, chosen_grid,
                 data.train.pooled, data.train.y, k=CV_FOLDS, seed=seed,
@@ -170,6 +174,8 @@ def _net(name, net_cls, spec_cls) -> Kind:
         return Fitted(net, history=history)
 
     def from_state(params, state):
+        if params.get("stride", 1) != 1:  # cnn files once recorded a stride of 1
+            raise ValueError(f"a conv stride of {params['stride']!r} is not supported")
         spec = spec_cls(**{f.name: type(f.default)(params[f.name])
                            for f in dataclasses.fields(spec_cls)})
         return net_cls(spec, int(params["seq_len"]), int(params["dim"]), params=state)

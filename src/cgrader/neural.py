@@ -25,7 +25,6 @@ class TrainingError(RuntimeError):
 class CnnSpec:
     conv_filters: int = 32
     kernel_size: int = 3
-    stride: int = 1
     pool_size: int = 2
     dense_units: int = 64
 
@@ -119,7 +118,7 @@ class CnnRegressor:
         self.spec = spec
         self.seq_len = seq_len
         self.dim = dim
-        self.conv_len = (seq_len - spec.kernel_size) // spec.stride + 1
+        self.conv_len = seq_len - spec.kernel_size + 1
         self.pool_len = self.conv_len // spec.pool_size
         if self.pool_len < 1:
             raise ShapeError("pooled length is zero; sequence too short")
@@ -139,11 +138,9 @@ class CnnRegressor:
             )
         p = self.params
         spec = self.spec
-        stride = spec.stride
         pre = np.zeros((X.shape[0], self.conv_len, spec.conv_filters))
         for j in range(spec.kernel_size):
-            window = X[:, j : j + stride * self.conv_len : stride, :]
-            pre += window @ p["conv_w"][j]
+            pre += X[:, j : j + self.conv_len, :] @ p["conv_w"][j]
         pre += p["conv_b"]
         act = _relu(pre)
         trimmed = act[:, : self.pool_len * spec.pool_size, :]
@@ -183,11 +180,12 @@ class CnnRegressor:
         )
         dpre = dact * (pre > 0)
         grads["conv_b"] = dpre.sum(axis=(0, 1))
-        grads["conv_w"] = np.zeros_like(p["conv_w"])
-        stride = spec.stride
-        for j in range(spec.kernel_size):
-            window = X[:, j : j + stride * self.conv_len : stride, :]
-            grads["conv_w"][j] = np.einsum("btd,btf->df", window, dpre)
+        # one GEMM per kernel offset, over every (row, position) pair at once
+        dpre_rows = dpre.reshape(-1, spec.conv_filters)
+        grads["conv_w"] = np.stack([
+            X[:, j : j + self.conv_len, :].reshape(-1, self.dim).T @ dpre_rows
+            for j in range(spec.kernel_size)
+        ])
         return grads
 
     def features(self, X) -> np.ndarray:

@@ -169,9 +169,14 @@ def load_model(path):
     return model_from_doc(doc)
 
 
-def provider_from_config(cfg: dict):
-    """The embedding provider a model file's `embedding` config describes."""
+def provider_class(cfg: dict) -> type:
+    """The embedding provider class a model file's `embedding` config names."""
     name = cfg.get("provider") if isinstance(cfg, dict) else None
     if not isinstance(name, str) or name not in embed.PROVIDERS:
         raise PersistError(f"unknown embedding provider {name!r}")
-    return embed.PROVIDERS[name].from_config(cfg)
+    return embed.PROVIDERS[name]
+
+
+def provider_from_config(cfg: dict):
+    """The embedding provider a model file's `embedding` config describes."""
+    return provider_class(cfg).from_config(cfg)

@@ -35,8 +35,8 @@ def grid_schema(kind: str) -> dict:
     return {key: [object] for key in kinds.KINDS[kind].params}
 
 
-# A dict is a JSON object with those keys ("*": any key), [T] an array of T,
-# a type a JSON scalar of that type; `object` is any JSON value.
+# A dict is a JSON object with those keys ("*": any key), [T] a non-empty array
+# of T, a type a JSON scalar of that type; `object` is any JSON value.
 _SCHEMA = {
     "data": str,
     "output": {"report": str, "curves": str, "models_dir": str},
@@ -66,6 +66,8 @@ def check_json(value, schema, where: str) -> None:
     elif isinstance(schema, list):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON array")
+        if not value:
+            raise ConfigError(f"{where} must hold at least one value")
         for i, item in enumerate(value):
             check_json(item, schema[0], f"{where}[{i}]")
     elif schema is not object and (isinstance(value, bool)

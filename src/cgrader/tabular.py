@@ -422,8 +422,8 @@ def grid_search_cv(fit, predict, grid: dict[str, list], X, y,
 
     `fit(X, y, params)` returns a model and `predict(model, X)` its scores.
     """
-    if not grid:
-        raise FitError("empty grid")
+    if not grid or not all(grid.values()):
+        raise FitError(f"grid {grid} has no point")
     X, y = validate_features(X, y)
     folds = kfold_split(X.shape[0], k=k, seed=seed)
     keys = list(grid.keys())

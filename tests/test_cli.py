@@ -543,3 +543,48 @@ class TestInputErrors:
                      "--dim", "16", "--grid", str(grid),
                      "--out", str(tmp_path / "m.json")]) == EXIT_FIT
         assert capsys.readouterr().err.startswith("error: fit failed: ")
+
+    @pytest.mark.parametrize("k, code", [(40, EXIT_OK), (41, EXIT_FIT)])
+    def test_one_point_grid_is_bounded_by_the_train_part(self, k, code, tmp_path,
+                                                          corpus_csv, capsys):
+        # 80 rows leave 40 to train on, and 32 in each CV fold's train part
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"k": [k]}), encoding="utf-8")
+        assert main(["train", "--data", str(corpus_csv), "--model", "knn",
+                     "--dim", "16", "--grid", str(grid),
+                     "--out", str(tmp_path / "m.json")]) == code
+        if code == EXIT_FIT:
+            assert capsys.readouterr().err == "error: fit failed: k=41 outside [1, 40]\n"
+
+    def test_empty_grid_list_in_train_exits_2(self, tmp_path, corpus_csv, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"k": []}', encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(corpus_csv), "--model", "knn", "--dim", "16",
+                     "--grid", str(grid), "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"--grid {grid}.k must hold at least one value" in captured.err
+        assert "params:" not in captured.out and not out.exists()
+
+    def test_empty_grid_list_in_config_exits_2(self, tmp_path, corpus_csv, capsys):
+        config = _experiment_config(tmp_path, corpus_csv,
+                                    models={"knn": {"grid": {"k": []}}})
+        assert main(["experiment", "--config", config]) == EXIT_USAGE
+        assert "models.knn.grid.k must hold at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()  # before any model trains
+
+    @pytest.mark.parametrize("vectors", ["missing", "not_utf8"])
+    def test_external_model_is_refused_before_its_vectors_are_read(
+            self, vectors, tmp_path, corpus_csv, capsys):
+        path = tmp_path / "vectors.jsonl"
+        if vectors == "not_utf8":
+            path.write_bytes(b'{"id": "\xff", "pooled": [1.0]}\n')
+        model = tmp_path / "model.json"
+        doc = _ridge_doc(embedding={"provider": "external", "path": str(path), "L": 4})
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        program = tmp_path / "prog.c"
+        program.write_text(SEED_CODE, encoding="utf-8")
+        assert main(["grade", "--model", str(model), "--code", str(program)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: external vector files cannot embed ad-hoc code; "
+            "use the tfidf provider\n")

@@ -199,6 +199,50 @@ class TestGradients:
         assert not np.all(grads["conv_b"] == 0.0)
 
 
+def einsum_conv_w_grad(model, cache, dout):
+    """The conv_w gradient summed with `einsum` over (row, position, channel),
+    its max-pool and dense backward written out on their own."""
+    p, spec, X = model.params, model.spec, cache["X"]
+    dh1 = (dout[:, None] @ p["w2"].T) * (cache["h1"] > 0)
+    dpooled = (dh1 @ p["w1"].T).reshape(X.shape[0], model.pool_len, spec.conv_filters)
+    dact = np.zeros_like(cache["pre"])
+    for b, t, f in np.ndindex(*dpooled.shape):
+        dact[b, t * spec.pool_size + cache["pool_arg"][b, t, f], f] = dpooled[b, t, f]
+    dpre = dact * (cache["pre"] > 0)
+    return np.stack([np.einsum("btd,btf->df", X[:, j : j + model.conv_len], dpre)
+                     for j in range(spec.kernel_size)])
+
+
+def one_hot_rows(rng, batch, seq_len, dim):
+    """TF-IDF-shaped sequences: one idf-scaled bucket per token, zero padding."""
+    X = np.zeros((batch, seq_len, dim))
+    for b in range(batch):
+        length = rng.integers(seq_len // 2, seq_len + 1)
+        X[b, np.arange(length), rng.integers(0, dim, length)] = rng.uniform(1, 5, length)
+    return X
+
+
+class TestConvWeightGradient:
+    @pytest.mark.parametrize("kernel_size", [1, 2, 3])
+    @pytest.mark.parametrize("inputs", ["one_hot", "dense"])
+    def test_matches_einsum_reference(self, kernel_size, inputs):
+        rng = np.random.default_rng(kernel_size)
+        batch, seq_len, dim = 7, 12, 16
+        model = CnnRegressor(CnnSpec(conv_filters=5, kernel_size=kernel_size,
+                                     pool_size=2, dense_units=6), seq_len, dim, seed=3)
+        X = (one_hot_rows(rng, batch, seq_len, dim) if inputs == "one_hot"
+             else rng.normal(size=(batch, seq_len, dim)))
+        pred, cache = model.forward(X)
+        _, dpred = mse_loss(pred, rng.uniform(0, 10, batch))
+        expected = einsum_conv_w_grad(model, cache, dpred)
+        scale = np.abs(expected).max()
+        assert scale > 0
+        # The sums run in another order; an entry that cancels to near zero
+        # is held to the gradient's scale instead of its own.
+        np.testing.assert_allclose(model.backward(cache, dpred)["conv_w"], expected,
+                                   rtol=1e-12, atol=1e-12 * scale)
+
+
 class TestTrain:
     @staticmethod
     def toy_data(n=12, seed=0):

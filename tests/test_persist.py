@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgrader import kinds, neural, persist
+from cgrader import kinds, neural, persist, tabular
 from cgrader.cli import main
 from cgrader.embed import TfIdfProvider
 from cgrader.neural import TrainConfig
@@ -72,6 +72,30 @@ def test_nets_load_without_drawing_a_random_init(tmp_path, monkeypatch):
         predict = kinds.KINDS[kind].predict
         assert np.array_equal(predict(loaded, None, data.train.sequences),
                               predict(fitted[kind].model, None, data.train.sequences))
+
+
+# Each pooled kind's one grid point, and the tabular function that fits it.
+ONE_POINT = {"rf": ({"max_depth": [3], "n_trees": [5]}, "rf_fit"),
+             "ridge": ({"lambda": [0.5]}, "ridge_fit"),
+             "gbt": ({"n_rounds": [5], "max_depth": [2]}, "gbt_fit"),
+             "knn": ({"k": [3]}, "knn_fit")}
+
+
+@pytest.mark.parametrize("kind", list(ONE_POINT))
+def test_one_point_grid_is_fitted_once_as_params(tmp_path, monkeypatch, kind):
+    grid, fit_name = ONE_POINT[kind]
+    data, calls = train_data(n=20), []
+    fit = getattr(tabular, fit_name)
+    monkeypatch.setattr(tabular, fit_name, lambda *a, **kw: calls.append(1) or fit(*a, **kw))
+    from_grid = kinds.fit(kind, data, 0, {"grid": grid})
+    assert len(calls) == 1
+    point = {key: values[0] for key, values in grid.items()}
+    from_params = kinds.fit(kind, data, 0, {"grid": {}, "params": point})
+    assert from_grid.params == from_params.params == point
+    for name, fitted in (("grid", from_grid), ("params", from_params)):
+        persist.save_model(tmp_path / f"{name}.json", kind, fitted.model,
+                           {"provider": "none"})
+    assert (tmp_path / "grid.json").read_bytes() == (tmp_path / "params.json").read_bytes()
 
 
 GOLDEN_RF = (
@@ -216,6 +240,18 @@ def test_v1_file_predicts_recorded_values(tmp_path, kind):
     assert predict(model, pooled, sequences).tolist() == expected["predictions"][kind]
     again, _ = round_trip(tmp_path, kind, model, emb)
     assert predict(again, pooled, sequences).tolist() == expected["predictions"][kind]
+
+
+def test_cnn_stride_is_read_only_as_1(tmp_path):
+    doc = json.loads((V1_DIR / "cnn.json").read_text(encoding="utf-8"))
+    assert doc["params"]["stride"] == 1
+    _, model, emb = persist.load_model(V1_DIR / "cnn.json")
+    persist.save_model(tmp_path / "v2.json", "cnn", model, emb)
+    saved = json.loads((tmp_path / "v2.json").read_text(encoding="utf-8"))
+    assert "stride" not in saved["params"]
+    doc["params"]["stride"] = 2
+    with pytest.raises(persist.PersistError, match="stride of 2"):
+        persist.model_from_doc(doc)
 
 
 def break_golden(case):

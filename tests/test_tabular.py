@@ -535,6 +535,8 @@ class TestGridSearch:
         X, y = self.data()
         with pytest.raises(FitError):
             grid_search_cv(ridge_family, ridge_predict, {}, X, y)
+        with pytest.raises(FitError, match="no point"):
+            grid_search_cv(ridge_family, ridge_predict, {"lambda": []}, X, y)
 
     def test_fit_error_names_combo(self):
         X, y = self.data()
