@@ -29,14 +29,11 @@ class TokenKind(Enum):
 class Token:
     kind: TokenKind
     text: str
-    line: int  # 1-based
-    col: int  # 1-based
 
 
 @dataclass(frozen=True)
 class TokenStream:
     tokens: tuple[Token, ...]
-    source_len: int
 
 
 C11_KEYWORDS = frozenset(
@@ -63,80 +60,39 @@ PUNCTUATORS = sorted(
     reverse=True,
 )
 
-_LEXEME = re.compile(
-    "|".join(
-        f"(?P<{name}>{pattern})"
-        for name, pattern in [
-            ("whitespace", r"\s+"),
-            ("block_comment", r"/\*.*?\*/"),
-            ("line_comment", r"//[^\n]*"),
-            ("string", r'"(?:\\.|[^"\\])*"'),
-            ("char", r"'(?:\\.|[^'\\])*'"),
-            (
-                "float",
-                r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?"
-                r"|\d+[eE][+-]?\d+[fFlL]?",
-            ),
-            ("int", r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*"),
-            ("ident", r"[A-Za-z_]\w*"),
-            ("punct", "|".join(re.escape(p) for p in PUNCTUATORS)),
-            # Openers of string/char/comment with no closer: consumed by the
-            # unterminated-lexeme rule below, this branch never matches them.
-            ("other", r"."),
-        ]
+# Group name -> kind, in the order the alternation tries them.
+_GROUPS = [
+    ("whitespace", r"\s+", TokenKind.WHITESPACE),
+    ("block_comment", r"/\*.*?\*/", TokenKind.COMMENT),
+    ("line_comment", r"//[^\n]*", TokenKind.COMMENT),
+    ("string", r'"(?:\\.|[^"\\])*"', TokenKind.STRING_LITERAL),
+    ("char", r"'(?:\\.|[^'\\])*'", TokenKind.CHAR_LITERAL),
+    # An opener whose closed form failed to match above swallows the rest of
+    # the input as one Error token.
+    ("unterminated", r"/\*.*|[\"'].*", TokenKind.ERROR),
+    (
+        "float",
+        r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?"
+        r"|\d+[eE][+-]?\d+[fFlL]?",
+        TokenKind.FLOAT_LITERAL,
     ),
-    re.DOTALL,
+    ("int", r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*", TokenKind.INT_LITERAL),
+    ("keyword", f"(?:{'|'.join(sorted(C11_KEYWORDS))})(?!\\w)", TokenKind.KEYWORD),
+    ("ident", r"[A-Za-z_]\w*", TokenKind.IDENTIFIER),
+    ("punct", "|".join(re.escape(p) for p in PUNCTUATORS), TokenKind.PUNCTUATOR),
+    ("other", r".", TokenKind.ERROR),
+]
+
+_LEXEME = re.compile(
+    "|".join(f"(?P<{name}>{pattern})" for name, pattern, _ in _GROUPS), re.DOTALL
 )
-
-# An opener whose closing delimiter never appears swallows the rest of the
-# input as one Error token.
-_UNTERMINATED = re.compile(r'/\*|"|\'')
-
-_GROUP_KIND = {
-    "whitespace": TokenKind.WHITESPACE,
-    "block_comment": TokenKind.COMMENT,
-    "line_comment": TokenKind.COMMENT,
-    "string": TokenKind.STRING_LITERAL,
-    "char": TokenKind.CHAR_LITERAL,
-    "float": TokenKind.FLOAT_LITERAL,
-    "int": TokenKind.INT_LITERAL,
-    "punct": TokenKind.PUNCTUATOR,
-    "other": TokenKind.ERROR,
-}
+_GROUP_KIND = {name: kind for name, _, kind in _GROUPS}
 
 
 def tokenize(code: str) -> TokenStream:
     """Lex arbitrary text into a lossless token stream. Never raises."""
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(code)
-    while pos < n:
-        match = _LEXEME.match(code, pos)
-        assert match is not None  # "other" matches any character
-        group = match.lastgroup
-        text = match.group()
-        if group not in ("block_comment", "string", "char") and _UNTERMINATED.match(
-            code, pos
-        ):
-            # Opener whose closed form failed to match: unterminated
-            # string/char/comment, one Error token to EOF.
-            kind = TokenKind.ERROR
-            text = code[pos:]
-        elif group == "ident":
-            kind = TokenKind.KEYWORD if text in C11_KEYWORDS else TokenKind.IDENTIFIER
-        else:
-            kind = _GROUP_KIND[group]
-        tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos += len(text)
-    return TokenStream(tuple(tokens), n)
+    return TokenStream(tuple(Token(_GROUP_KIND[m.lastgroup], m.group())
+                             for m in _LEXEME.finditer(code)))
 
 
 def detokenize(stream: TokenStream) -> str:

@@ -105,7 +105,7 @@ def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:
     if len(ratios) != 3:
         raise DatasetError(f"expected three split ratios, got {ratios}")
     r1, r2, r3 = ratios
-    if min(r1, r2, r3) <= 0:
+    if not all(r > 0 for r in ratios):  # a NaN ratio fails here too
         raise DatasetError(f"split ratios must be positive, got {ratios}")
     if abs((r1 + r2 + r3) - 1.0) > 1e-9:
         raise DatasetError(f"split ratios must sum to 1, got {ratios}")

@@ -35,18 +35,18 @@ class UnsupportedEmbedding(ValueError):
 NO_AD_HOC_CODE = "external vector files cannot embed ad-hoc code; use the tfidf provider"
 
 
-class SequenceTooLarge(ValueError):
-    """A dense sequence tensor has more bytes than can be allocated."""
+class ArrayTooLarge(ValueError):
+    """An array sized by an input has more bytes than can be allocated."""
 
 
-def sequence_zeros(shape: tuple, name: str) -> np.ndarray:
+def checked_zeros(shape: tuple, name: str, dtype=np.float64) -> np.ndarray:
     """Zeros of `shape`; if they cannot be allocated, an error naming `name`."""
     try:
-        return np.zeros(shape)
+        return np.zeros(shape, dtype=dtype)
     except (MemoryError, ValueError):  # ValueError: more bytes than an array may hold
-        raise SequenceTooLarge(f"{name}: the {shape} sequence tensor needs "
-                               f"{8 * math.prod(shape):,} bytes, more than can be "
-                               f"allocated") from None
+        raise ArrayTooLarge(f"{name}: the {shape} array needs "
+                            f"{np.dtype(dtype).itemsize * math.prod(shape):,} bytes, "
+                            f"more than can be allocated") from None
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class TfIdfProvider:
             raise ValueError(f"hash dimension must be >= 8, got {d}")
         if not codes:
             raise ValueError("cannot fit TF-IDF on an empty corpus")
-        doc_freq = np.zeros(d, dtype=np.int64)
+        doc_freq = checked_zeros((d,), f"dim {d}", np.int64)
         for code in codes:
             buckets = {fnv1a_64(tok.text) % d for tok in significant_tokens(tokenize(code))}
             doc_freq[list(buckets)] += 1
@@ -120,7 +120,7 @@ class TfIdfProvider:
             norm = math.sqrt(float(pooled @ pooled))
             if norm > 0:
                 pooled = pooled / norm
-        sequence = sequence_zeros((self.L, self.d), f"L {self.L}")
+        sequence = checked_zeros((self.L, self.d), f"L {self.L}")
         for t, b in enumerate(buckets[: self.L]):
             sequence[t, b] = self.idf[b]
         return Embedding(pooled, sequence, self.d, self.L)

@@ -52,6 +52,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, patience, max_epochs must be >= 1")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got "
+                             f"{self.learning_rate}")
 
 
 @dataclass

@@ -137,7 +137,7 @@ def embed_dataset(provider, ds: Dataset):
     """Returns (pooled (N,d), sequences (N,L,d) or None)."""
     n, L, d = len(ds), provider.L, provider.d
     pooled = np.empty((n, d))
-    sequences = embed.sequence_zeros((n, L, d), f"seq_len {L}")
+    sequences = embed.checked_zeros((n, L, d), f"seq_len {L}")
     for i, row in enumerate(ds.rows):
         e = provider.embed_row(row)
         pooled[i] = e.pooled

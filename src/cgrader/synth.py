@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .clex import Token, TokenKind, detokenize, significant_tokens, tokenize
+from .clex import Token, TokenKind, significant_tokens, tokenize
 from .corpus import Dataset, Submission
 
 

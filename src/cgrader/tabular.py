@@ -317,10 +317,9 @@ def ridge_fit(X, y, lam: float = 1.0) -> RidgeModel:
     return RidgeModel(weights, bias, lam)
 
 
-def ridge_predict(model: RidgeModel, X, clamp: bool = True) -> np.ndarray:
+def ridge_predict(model: RidgeModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    preds = X @ model.weights + model.bias
-    return _clamp(preds) if clamp else preds
+    return _clamp(X @ model.weights + model.bias)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,127 @@
+import re
+from pathlib import Path
+
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from cgrader import synth
 from cgrader.clex import (
+    C11_KEYWORDS,
     PUNCTUATORS,
-    Token,
     TokenKind,
     detokenize,
     significant_tokens,
     tokenize,
 )
+from cgrader.corpus import Submission
+
+SEED_DIR = Path(__file__).resolve().parent.parent / "seeds"
 
 
 def kinds_and_texts(code):
     return [(t.kind, t.text) for t in tokenize(code).tokens]
+
+
+# A second, independent lexer for `tokenize` to agree with: it matches each
+# token, matches `_REFERENCE_UNTERMINATED` again at the same place, and looks
+# identifiers up in `C11_KEYWORDS`.
+_REFERENCE_LEXEME = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in [
+            ("whitespace", r"\s+"),
+            ("block_comment", r"/\*.*?\*/"),
+            ("line_comment", r"//[^\n]*"),
+            ("string", r'"(?:\\.|[^"\\])*"'),
+            ("char", r"'(?:\\.|[^'\\])*'"),
+            (
+                "float",
+                r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?"
+                r"|\d+[eE][+-]?\d+[fFlL]?",
+            ),
+            ("int", r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*"),
+            ("ident", r"[A-Za-z_]\w*"),
+            ("punct", "|".join(re.escape(p) for p in PUNCTUATORS)),
+            ("other", r"."),
+        ]
+    ),
+    re.DOTALL,
+)
+_REFERENCE_UNTERMINATED = re.compile(r'/\*|"|\'')
+_REFERENCE_KIND = {
+    "whitespace": TokenKind.WHITESPACE,
+    "block_comment": TokenKind.COMMENT,
+    "line_comment": TokenKind.COMMENT,
+    "string": TokenKind.STRING_LITERAL,
+    "char": TokenKind.CHAR_LITERAL,
+    "float": TokenKind.FLOAT_LITERAL,
+    "int": TokenKind.INT_LITERAL,
+    "punct": TokenKind.PUNCTUATOR,
+    "other": TokenKind.ERROR,
+}
+
+
+def reference_tokenize(code):
+    """(kind, text) of each token, lexed one token and two matches at a time."""
+    tokens = []
+    pos = 0
+    while pos < len(code):
+        match = _REFERENCE_LEXEME.match(code, pos)
+        group = match.lastgroup
+        text = match.group()
+        if group not in ("block_comment", "string", "char") and \
+                _REFERENCE_UNTERMINATED.match(code, pos):
+            kind, text = TokenKind.ERROR, code[pos:]
+        elif group == "ident":
+            kind = TokenKind.KEYWORD if text in C11_KEYWORDS else TokenKind.IDENTIFIER
+        else:
+            kind = _REFERENCE_KIND[group]
+        tokens.append((kind, text))
+        pos += len(text)
+    return tokens
+
+
+def test_matches_reference_on_a_synth_corpus():
+    seeds = [Submission(path.stem, path.read_text(encoding="utf-8"), 10.0)
+             for path in sorted(SEED_DIR.glob("*.c"))]
+    ds, _ = synth.synthesize_with_plans(seeds, 400, synth.Rubric(),
+                                        np.random.default_rng(0))
+    for row in seeds + list(ds.rows):
+        assert kinds_and_texts(row.code) == reference_tokenize(row.code), row.id
+
+
+@pytest.mark.parametrize("code", [
+    "/*", "/* open", "x /* a */ y /* b", '"', '"abc', 'f("a\\"', "'", "'a", "c = '",
+    '/* "x', '"/*', "'/*' /*", "do", "double", "do_x", "doubles", "int8", "_Bool",
+    "_Boolx", "for(;;) do {} while (0);", "auto\u00e9", "if1", "else-",
+])
+def test_matches_reference_on_openers_and_keyword_prefixes(code):
+    assert kinds_and_texts(code) == reference_tokenize(code)
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_matches_reference_on_arbitrary_text(code):
+    assert kinds_and_texts(code) == reference_tokenize(code)
+
+
+@given(st.binary())
+@settings(max_examples=300)
+def test_matches_reference_on_arbitrary_bytes(data):
+    code = data.decode("latin-1")
+    assert kinds_and_texts(code) == reference_tokenize(code)
+
+
+_C_FRAGMENTS = ["/*", "*/", "//", '"', "'", "\\", "\n", " ", "do", "double", "int",
+                "x", "_", "0x1f", "1.5e3", "7", ".", "+", "=", ";", "(", "%:", "\u00e9"]
+
+
+@given(st.lists(st.sampled_from(_C_FRAGMENTS), max_size=30).map("".join))
+@settings(max_examples=300)
+def test_matches_reference_on_c_fragments(code):
+    assert kinds_and_texts(code) == reference_tokenize(code)
 
 
 def test_empty_input():
@@ -45,13 +154,6 @@ def test_every_multichar_punctuator_is_one_token():
         tokens = tokenize(punct).tokens
         assert len(tokens) == 1, punct
         assert tokens[0].kind is TokenKind.PUNCTUATOR
-
-
-def test_line_and_column_tracking():
-    tokens = tokenize("int x;\n  y = 1;").tokens
-    by_text = {t.text: t for t in tokens}
-    assert (by_text["int"].line, by_text["int"].col) == (1, 1)
-    assert (by_text["y"].line, by_text["y"].col) == (2, 3)
 
 
 def test_unterminated_string_becomes_single_error_token():

@@ -424,6 +424,20 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         seq_len = "1000000000000" if case == "seq_len_too_large" else "-5"
         return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "8",
                 "--seq-len", seq_len, "--out", str(model)]
+    if case == "dim_too_large":  # 8e18 bytes: more than any address space holds
+        return ["train", "--data", str(corpus_csv), "--model", "ridge",
+                "--dim", str(10**18), "--seq-len", "4", "--out", str(model)]
+    if case == "config_dim_too_large":
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv, embedding={"provider": "tfidf", "dim": 10**18})]
+    if case in ("learning_rate_negative", "learning_rate_nan"):
+        rate = "-1" if case == "learning_rate_negative" else "nan"
+        return ["train", "--data", str(corpus_csv), "--model", "cnn", "--dim", "16",
+                "--seq-len", "4", "--learning-rate", rate, "--out", str(model)]
+    if case in ("config_learning_rate_negative", "config_learning_rate_infinite"):
+        rate = -1.0 if case == "config_learning_rate_negative" else float("inf")
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv, train={"learning_rate": rate})]
     if case == "model_params_is_a_list":
         model.write_text(json.dumps(_ridge_doc(params=[])), encoding="utf-8")
     elif case == "model_is_a_list":
@@ -460,6 +474,12 @@ INPUT_ERRORS = [
     "seq_len_negative",
     "model_feature_is_negative",
     "model_L_too_large",
+    "dim_too_large",
+    "config_dim_too_large",
+    "learning_rate_negative",
+    "learning_rate_nan",
+    "config_learning_rate_negative",
+    "config_learning_rate_infinite",
 ]
 
 
@@ -482,6 +502,21 @@ class TestInputErrors:
         assert main(_bad_input_argv(case, tmp_path, corpus_csv)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert all(word in err for word in words), err
+
+    @pytest.mark.parametrize("case, words", [
+        ("dim_too_large", ["dim 1000000000000000000", "8,000,000,000,000,000,000 bytes"]),
+        ("config_dim_too_large", ["dim 1000000000000000000", "bytes"]),
+        ("learning_rate_negative", ["learning_rate", "-1"]),
+        ("learning_rate_nan", ["learning_rate", "nan"]),
+        ("config_learning_rate_negative", ["learning_rate", "-1"]),
+        ("config_learning_rate_infinite", ["learning_rate", "inf"]),
+    ])
+    def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
+                                                capsys):
+        assert main(_bad_input_argv(case, tmp_path, corpus_csv)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
+        assert not (tmp_path / "models").exists() and not (tmp_path / "model.json").exists()
 
     def test_valid_model_still_grades(self, tmp_path, corpus_csv, capsys):
         argv = _bad_input_argv("valid_model", tmp_path, corpus_csv)

@@ -105,6 +105,8 @@ class TestSplit:
             split(ds, ratios=(0.5, 0.5, 0.5))
         with pytest.raises(DatasetError):
             split(ds, ratios=(1.0, -0.5, 0.5))
+        with pytest.raises(DatasetError, match="split ratios must be positive"):
+            split(ds, ratios=(float("nan"), 0.5, 0.5))
 
     @given(st.integers(4, 200), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
