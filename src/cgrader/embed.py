@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clex import significant_tokens, tokenize
+from .neural import TokenSequences
 
 DEFAULT_TFIDF_DIM = 256
 DEFAULT_SEQ_LEN = 512
@@ -52,7 +53,7 @@ def checked_zeros(shape: tuple, name: str, dtype=np.float64) -> np.ndarray:
 @dataclass(frozen=True)
 class Embedding:
     pooled: np.ndarray  # (d,)
-    sequence: np.ndarray | None  # (L, d) or None
+    sequence: TokenSequences | np.ndarray | None  # of shape (L, d), or None
     d: int
     L: int
 
@@ -120,10 +121,17 @@ class TfIdfProvider:
             norm = math.sqrt(float(pooled @ pooled))
             if norm > 0:
                 pooled = pooled / norm
-        sequence = checked_zeros((self.L, self.d), f"L {self.L}")
-        for t, b in enumerate(buckets[: self.L]):
-            sequence[t, b] = self.idf[b]
+        sequence = self.sequence_zeros((), f"L {self.L}")
+        kept = buckets[: self.L]
+        sequence.ids[: len(kept)] = kept
+        sequence.values[: len(kept)] = self.idf[kept]
         return Embedding(pooled, sequence, self.d, self.L)
+
+    def sequence_zeros(self, rows: tuple, name: str) -> TokenSequences:
+        """Sequences of shape rows + (L, d), all padding: 12 bytes per token."""
+        shape = (*rows, self.L)
+        return TokenSequences(checked_zeros(shape, name, np.int32),
+                              checked_zeros(shape, name), self.d)
 
     def embed_row(self, row) -> Embedding:
         return self.embed_code(row.code)
@@ -173,6 +181,10 @@ class ExternalProvider:
 
     def embed_code(self, code: str) -> Embedding:
         raise UnsupportedEmbedding(NO_AD_HOC_CODE)
+
+    def sequence_zeros(self, rows: tuple, name: str) -> np.ndarray:
+        """Zero sequences of shape rows + (L, d)."""
+        return checked_zeros((*rows, self.L, self.d), name)
 
     def config(self) -> dict:
         return {"provider": self.name, "path": self.path, "L": self.L}

@@ -32,7 +32,8 @@ class Split:
     """One embedded part of a corpus."""
 
     pooled: np.ndarray  # (N, d)
-    sequences: np.ndarray | None  # (N, L, d); None when the provider has none
+    # (N, L, d): TokenSequences (tfidf) or an array; None when the provider has none
+    sequences: neural.TokenSequences | np.ndarray | None
     y: np.ndarray
 
 

@@ -21,6 +21,84 @@ class TrainingError(RuntimeError):
     pass
 
 
+# A net reads its (N, L, d) input only through the two products below: X[:, at]
+# @ w for its first layer, and X[:, at]ᵀ g for that layer's weight gradient,
+# where `at` is one position or a slice of them.
+
+
+@dataclass(frozen=True, eq=False)
+class TokenSequences:
+    """Sequences whose (..., L, d) array has one nonzero per position, held as
+    the (..., L) columns of those nonzeros and their values (0 at padding).
+
+    The nets never build the dense array; `np.asarray` does, for a caller that
+    wants it."""
+
+    ids: np.ndarray  # (..., L) ints in [0, d)
+    values: np.ndarray  # (..., L) float64
+    d: int
+
+    @property
+    def shape(self) -> tuple:
+        return (*self.ids.shape, self.d)
+
+    @property
+    def nbytes(self) -> int:
+        return self.ids.nbytes + self.values.nbytes
+
+    def __getitem__(self, rows) -> "TokenSequences":
+        return TokenSequences(self.ids[rows], self.values[rows], self.d)
+
+    def __setitem__(self, rows, other: "TokenSequences"):
+        self.ids[rows] = other.ids
+        self.values[rows] = other.values
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        np.put_along_axis(dense, self.ids[..., None], self.values[..., None], axis=-1)
+        return dense if dtype is None else dense.astype(dtype)
+
+    def scaled(self, mask) -> "TokenSequences":
+        """X * mask[:, None, :] for an (N, d) mask: each value times its column's mask."""
+        return TokenSequences(self.ids, self.values * np.take_along_axis(mask, self.ids, 1),
+                              self.d)
+
+    def dot(self, w, at) -> np.ndarray:
+        """X[:, at] @ w, as a gather of w's rows."""
+        return w[self.ids[:, at]] * self.values[:, at, None]
+
+    def add_tdot(self, out, g, at) -> None:
+        """out += X[:, at]ᵀ g, summed over rows and positions: each row of g, times
+        its value, is added to the row of the C-contiguous `out` that its id names.
+        `np.add.at` sums rows that share an id, which `out[ids] += rows` would not."""
+        assert out.flags.c_contiguous  # so that reshape(-1) is a view of it
+        cols = out.shape[1]
+        # in intp: an int32 id times cols can pass 2**31
+        flat_index = self.ids[:, at, None].astype(np.intp) * cols + np.arange(cols)
+        np.add.at(out.reshape(-1), flat_index.ravel(), (self.values[:, at, None] * g).ravel())
+
+
+@dataclass(frozen=True, eq=False)
+class DenseSequences:
+    """Sequences held as their (N, L, d) float64 array, with TokenSequences' products."""
+
+    array: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.array.shape
+
+    def scaled(self, mask) -> "DenseSequences":
+        return DenseSequences(self.array * mask[:, None, :])
+
+    def dot(self, w, at) -> np.ndarray:
+        return self.array[:, at] @ w
+
+    def add_tdot(self, out, g, at) -> None:
+        rows = self.array[:, at]
+        out += rows.reshape(-1, rows.shape[-1]).T @ g.reshape(-1, out.shape[1])
+
+
 @dataclass(frozen=True)
 class CnnSpec:
     conv_filters: int = 32
@@ -101,6 +179,16 @@ def _init_params(layout: dict, seed: int, given: dict | None) -> dict:
     return given
 
 
+def _checked_input(net, X):
+    """`X` as the net reads it, TokenSequences as they are and an array as
+    DenseSequences; ShapeError unless it is (batch, L, d) of the net's L and d."""
+    if not isinstance(X, (TokenSequences, DenseSequences)):
+        X = DenseSequences(np.asarray(X, dtype=np.float64))
+    if len(X.shape) != 3 or X.shape[1:] != (net.seq_len, net.dim):
+        raise ShapeError(f"expected (batch, {net.seq_len}, {net.dim}), got {X.shape}")
+    return X
+
+
 def _relu(x):
     return np.maximum(x, 0.0)
 
@@ -134,16 +222,12 @@ class CnnRegressor:
         }, seed, params)
 
     def forward(self, X, training: bool = False, rng=None, masks=None):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3 or X.shape[1:] != (self.seq_len, self.dim):
-            raise ShapeError(
-                f"expected (batch, {self.seq_len}, {self.dim}), got {X.shape}"
-            )
+        X = _checked_input(self, X)
         p = self.params
         spec = self.spec
         pre = np.zeros((X.shape[0], self.conv_len, spec.conv_filters))
         for j in range(spec.kernel_size):
-            pre += X[:, j : j + self.conv_len, :] @ p["conv_w"][j]
+            pre += X.dot(p["conv_w"][j], slice(j, j + self.conv_len))
         pre += p["conv_b"]
         act = _relu(pre)
         trimmed = act[:, : self.pool_len * spec.pool_size, :]
@@ -183,12 +267,10 @@ class CnnRegressor:
         )
         dpre = dact * (pre > 0)
         grads["conv_b"] = dpre.sum(axis=(0, 1))
-        # one GEMM per kernel offset, over every (row, position) pair at once
-        dpre_rows = dpre.reshape(-1, spec.conv_filters)
-        grads["conv_w"] = np.stack([
-            X[:, j : j + self.conv_len, :].reshape(-1, self.dim).T @ dpre_rows
-            for j in range(spec.kernel_size)
-        ])
+        # one product per kernel offset, over every (row, position) pair at once
+        grads["conv_w"] = np.zeros_like(p["conv_w"])
+        for j in range(spec.kernel_size):
+            X.add_tdot(grads["conv_w"][j], dpre, slice(j, j + self.conv_len))
         return grads
 
     def features(self, X) -> np.ndarray:
@@ -235,44 +317,38 @@ class LstmRegressor:
         )
 
     def forward(self, X, training: bool = False, rng=None, masks=None):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3 or X.shape[1:] != (self.seq_len, self.dim):
-            raise ShapeError(
-                f"expected (batch, {self.seq_len}, {self.dim}), got {X.shape}"
-            )
+        X = _checked_input(self, X)
         batch = X.shape[0]
-        h_units = self.spec.units
         if training:
             if masks is None:
                 if rng is None:
                     raise ValueError("training forward needs an rng or fixed masks")
                 masks = self.sample_masks(batch, rng)
             mask_x, mask_h = masks
+            X = X.scaled(mask_x)  # the input dropout, once for every step
         else:
-            mask_x = np.ones((batch, self.dim))
-            mask_h = np.ones((batch, h_units))
+            mask_h = np.ones((batch, self.spec.units))
         p = self.params
         # Inference keeps no step's arrays; a backward pass after it
         # recomputes them.
         steps = [] if training else None
-        for h, step in self._steps(X, mask_x, mask_h):
+        for h, step in self._steps(X, mask_h):
             if training:
                 steps.append(step)
         h1 = _relu(h @ p["w1"] + p["b1"])
         pre2 = h1 @ p["w2"] + p["b2"]
         out = _relu(pre2)[:, 0]
         cache = {
-            "X": X,
+            "X": X,  # after the input dropout
             "steps": steps,
             "h_final": h,
             "h1": h1,
             "pre2": pre2,
-            "mask_x": mask_x,
             "mask_h": mask_h,
         }
         return out, cache
 
-    def _steps(self, X, mask_x, mask_h):
+    def _steps(self, X, mask_h):
         """Runs the recurrence, yielding each step's hidden state and the
         arrays the step's backward pass needs."""
         p = self.params
@@ -280,9 +356,8 @@ class LstmRegressor:
         h = np.zeros((X.shape[0], h_units))
         c = np.zeros((X.shape[0], h_units))
         for t in range(self.seq_len):
-            xt = X[:, t, :] * mask_x
             hd = h * mask_h
-            a = xt @ p["wx"] + hd @ p["wh"] + p["b"]
+            a = X.dot(p["wx"], t) + hd @ p["wh"] + p["b"]
             gi = _sigmoid(a[:, :h_units])
             gf = _sigmoid(a[:, h_units : 2 * h_units])
             gg = np.tanh(a[:, 2 * h_units : 3 * h_units])
@@ -291,17 +366,15 @@ class LstmRegressor:
             c = gf * c_prev + gi * gg
             tanh_c = np.tanh(c)
             h = go * tanh_c
-            yield h, (xt, hd, gi, gf, gg, go, c_prev, tanh_c)
+            yield h, (hd, gi, gf, gg, go, c_prev, tanh_c)
 
     def backward(self, cache, dout):
         p = self.params
         h_units = self.spec.units
-        steps = cache["steps"]
+        X, mask_h, steps = cache["X"], cache["mask_h"], cache["steps"]
         if steps is None:
-            steps = [step for _, step in
-                     self._steps(cache["X"], cache["mask_x"], cache["mask_h"])]
+            steps = [step for _, step in self._steps(X, mask_h)]
         h1, pre2 = cache["h1"], cache["pre2"]
-        mask_h = cache["mask_h"]
         batch = h1.shape[0]
         dout = np.asarray(dout, dtype=np.float64).reshape(batch, 1)
         grads = {name: np.zeros_like(arr) for name, arr in p.items()}
@@ -313,7 +386,8 @@ class LstmRegressor:
         grads["b1"] = dh1.sum(axis=0)
         dh = dh1 @ p["w1"].T
         dc = np.zeros((batch, h_units))
-        for xt, hd, gi, gf, gg, go, c_prev, tanh_c in reversed(steps):
+        for t in reversed(range(self.seq_len)):
+            hd, gi, gf, gg, go, c_prev, tanh_c = steps[t]
             dgo = dh * tanh_c
             dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
             dgi = dc * gg
@@ -328,7 +402,7 @@ class LstmRegressor:
                 ],
                 axis=1,
             )
-            grads["wx"] += xt.T @ da
+            X.add_tdot(grads["wx"], da, t)
             grads["wh"] += hd.T @ da
             grads["b"] += da.sum(axis=0)
             dh = (da @ p["wh"].T) * mask_h
@@ -379,10 +453,9 @@ def _dataset_loss(model, X, y, batch_size: int) -> float:
 
 
 def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHistory:
-    """Adam + early stopping on validation MSE; best weights restored."""
-    X_train = np.asarray(X_train, dtype=np.float64)
+    """Adam + early stopping on validation MSE; best weights restored. `X_train`
+    and `X_val` are (N, L, d) arrays or TokenSequences."""
     y_train = np.asarray(y_train, dtype=np.float64)
-    X_val = np.asarray(X_val, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.float64)
     if X_train.shape[0] == 0 or X_val.shape[0] == 0:
         raise TrainingError("train and validation splits must be non-empty")

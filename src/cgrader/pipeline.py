@@ -134,10 +134,9 @@ def build_provider(cfg_provider: str, train_ds: Dataset, dim: int, seq_len: int,
 
 
 def embed_dataset(provider, ds: Dataset):
-    """Returns (pooled (N,d), sequences (N,L,d) or None)."""
-    n, L, d = len(ds), provider.L, provider.d
-    pooled = np.empty((n, d))
-    sequences = embed.checked_zeros((n, L, d), f"seq_len {L}")
+    """Returns (pooled (N, d), sequences of shape (N, L, d) or None)."""
+    pooled = np.empty((len(ds), provider.d))
+    sequences = provider.sequence_zeros((len(ds),), f"seq_len {provider.L}")
     for i, row in enumerate(ds.rows):
         e = provider.embed_row(row)
         pooled[i] = e.pooled

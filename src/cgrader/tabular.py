@@ -58,6 +58,8 @@ class TreeParams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_depth is not None and self.max_depth < 0:
+            raise FitError(f"max_depth must be None or >= 0, got {self.max_depth}")
         if self.min_samples_split < 2 or self.min_samples_leaf < 1:
             raise FitError("min_samples_split >= 2 and min_samples_leaf >= 1 required")
         if not 0.0 < self.feature_subsample <= 1.0:
@@ -370,6 +372,8 @@ def gbt_fit(X, y, n_rounds: int = 100, learning_rate: float = 0.1,
             max_depth: int | None = 3, leaf_l2: float = 1.0,
             seed: int = 0) -> GbtModel:
     X, y = validate_features(X, y)
+    if n_rounds < 1:
+        raise FitError(f"n_rounds must be >= 1, got {n_rounds}")
     if not 0.0 <= learning_rate <= 1.0:
         raise FitError("learning_rate must be in [0, 1]")
     if leaf_l2 < 0:

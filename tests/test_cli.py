@@ -451,9 +451,9 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
                            **dataclasses.asdict(TreeParams())},
                    state={"trees": [tree]})
         model.write_text(json.dumps(doc), encoding="utf-8")
-    elif case == "model_L_too_large":
+    elif case == "model_L_too_large":  # L int32 ids, 4e15 bytes: beyond any address space
         doc = _ridge_doc(d=256)
-        doc["embedding"]["L"] = 1_000_000_000_000
+        doc["embedding"]["L"] = 10**15
         model.write_text(json.dumps(doc), encoding="utf-8")
     return ["grade", "--model", str(model), "--code", str(program)]
 
@@ -496,7 +496,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("case, words", [
         ("seq_len_too_large", ["seq_len", "bytes"]),
         ("seq_len_negative", ["seq_len"]),
-        ("model_L_too_large", ["L 1000000000000", "2,048,000,000,000,000 bytes"]),
+        ("model_L_too_large", ["L 1000000000000000", "4,000,000,000,000,000 bytes"]),
     ])
     def test_seq_len_errors_name_seq_len(self, case, words, tmp_path, corpus_csv, capsys):
         assert main(_bad_input_argv(case, tmp_path, corpus_csv)) == EXIT_USAGE
@@ -571,13 +571,21 @@ class TestInputErrors:
                      "--grid", str(grid), "--out", str(tmp_path / "m.json")]) \
             == EXIT_USAGE
 
-    def test_fit_failure_still_exits_3(self, tmp_path, corpus_csv, capsys):
-        grid = tmp_path / "grid.json"
-        grid.write_text('{"k": [1000]}', encoding="utf-8")
-        assert main(["train", "--data", str(corpus_csv), "--model", "knn",
-                     "--dim", "16", "--grid", str(grid),
+    @pytest.mark.parametrize("model, grid, names", [
+        ("knn", {"k": [1000]}, "k=1000"),
+        ("gbt", {"n_rounds": [-3]}, "n_rounds"),
+        ("rf", {"max_depth": [-1]}, "max_depth"),
+    ], ids=["knn_k", "gbt_n_rounds", "rf_max_depth"])
+    def test_fit_failure_still_exits_3(self, model, grid, names, tmp_path, corpus_csv,
+                                       capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        assert main(["train", "--data", str(corpus_csv), "--model", model,
+                     "--dim", "16", "--grid", str(path),
                      "--out", str(tmp_path / "m.json")]) == EXIT_FIT
-        assert capsys.readouterr().err.startswith("error: fit failed: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit failed: ") and names in err, err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("k, code", [(40, EXIT_OK), (41, EXIT_FIT)])
     def test_one_point_grid_is_bounded_by_the_train_part(self, k, code, tmp_path,

@@ -1,11 +1,15 @@
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cgrader.corpus import Submission
+from cgrader.corpus import Dataset, Submission
 from cgrader.embed import (
+    DEFAULT_SEQ_LEN,
+    DEFAULT_TFIDF_DIM,
     EmbeddingFormatError,
     EmbeddingLookupError,
     TfIdfProvider,
@@ -13,6 +17,9 @@ from cgrader.embed import (
     fnv1a_64,
     load_external_embeddings,
 )
+from cgrader.pipeline import embed_dataset
+
+SEED_DIR = Path(__file__).resolve().parent.parent / "seeds"
 
 
 def fit(codes, d=16, L=8):
@@ -58,7 +65,7 @@ class TestTfIdfEmbed:
         model = fit(["int x;"])
         e = model.embed_code("")
         assert np.all(e.pooled == 0)
-        assert np.all(e.sequence == 0)
+        assert np.all(e.sequence.values == 0) and np.all(np.asarray(e.sequence) == 0)
 
     def test_single_token_unit_norm(self):
         model = fit(["int x;"])
@@ -76,12 +83,14 @@ class TestTfIdfEmbed:
         model = fit(["int x;"], L=4)
         e = model.embed_code("a b c d e f g h i")
         assert e.sequence.shape == (4, model.d)
-        assert all(np.any(row != 0) for row in e.sequence)
+        assert np.all(e.sequence.values >= 1.0)  # an idf is at least 1
 
     def test_sequence_padded(self):
         model = fit(["int x;"], L=6)
         e = model.embed_code("a b")
-        assert np.all(e.sequence[2:] == 0)
+        assert np.all(e.sequence.values[:2] >= 1.0)
+        assert np.all(e.sequence.values[2:] == 0)
+        assert np.all(np.asarray(e.sequence)[2:] == 0)
 
     def test_determinism(self):
         model = fit(["int x;"])
@@ -89,6 +98,27 @@ class TestTfIdfEmbed:
         b = model.embed_code("int x = 3;")
         assert np.array_equal(a.pooled, b.pooled)
         assert np.array_equal(a.sequence, b.sequence)
+
+
+def test_dataset_sequences_at_the_cli_seq_len_take_16_bytes_per_token():
+    # A dense (L, d) row of the default dim would take 2 kB per token.
+    codes = [path.read_text(encoding="utf-8") for path in sorted(SEED_DIR.glob("*.c"))]
+    ds = Dataset(tuple(Submission(f"s{i}", code, 10.0)
+                       for i, code in enumerate(codes * 8)))
+    provider = TfIdfProvider.fit(codes, d=DEFAULT_TFIDF_DIM, L=DEFAULT_SEQ_LEN)
+    tracemalloc.start()
+    try:
+        pooled, sequences = embed_dataset(provider, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tokens = len(ds) * DEFAULT_SEQ_LEN
+    assert sequences.shape == (len(ds), DEFAULT_SEQ_LEN, DEFAULT_TFIDF_DIM)
+    assert sequences.nbytes <= 16 * tokens
+    assert peak <= 32 * tokens  # the sequences, the pooled rows, one row's temporaries
+    for i, row in enumerate(ds.rows):
+        assert np.array_equal(np.asarray(sequences[i]),
+                              np.asarray(provider.embed_row(row).sequence))
 
 
 class TestProviders:

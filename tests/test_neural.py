@@ -11,6 +11,7 @@ from cgrader.neural import (
     LstmRegressor,
     LstmSpec,
     ShapeError,
+    TokenSequences,
     TrainConfig,
     TrainingError,
     mse_loss,
@@ -199,10 +200,11 @@ class TestGradients:
         assert not np.all(grads["conv_b"] == 0.0)
 
 
-def einsum_conv_w_grad(model, cache, dout):
-    """The conv_w gradient summed with `einsum` over (row, position, channel),
-    its max-pool and dense backward written out on their own."""
-    p, spec, X = model.params, model.spec, cache["X"]
+def einsum_conv_w_grad(model, X, cache, dout):
+    """The conv_w gradient for the dense input `X`, summed with `einsum` over
+    (row, position, channel), its max-pool and dense backward written out on
+    their own."""
+    p, spec = model.params, model.spec
     dh1 = (dout[:, None] @ p["w2"].T) * (cache["h1"] > 0)
     dpooled = (dh1 @ p["w1"].T).reshape(X.shape[0], model.pool_len, spec.conv_filters)
     dact = np.zeros_like(cache["pre"])
@@ -222,25 +224,114 @@ def one_hot_rows(rng, batch, seq_len, dim):
     return X
 
 
+def token_rows(rng, batch, seq_len, dim):
+    """TokenSequences as TF-IDF makes them, with ids repeated within a row and
+    across rows: at position 1 every row holds the same id. Each row ends in
+    padding (id 0, value 0) after at least 3 tokens."""
+    ids = rng.integers(0, dim, (batch, seq_len))
+    ids[:, 1] = ids[0, 1]
+    ids[:, 2] = ids[:, 0]
+    values = rng.uniform(1, 5, (batch, seq_len))
+    for b in range(batch):
+        length = rng.integers(3, seq_len + 1)
+        ids[b, length:], values[b, length:] = 0, 0.0
+    return TokenSequences(ids, values, dim)
+
+
 class TestConvWeightGradient:
     @pytest.mark.parametrize("kernel_size", [1, 2, 3])
-    @pytest.mark.parametrize("inputs", ["one_hot", "dense"])
+    @pytest.mark.parametrize("inputs", ["one_hot", "dense", "tokens"])
     def test_matches_einsum_reference(self, kernel_size, inputs):
         rng = np.random.default_rng(kernel_size)
         batch, seq_len, dim = 7, 12, 16
         model = CnnRegressor(CnnSpec(conv_filters=5, kernel_size=kernel_size,
                                      pool_size=2, dense_units=6), seq_len, dim, seed=3)
-        X = (one_hot_rows(rng, batch, seq_len, dim) if inputs == "one_hot"
-             else rng.normal(size=(batch, seq_len, dim)))
+        X = {"one_hot": lambda: one_hot_rows(rng, batch, seq_len, dim),
+             "dense": lambda: rng.normal(size=(batch, seq_len, dim)),
+             "tokens": lambda: token_rows(rng, batch, seq_len, dim)}[inputs]()
         pred, cache = model.forward(X)
         _, dpred = mse_loss(pred, rng.uniform(0, 10, batch))
-        expected = einsum_conv_w_grad(model, cache, dpred)
+        expected = einsum_conv_w_grad(model, np.asarray(X), cache, dpred)
         scale = np.abs(expected).max()
         assert scale > 0
         # The sums run in another order; an entry that cancels to near zero
         # is held to the gradient's scale instead of its own.
         np.testing.assert_allclose(model.backward(cache, dpred)["conv_w"], expected,
                                    rtol=1e-12, atol=1e-12 * scale)
+
+
+def token_nets():
+    """(model, dropout masks or None): the cnn, the lstm, and the lstm with
+    masks to replay, on TOY shapes and batches of 5."""
+    dropout = toy_lstm(seed=2, dropout=0.3)
+    return [(toy_cnn(seed=1), None), (toy_lstm(seed=2), None),
+            (dropout, dropout.sample_masks(5, np.random.default_rng(11)))]
+
+
+class TestTokenInput:
+    """The nets read TokenSequences through a gather and a scatter-add; the
+    results must be those of the dense array with one nonzero per position."""
+
+    @pytest.mark.parametrize("case", range(3), ids=["cnn", "lstm", "lstm_dropout"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forward_is_bit_identical_to_dense(self, case, seed):
+        model, masks = token_nets()[case]
+        tokens = token_rows(np.random.default_rng(seed), 5, TOY_L, TOY_D)
+        dense = np.asarray(tokens)
+        for training in (False, masks is not None):
+            a, _ = model.forward(tokens, training=training, masks=masks)
+            b, _ = model.forward(dense, training=training, masks=masks)
+            assert np.array_equal(a, b)
+        assert np.array_equal(model.features(tokens), model.features(dense))
+
+    @pytest.mark.parametrize("case", range(3), ids=["cnn", "lstm", "lstm_dropout"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_dense(self, case, seed):
+        model, masks = token_nets()[case]
+        rng = np.random.default_rng(seed)
+        tokens = token_rows(rng, 5, TOY_L, TOY_D)
+        y = rng.uniform(0, 10, 5)
+        got = analytic_grads(model, tokens, y, masks=masks)
+        expected = analytic_grads(model, np.asarray(tokens), y, masks=masks)
+        for name, grad in expected.items():
+            scale = np.abs(grad).max()
+            np.testing.assert_allclose(got[name], grad, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
+
+    def test_repeated_id_gradient_adds_up(self):
+        # One id at every position of every row: each weight row's gradient is
+        # the sum over all of them, which a scatter that drops repeats misses.
+        model = toy_cnn(seed=4)
+        tokens = TokenSequences(np.full((4, TOY_L), 2), np.ones((4, TOY_L)), TOY_D)
+        y = np.arange(4.0)
+        got = analytic_grads(model, tokens, y)["conv_w"]
+        assert np.any(got[:, 2] != 0) and np.all(got[:, [0, 1, 3]] == 0)
+        np.testing.assert_allclose(got, analytic_grads(model, np.asarray(tokens), y)["conv_w"],
+                                   rtol=1e-12, atol=1e-12 * np.abs(got).max())
+
+    @pytest.mark.parametrize("case", range(3), ids=["cnn", "lstm", "lstm_dropout"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_finite_differences(self, case, seed):
+        model, masks = token_nets()[case]
+        rng = np.random.default_rng(20 + seed)
+        # Padding and dropped-out inputs are exact zeros; under the zero initial
+        # biases they put a ReLU exactly at its kink, where finite differences
+        # do not hold.
+        for name in ("conv_b", "b", "b1", "b2"):
+            if name in model.params:
+                model.params[name][:] = rng.normal(0, 0.5, model.params[name].shape)
+        tokens = token_rows(rng, 5, TOY_L, TOY_D)
+        y = rng.uniform(0, 10, 5)
+        assert max_relative_gradient_error(model, tokens, y, masks=masks) < 1e-4
+
+    def test_batches_and_shape(self):
+        tokens = token_rows(np.random.default_rng(0), 5, TOY_L, TOY_D)
+        assert tokens.shape == (5, TOY_L, TOY_D)
+        assert tokens.nbytes == tokens.ids.nbytes + tokens.values.nbytes
+        assert np.array_equal(np.asarray(tokens[[3, 1]]), np.asarray(tokens)[[3, 1]])
+        assert np.array_equal(np.asarray(tokens[2][None]), np.asarray(tokens)[2:3])
+        with pytest.raises(ShapeError):
+            toy_cnn().forward(TokenSequences(tokens.ids, tokens.values, TOY_D + 1))
 
 
 class TestTrain:

@@ -193,6 +193,24 @@ def test_5000_level_chain_tree_saves_loads_and_grades(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "7.00"
 
 
+def test_v1_tree_nested_deeper_than_the_json_parser_exits_2(tmp_path, capsys):
+    # A v1 file nests one JSON level per tree level, so a 5,000-level chain is
+    # too deep for `json.load`; v2 stores the same tree flat (test above).
+    depth = 5000
+    doc = json.loads((V1_DIR / "gbt.json").read_text(encoding="utf-8"))
+    doc["params"]["n_rounds"] = 1
+    doc["state"]["trees"] = ["chain"]
+    chain = ('{"feature": 0, "threshold": 0.5, "left": {"leaf": 1.0}, "right": ' * depth
+             + '{"leaf": 2.0}' + "}" * depth)
+    path = tmp_path / "deep_v1.json"
+    path.write_text(json.dumps(doc).replace('"chain"', chain), encoding="utf-8")
+    program = tmp_path / "prog.c"
+    program.write_text("int main(void) { return 0; }", encoding="utf-8")
+    assert main(["grade", "--model", str(path), "--code", str(program)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: malformed model file {path}: "), err
+
+
 def test_fitted_chain_deeper_than_the_recursion_limit_saves_loads_and_grades(
         tmp_path, capsys):
     # y = 3**i puts the best split just below the largest target at every
