@@ -34,6 +34,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_synth(args) -> int:
+    rng = np.random.default_rng(pipeline.check_seed(args.seed, "--seed"))
     files = sorted(Path(args.seeds).glob("*.c"))
     if not files:
         raise ValueError(f"no .c seed files in {args.seeds}")
@@ -41,7 +42,6 @@ def cmd_synth(args) -> int:
         Submission(path.stem, path.read_text(encoding="utf-8"), 10.0)
         for path in files
     ]
-    rng = np.random.default_rng(args.seed)
     ds, plans = synth.synthesize_with_plans(seeds, args.count, synth.Rubric(), rng)
     save_dataset(ds, args.out)
     if args.plans:
@@ -60,7 +60,12 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     train_cfg = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
                             learning_rate=args.learning_rate, patience=args.patience)
-    ratios = [float(r) for r in args.split.split(",")]
+    try:
+        ratios = [float(r) for r in args.split.split(",")]
+    except ValueError:
+        raise pipeline.ConfigError(
+            f"--split must be comma-separated numbers, got {args.split!r}") from None
+    pipeline.check_seed(args.seed, "--seed")
     data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
                                          args.dim, args.seq_len, args.vectors, train_cfg)
     spec = {}
@@ -97,8 +102,8 @@ def cmd_grade(args) -> int:
         raise embed.UnsupportedEmbedding(embed.NO_AD_HOC_CODE)
     code = Path(args.code).read_text(encoding="utf-8")
     embedding = provider.from_config(emb_config).embed_code(code)
-    sequences = None if embedding.sequence is None else embedding.sequence[None]
-    score = pipeline.predict_kind(kind, model, embedding.pooled[None], sequences)[0]
+    score = pipeline.predict_kind(kind, model, embedding.pooled[None],
+                                  embedding.sequence[None])[0]
     if not np.isfinite(score):
         raise ValueError(f"{args.model}: the model predicts a non-finite score")
     print(f"{float(np.clip(score, 0.0, 10.0)):.2f}")

@@ -53,15 +53,7 @@ def checked_zeros(shape: tuple, name: str, dtype=np.float64) -> np.ndarray:
 @dataclass(frozen=True)
 class Embedding:
     pooled: np.ndarray  # (d,)
-    sequence: TokenSequences | np.ndarray | None  # of shape (L, d), or None
-    d: int
-    L: int
-
-    def __post_init__(self):
-        assert self.pooled.shape == (self.d,)
-        assert np.all(np.isfinite(self.pooled))
-        if self.sequence is not None:
-            assert self.sequence.shape == (self.L, self.d)
+    sequence: TokenSequences | np.ndarray | None  # (L, d) or None; external: <= L rows
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -74,6 +66,11 @@ def fnv1a_64(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) % _U64
     return h
+
+
+def token_buckets(code: str, d: int) -> list[int]:
+    """The hash bucket in [0, d) of each significant token of `code`, in order."""
+    return [fnv1a_64(tok.text) % d for tok in significant_tokens(tokenize(code))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +99,7 @@ class TfIdfProvider:
             raise ValueError("cannot fit TF-IDF on an empty corpus")
         doc_freq = checked_zeros((d,), f"dim {d}", np.int64)
         for code in codes:
-            buckets = {fnv1a_64(tok.text) % d for tok in significant_tokens(tokenize(code))}
-            doc_freq[list(buckets)] += 1
+            doc_freq[list(set(token_buckets(code, d)))] += 1
         return cls(d, L, len(codes), doc_freq)
 
     @classmethod
@@ -111,30 +107,33 @@ class TfIdfProvider:
         """The provider of a run whose train part holds `codes`."""
         return cls.fit(codes, d=d, L=L)
 
+    def embed_rows(self, rows) -> tuple[np.ndarray, TokenSequences]:
+        """(pooled (N, d), sequences (N, L, d)) of the rows' code."""
+        return self._embed([row.code for row in rows], "seq_len")
+
     def embed_code(self, code: str) -> Embedding:
-        tokens = significant_tokens(tokenize(code))
-        buckets = [fnv1a_64(tok.text) % self.d for tok in tokens]
-        pooled = np.zeros(self.d)
-        if buckets:
-            counts = np.bincount(buckets, minlength=self.d).astype(np.float64)
-            pooled = (counts / len(buckets)) * self.idf
-            norm = math.sqrt(float(pooled @ pooled))
-            if norm > 0:
-                pooled = pooled / norm
-        sequence = self.sequence_zeros((), f"L {self.L}")
-        kept = buckets[: self.L]
-        sequence.ids[: len(kept)] = kept
-        sequence.values[: len(kept)] = self.idf[kept]
-        return Embedding(pooled, sequence, self.d, self.L)
+        pooled, sequences = self._embed([code], "L")
+        return Embedding(pooled[0], sequences[0])
 
-    def sequence_zeros(self, rows: tuple, name: str) -> TokenSequences:
-        """Sequences of shape rows + (L, d), all padding: 12 bytes per token."""
-        shape = (*rows, self.L)
-        return TokenSequences(checked_zeros(shape, name, np.int32),
-                              checked_zeros(shape, name), self.d)
-
-    def embed_row(self, row) -> Embedding:
-        return self.embed_code(row.code)
+    def _embed(self, codes: list[str], name: str) -> tuple[np.ndarray, TokenSequences]:
+        """Fills the arrays one code at a time, so only one code's buckets are held.
+        An allocation that fails names `name` and L."""
+        shape = (len(codes), self.L)
+        ids = checked_zeros(shape, f"{name} {self.L}", np.int32)
+        values = checked_zeros(shape, f"{name} {self.L}")
+        pooled = np.zeros((len(codes), self.d))
+        for i, code in enumerate(codes):
+            buckets = token_buckets(code, self.d)
+            if buckets:
+                counts = np.bincount(buckets, minlength=self.d).astype(np.float64)
+                vector = (counts / len(buckets)) * self.idf
+                # one dot per code: a batched row sum can differ in the last bit
+                norm = math.sqrt(float(vector @ vector))
+                pooled[i] = vector / norm if norm > 0 else vector
+            kept = buckets[: self.L]
+            ids[i, : len(kept)] = kept
+            values[i, : len(kept)] = self.idf[kept]
+        return pooled, TokenSequences(ids, values, self.d)
 
     def config(self) -> dict:
         return {"provider": self.name, "d": self.d, "L": self.L,
@@ -158,7 +157,7 @@ class TfIdfProvider:
 class ExternalProvider:
     """Precomputed vectors keyed by submission id (JSON Lines)."""
 
-    table: dict  # id -> Embedding
+    table: dict  # id -> Embedding, its sequence unpadded: at most L rows
     d: int
     L: int
     path: str = ""
@@ -173,18 +172,27 @@ class ExternalProvider:
             raise ValueError("external provider needs a vectors path")
         return load_external_embeddings(vectors, seq_len=L)
 
-    def embed_row(self, row) -> Embedding:
-        try:
-            return self.table[row.id]
-        except KeyError:
-            raise EmbeddingLookupError(f"no stored vector for id {row.id!r}") from None
+    def embed_rows(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
+        """(pooled (N, d), sequences (N, L, d) or None): the stored vectors of the
+        rows' ids. Sequences are padded here; None unless every row has one."""
+        records = []
+        for row in rows:
+            try:
+                records.append(self.table[row.id])
+            except KeyError:
+                raise EmbeddingLookupError(f"no stored vector for id {row.id!r}") from None
+        pooled = np.zeros((len(records), self.d))
+        for i, record in enumerate(records):
+            pooled[i] = record.pooled
+        if any(record.sequence is None for record in records):
+            return pooled, None
+        sequences = checked_zeros((len(records), self.L, self.d), f"seq_len {self.L}")
+        for i, record in enumerate(records):
+            sequences[i, : len(record.sequence)] = record.sequence
+        return pooled, sequences
 
     def embed_code(self, code: str) -> Embedding:
         raise UnsupportedEmbedding(NO_AD_HOC_CODE)
-
-    def sequence_zeros(self, rows: tuple, name: str) -> np.ndarray:
-        """Zero sequences of shape rows + (L, d)."""
-        return checked_zeros((*rows, self.L, self.d), name)
 
     def config(self) -> dict:
         return {"provider": self.name, "path": self.path, "L": self.L}
@@ -192,9 +200,9 @@ class ExternalProvider:
     @classmethod
     def from_config(cls, cfg: dict) -> "ExternalProvider":
         path, L = cfg.get("path"), cfg.get("L")
-        if not isinstance(path, str) or type(L) is not int:
+        if not isinstance(path, str) or type(L) is not int or L < 0:
             raise EmbeddingFormatError("an external embedding config holds a 'path' "
-                                       "string and an integer 'L'")
+                                       "string and an integer 'L' >= 0")
         return load_external_embeddings(path, seq_len=L)
 
 
@@ -222,9 +230,7 @@ def _vector_record(line: str, d: int | None, seq_len: int):
         rows = np.asarray(obj["sequence"], dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != d or not np.isfinite(rows).all():
             raise ValueError(f"sequence rows must be finite and x-by-{d}")
-        sequence = np.zeros((seq_len, d))
-        keep = min(seq_len, rows.shape[0])
-        sequence[:keep] = rows[:keep]
+        sequence = rows[:seq_len].copy()  # not a view: the rows past seq_len go
     return str(obj["id"]), pooled, sequence
 
 
@@ -241,7 +247,7 @@ def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalPr
             except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise EmbeddingFormatError(f"{path}: line {line_num}: {exc}") from exc
             d = pooled.shape[0]
-            table[sub_id] = Embedding(pooled, sequence, d, seq_len)
+            table[sub_id] = Embedding(pooled, sequence)
     if d is None:
         raise EmbeddingFormatError(f"{path}: no vectors found")
     return ExternalProvider(table, d, seq_len, str(path))

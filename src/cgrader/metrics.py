@@ -49,12 +49,12 @@ def mape(y, yhat) -> float:
 
 
 def r2(y, yhat) -> float:
+    """Coefficient of determination; NaN when the targets have no variance (one
+    row, or every target equal), since there is no spread to explain."""
     y, yhat = _pair(y, yhat)
-    if y.size < 2:
-        raise MetricError("R^2 needs at least 2 points")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0:
-        raise MetricError("R^2 undefined for constant targets")
+        return math.nan
     ss_res = float(np.sum((y - yhat) ** 2))
     return 1.0 - ss_res / ss_tot
 

@@ -49,10 +49,6 @@ class TokenSequences:
     def __getitem__(self, rows) -> "TokenSequences":
         return TokenSequences(self.ids[rows], self.values[rows], self.d)
 
-    def __setitem__(self, rows, other: "TokenSequences"):
-        self.ids[rows] = other.ids
-        self.values[rows] = other.values
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = np.zeros(self.shape)
         np.put_along_axis(dense, self.ids[..., None], self.values[..., None], axis=-1)

@@ -8,13 +8,12 @@ hybrids fit their forest heads on the features of this run's CNN and LSTM.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import embed, kinds, metrics, persist
 from .corpus import DEFAULT_RATIOS, Dataset, load_dataset, split
@@ -75,6 +74,13 @@ def check_json(value, schema, where: str) -> None:
         raise ConfigError(f"{where} must be {_TYPE_NAMES[schema]}")
 
 
+def check_seed(seed: int, where: str) -> int:
+    """`seed`, if numpy can seed a generator with it; else a ConfigError naming `where`."""
+    if seed < 0:
+        raise ConfigError(f"{where} must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass
 class ExperimentConfig:
     data: str
@@ -110,7 +116,7 @@ class ExperimentConfig:
             embedding_seq_len=emb.get("seq_len", embed.DEFAULT_SEQ_LEN),
             embedding_vectors=resolve(emb["vectors"]) if emb.get("vectors") else None,
             split_ratios=tuple(sp.get("ratios", DEFAULT_RATIOS)),
-            seed=sp.get("seed", 0),
+            seed=check_seed(sp.get("seed", 0), "split.seed"),
             grids=doc.get("models", {}),
             train=TrainConfig(**doc.get("train", {})),
         )
@@ -135,16 +141,7 @@ def build_provider(cfg_provider: str, train_ds: Dataset, dim: int, seq_len: int,
 
 def embed_dataset(provider, ds: Dataset):
     """Returns (pooled (N, d), sequences of shape (N, L, d) or None)."""
-    pooled = np.empty((len(ds), provider.d))
-    sequences = provider.sequence_zeros((len(ds),), f"seq_len {provider.L}")
-    for i, row in enumerate(ds.rows):
-        e = provider.embed_row(row)
-        pooled[i] = e.pooled
-        if e.sequence is None:
-            sequences = None
-        elif sequences is not None:
-            sequences[i] = e.sequence
-    return pooled, sequences
+    return provider.embed_rows(ds.rows)
 
 
 def embed_split(provider, ds: Dataset) -> kinds.Split:
@@ -204,22 +201,27 @@ def render_report(report: metrics.Report, errors: dict | None = None) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Fits, reports and saves every kind; returns kind -> message of each failure."""
+    """Fits, reports and saves every kind; returns kind -> message of each failure.
+    A kind that fails leaves no model file, not even one of an earlier run."""
+    models_dir = os.path.abspath(cfg.models_dir)
+    for path in (cfg.report_path, cfg.curves_path):  # fail before any work
+        folder = os.path.dirname(os.path.abspath(path))
+        # a folder that holds models_dir is made with it
+        if not os.path.isdir(folder) and os.path.commonpath([folder, models_dir]) != folder:
+            raise FileNotFoundError(f"no directory to write {path}")
     data, provider, test_ds = prepare(
         cfg.data, cfg.split_ratios, cfg.seed, cfg.embedding_provider,
         cfg.embedding_dim, cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train)
     test = embed_split(provider, test_ds)
 
-    os.makedirs(cfg.models_dir, exist_ok=True)
-    for path in (cfg.report_path, cfg.curves_path):  # fail before any training
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise FileNotFoundError(f"no directory to write {path}")
+    os.makedirs(models_dir, exist_ok=True)
     report = metrics.Report()
     fitted: dict = {}
     errors: dict = {}
     emb_config = provider.config()
 
     for name, kind in kinds.KINDS.items():
+        model_path = os.path.join(cfg.models_dir, f"{name}.json")
         try:
             if kind.base in errors:
                 raise kinds.KindError(
@@ -229,10 +231,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for split_name, part in (("train", data.train), ("test", test)):
                 yhat = predict_kind(name, trained.model, part.pooled, part.sequences)
                 report.add(metrics.evaluate(part.y, yhat, name, split_name))
-            persist.save_model(os.path.join(cfg.models_dir, f"{name}.json"), name,
-                               trained.model, emb_config)
+            persist.save_model(model_path, name, trained.model, emb_config)
         except Exception as exc:
             errors[name] = str(exc)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(model_path)
 
     histories = {name: trained.history for name, trained in fitted.items()
                  if trained.history is not None}

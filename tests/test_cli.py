@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,65 @@ class TestTrainCommand:
                      "--embedding", "external",
                      "--out", str(tmp_path / "m.json")])
         assert code == EXIT_USAGE
+
+    def test_constant_scores_train_with_r2_nan(self, corpus_csv, tmp_path, capsys):
+        tens = tmp_path / "tens.csv"
+        save_dataset(Dataset(tuple(dataclasses.replace(row, score=10.0)
+                                   for row in load_dataset(corpus_csv).rows)), tens)
+        out = tmp_path / "model.json"
+        assert main(["train", "--data", str(tens), "--model", "ridge", "--dim", "16",
+                     "--seq-len", "4", "--out", str(out)]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "validation: rmse=" in text and "r2=nan" in text
+        assert persist.load_model(out)[0] == "ridge"
+
+
+def _write_vectors(tmp_path, corpus_csv, lengths, d=6):
+    """External vectors for every corpus row; row i's sequence holds
+    lengths[i % len(lengths)] vectors, or is left out where that is None."""
+    rng = np.random.default_rng(0)
+    lines = []
+    for i, row in enumerate(load_dataset(corpus_csv).rows):
+        record = {"id": row.id, "pooled": rng.normal(size=d).tolist()}
+        length = lengths[i % len(lengths)]
+        if length is not None:
+            record["sequence"] = rng.normal(size=(length, d)).tolist()
+        lines.append(json.dumps(record))
+    path = tmp_path / "vectors.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path
+
+
+class TestExternalSequences:
+    """External sequences reach the nets, padded or cut to --seq-len."""
+
+    @staticmethod
+    def train(tmp_path, corpus_csv, model, vectors):
+        return main(["train", "--data", str(corpus_csv), "--model", model,
+                     "--embedding", "external", "--vectors", str(vectors),
+                     "--seq-len", "8", "--max-epochs", "2",
+                     "--out", str(tmp_path / f"{model}.json")])
+
+    @pytest.mark.parametrize("model", ["cnn", "lstm"])
+    def test_nets_train_on_sequences_shorter_and_longer_than_seq_len(
+            self, model, tmp_path, corpus_csv, capsys):
+        vectors = _write_vectors(tmp_path, corpus_csv, [3, 8, 20])
+        assert self.train(tmp_path, corpus_csv, model, vectors) == EXIT_OK
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("validation: "))
+        values = [float(field.split("=")[1]) for field in line.split()[1:]]
+        assert len(values) == 4 and all(map(math.isfinite, values)), line
+        assert persist.load_model(tmp_path / f"{model}.json")[0] == model
+
+    def test_a_row_without_a_sequence_leaves_only_the_pooled_models(
+            self, tmp_path, corpus_csv, capsys):
+        vectors = _write_vectors(tmp_path, corpus_csv, [3, None, 20])
+        assert self.train(tmp_path, corpus_csv, "ridge", vectors) == EXIT_OK
+        capsys.readouterr()
+        assert self.train(tmp_path, corpus_csv, "cnn", vectors) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: embedding provider supplies no token sequences\n")
+        assert not (tmp_path / "cnn.json").exists()
 
 
 # One settings set, given once as an experiment config and once as train flags.
@@ -254,6 +314,37 @@ class TestExperimentCommand:
         assert "shorter than kernel" in cnn_error
         assert rows[("cnn_rf", "")]["error"] == f"base net cnn failed: {cnn_error}"
         assert rows[("lstm_rf", "test")]["error"] == ""
+
+    def test_failed_kind_leaves_no_model_file(self, tmp_path, corpus_csv):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "knn.json").write_text("{}", encoding="utf-8")  # an earlier run's
+        path, doc = self.make_config(tmp_path, corpus_csv)
+        doc["models"]["knn"] = {"grid": {"k": [1000]}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["experiment", "--config", str(path)]) == EXIT_PARTIAL
+        assert sorted(p.stem for p in models.glob("*.json")) == sorted(set(KINDS) - {"knn"})
+
+    def test_missing_report_dir_exits_2_before_the_corpus_is_read(self, tmp_path,
+                                                                  capsys):
+        path, _ = self.make_config(
+            tmp_path, tmp_path / "no-corpus.csv",
+            output={"report": str(tmp_path / "missing" / "report.csv"),
+                    "curves": str(tmp_path / "curves.csv"),
+                    "models_dir": str(tmp_path / "models")})
+        assert main(["experiment", "--config", str(path)]) == EXIT_USAGE
+        assert "no directory to write" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()
+
+    def test_outputs_may_go_in_the_folder_made_for_models_dir(self, tmp_path,
+                                                             corpus_csv):
+        run = tmp_path / "run"
+        path, _ = self.make_config(tmp_path, corpus_csv,
+                                   output={"report": str(run / "report.csv"),
+                                           "curves": str(run / "curves.csv"),
+                                           "models_dir": str(run / "models")})
+        assert main(["experiment", "--config", str(path)]) == EXIT_OK
+        assert (run / "report.csv").exists() and (run / "models" / "rf.json").exists()
 
     def test_zero_scores_are_valid(self, tmp_path, corpus_csv):
         ds = load_dataset(corpus_csv)
@@ -424,6 +515,19 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         seq_len = "1000000000000" if case == "seq_len_too_large" else "-5"
         return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "8",
                 "--seq-len", seq_len, "--out", str(model)]
+    if case in ("train_seed_negative", "split_not_numbers"):
+        bad = ["--seed", "-1"] if case == "train_seed_negative" else ["--split", "a,b,c"]
+        return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
+                "--seq-len", "4", *bad, "--out", str(model)]
+    if case == "synth_seed_negative":
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        (seeds / "sum.c").write_text(SEED_CODE, encoding="utf-8")
+        return ["synth", "--seeds", str(seeds), "--count", "5", "--seed", "-1",
+                "--out", str(tmp_path / "synth.csv")]
+    if case == "config_split_seed_negative":
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv, split={"seed": -1})]
     if case == "dim_too_large":  # 8e18 bytes: more than any address space holds
         return ["train", "--data", str(corpus_csv), "--model", "ridge",
                 "--dim", str(10**18), "--seq-len", "4", "--out", str(model)]
@@ -480,6 +584,10 @@ INPUT_ERRORS = [
     "learning_rate_nan",
     "config_learning_rate_negative",
     "config_learning_rate_infinite",
+    "train_seed_negative",
+    "synth_seed_negative",
+    "config_split_seed_negative",
+    "split_not_numbers",
 ]
 
 
@@ -510,6 +618,11 @@ class TestInputErrors:
         ("learning_rate_nan", ["learning_rate", "nan"]),
         ("config_learning_rate_negative", ["learning_rate", "-1"]),
         ("config_learning_rate_infinite", ["learning_rate", "inf"]),
+        ("train_seed_negative", ["--seed", "-1"]),
+        ("synth_seed_negative", ["--seed", "-1"]),
+        ("config_split_seed_negative", ["split.seed", "-1"]),
+        ("split_not_numbers", ["--split", "a,b,c"]),
+        ("experiment_report_in_missing_dir", ["no directory to write", "report.csv"]),
     ])
     def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
                                                 capsys):

@@ -117,16 +117,21 @@ def test_dataset_sequences_at_the_cli_seq_len_take_16_bytes_per_token():
     assert sequences.nbytes <= 16 * tokens
     assert peak <= 32 * tokens  # the sequences, the pooled rows, one row's temporaries
     for i, row in enumerate(ds.rows):
-        assert np.array_equal(np.asarray(sequences[i]),
-                              np.asarray(provider.embed_row(row).sequence))
+        e = provider.embed_code(row.code)
+        assert np.array_equal(pooled[i], e.pooled)
+        assert np.array_equal(np.asarray(sequences[i]), np.asarray(e.sequence))
 
 
 class TestProviders:
     def test_tfidf_provider_shapes(self):
         provider = TfIdfProvider.fit(["int x;", "int y;"], d=32, L=8)
         e = provider.embed_code("int x;")
-        assert (e.d, e.L) == (32, 8)
-        assert np.array_equal(provider.embed_row(row("s1")).sequence, e.sequence)
+        assert e.pooled.shape == (32,) and e.sequence.shape == (8, 32)
+        pooled, sequences = provider.embed_rows([row("s1")])
+        assert pooled.shape == (1, 32) and sequences.shape == (1, 8, 32)
+        assert np.array_equal(pooled[0], e.pooled)
+        assert np.array_equal(sequences.ids[0], e.sequence.ids)
+        assert np.array_equal(sequences.values[0], e.sequence.values)
 
     def test_tfidf_config_round_trip(self):
         provider = TfIdfProvider.fit(["int x;", "int y;"], d=32, L=8)
@@ -158,7 +163,9 @@ class TestExternal:
         )
         provider = load_external_embeddings(path)
         assert provider.d == 4
-        assert np.array_equal(provider.embed_row(row("a")).pooled, [1, 2, 3, 4])
+        pooled, sequences = provider.embed_rows([row("b"), row("a")])
+        assert np.array_equal(pooled, [[5, 6, 7, 8], [1, 2, 3, 4]])
+        assert sequences is None
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = write_jsonl(
@@ -174,8 +181,8 @@ class TestExternal:
     def test_unknown_id(self, tmp_path):
         path = write_jsonl(tmp_path, [{"id": "a", "pooled": [1, 2]}])
         provider = load_external_embeddings(path)
-        with pytest.raises(EmbeddingLookupError):
-            provider.embed_row(row("missing"))
+        with pytest.raises(EmbeddingLookupError, match="'missing'"):
+            provider.embed_rows([row("a"), row("missing")])
 
     def test_token_sequences_padded(self, tmp_path):
         path = write_jsonl(
@@ -183,9 +190,11 @@ class TestExternal:
             [{"id": "a", "pooled": [1, 2], "sequence": [[1, 2], [3, 4]]}],
         )
         provider = load_external_embeddings(path, seq_len=5)
-        seq = provider.embed_row(row("a")).sequence
-        assert seq.shape == (5, 2)
-        assert np.all(seq[2:] == 0)
+        assert provider.table["a"].sequence.shape == (2, 2)  # stored as given
+        _, sequences = provider.embed_rows([row("a")])
+        assert sequences.shape == (1, 5, 2)
+        assert np.array_equal(sequences[0, :2], [[1, 2], [3, 4]])
+        assert np.all(sequences[0, 2:] == 0)
 
     def test_readme_format_loads_sequences(self, tmp_path):
         path = write_jsonl(
@@ -196,8 +205,8 @@ class TestExternal:
             ],
         )
         provider = load_external_embeddings(path, seq_len=2)
-        assert np.array_equal(provider.embed_row(row("a")).sequence, [[1, 2], [3, 4]])
-        assert np.array_equal(provider.embed_row(row("b")).sequence, [[7, 8], [0, 0]])
+        _, sequences = provider.embed_rows([row("a"), row("b")])
+        assert np.array_equal(sequences, [[[1, 2], [3, 4]], [[7, 8], [0, 0]]])
 
     def test_tokens_key_rejected(self, tmp_path):
         path = write_jsonl(
@@ -211,3 +220,38 @@ class TestExternal:
         path = write_jsonl(tmp_path, [{"id": "a", "pooled": [1, 2]}])
         with pytest.raises(UnsupportedEmbedding):
             load_external_embeddings(path).embed_code("int x;")
+
+    def test_sequences_are_all_or_nothing(self, tmp_path):
+        path = write_jsonl(
+            tmp_path,
+            [
+                {"id": "a", "pooled": [1, 2], "sequence": [[1, 2]]},
+                {"id": "b", "pooled": [3, 4]},
+            ],
+        )
+        provider = load_external_embeddings(path, seq_len=3)
+        pooled, sequences = provider.embed_rows([row("a"), row("b")])
+        assert np.array_equal(pooled, [[1, 2], [3, 4]]) and sequences is None
+        assert provider.embed_rows([row("a")])[1].shape == (1, 3, 2)
+
+    def test_loaded_table_holds_no_padding(self, tmp_path):
+        # Sequences shorter than L are not padded, and longer ones keep only
+        # their first L rows, not a view of the whole parsed array.
+        n, d, L = 40, 16, 64
+        lengths = [8 if i % 2 else 128 for i in range(n)]
+        rng = np.random.default_rng(0)
+        path = write_jsonl(tmp_path, [
+            {"id": f"s{i}", "pooled": rng.normal(size=d).tolist(),
+             "sequence": rng.normal(size=(m, d)).tolist()}
+            for i, m in enumerate(lengths)])
+        tracemalloc.start()
+        try:
+            provider = load_external_embeddings(path, seq_len=L)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        given = sum((min(m, L) + 1) * d * 8 for m in lengths)  # sequence rows + pooled
+        padded = n * (L + 1) * d * 8
+        assert given <= held <= given + 1024 * n < padded
+        assert all(len(record.sequence) == min(m, L)
+                   for record, m in zip(provider.table.values(), lengths))

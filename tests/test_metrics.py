@@ -76,9 +76,11 @@ class TestR2:
     def test_hand_value(self):
         assert r2([1, 2, 3], [1, 2, 4]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_constant_targets_error(self):
-        with pytest.raises(MetricError):
-            r2([2, 2, 2], [1, 2, 3])
+    def test_constant_targets_nan(self):
+        # No variance to explain: NaN, as MAPE is when every target is 0.
+        assert math.isnan(r2([2, 2, 2], [1, 2, 3]))
+        assert math.isnan(r2([2], [1]))
+        assert math.isnan(evaluate([10, 10], [9, 10], "ridge", "test").r2)
 
 
 @given(vectors, vectors)
