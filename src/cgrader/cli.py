@@ -76,9 +76,10 @@ def cmd_train(args) -> int:
     kind = args.model
     try:
         trained = kinds.fit(kind, data, args.seed, spec)
-    except kinds.KindError:
-        raise
     except Exception as exc:
+        persist.remove_file(args.out)  # an earlier run's model must not pass for this one
+        if isinstance(exc, kinds.KindError):
+            raise
         return _fail(EXIT_FIT, f"fit failed: {exc}")
     if trained.history is None:
         print(f"params: {trained.params}")

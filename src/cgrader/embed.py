@@ -68,9 +68,33 @@ def fnv1a_64(text: str) -> int:
     return h
 
 
-def token_buckets(code: str, d: int) -> list[int]:
-    """The hash bucket in [0, d) of each significant token of `code`, in order."""
-    return [fnv1a_64(tok.text) % d for tok in significant_tokens(tokenize(code))]
+class TokenBuckets:
+    """Maps a code text to the hash bucket in [0, d) of each of its significant
+    tokens, in order.
+
+    While the object lives, each distinct code text is lexed once and each
+    distinct token text hashed once. It holds bucket ids, not tokens. Its
+    owner scopes it to one command step (`pipeline.prepare`, one `embed_code`),
+    so no memo outlives the call that made it.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self._codes: dict[str, list[int]] = {}
+        self._texts: dict[str, int] = {}
+
+    def __call__(self, code: str) -> list[int]:
+        buckets = self._codes.get(code)
+        if buckets is None:
+            buckets = self._codes[code] = [
+                self._bucket(tok.text) for tok in significant_tokens(tokenize(code))]
+        return buckets
+
+    def _bucket(self, text: str) -> int:
+        bucket = self._texts.get(text)
+        if bucket is None:
+            bucket = self._texts[text] = fnv1a_64(text) % self.d
+        return bucket
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,39 +115,46 @@ class TfIdfProvider:
         object.__setattr__(self, "idf", idf)
 
     @classmethod
-    def fit(cls, codes: list[str], d: int = DEFAULT_TFIDF_DIM,
-            L: int = DEFAULT_SEQ_LEN) -> "TfIdfProvider":
+    def fit(cls, codes: list[str], d: int = DEFAULT_TFIDF_DIM, L: int = DEFAULT_SEQ_LEN,
+            memo: TokenBuckets | None = None) -> "TfIdfProvider":
+        """Document frequencies of `codes`. `memo`, of dimension `d`, may be shared
+        with the embedding of the same run; by default a fresh one."""
         if d < 8:
             raise ValueError(f"hash dimension must be >= 8, got {d}")
         if not codes:
             raise ValueError("cannot fit TF-IDF on an empty corpus")
+        memo = memo or TokenBuckets(d)
         doc_freq = checked_zeros((d,), f"dim {d}", np.int64)
         for code in codes:
-            doc_freq[list(set(token_buckets(code, d)))] += 1
+            doc_freq[list(set(memo(code)))] += 1
         return cls(d, L, len(codes), doc_freq)
 
     @classmethod
-    def build(cls, codes: list[str], d: int, L: int, vectors=None) -> "TfIdfProvider":
+    def build(cls, codes: list[str], d: int, L: int, vectors=None,
+              memo: TokenBuckets | None = None) -> "TfIdfProvider":
         """The provider of a run whose train part holds `codes`."""
-        return cls.fit(codes, d=d, L=L)
+        return cls.fit(codes, d=d, L=L, memo=memo)
 
-    def embed_rows(self, rows) -> tuple[np.ndarray, TokenSequences]:
-        """(pooled (N, d), sequences (N, L, d)) of the rows' code."""
-        return self._embed([row.code for row in rows], "seq_len")
+    def embed_rows(self, rows, memo: TokenBuckets | None = None
+                   ) -> tuple[np.ndarray, TokenSequences]:
+        """(pooled (N, d), sequences (N, L, d)) of the rows' code; `memo` as in `fit`."""
+        return self._embed([row.code for row in rows], "seq_len",
+                           memo or TokenBuckets(self.d))
 
     def embed_code(self, code: str) -> Embedding:
-        pooled, sequences = self._embed([code], "L")
+        """One file, lexed by a memo of its own: a second call lexes it again."""
+        pooled, sequences = self._embed([code], "L", TokenBuckets(self.d))
         return Embedding(pooled[0], sequences[0])
 
-    def _embed(self, codes: list[str], name: str) -> tuple[np.ndarray, TokenSequences]:
-        """Fills the arrays one code at a time, so only one code's buckets are held.
-        An allocation that fails names `name` and L."""
+    def _embed(self, codes: list[str], name: str,
+               memo: TokenBuckets) -> tuple[np.ndarray, TokenSequences]:
+        """An allocation that fails names `name` and L."""
         shape = (len(codes), self.L)
         ids = checked_zeros(shape, f"{name} {self.L}", np.int32)
         values = checked_zeros(shape, f"{name} {self.L}")
         pooled = np.zeros((len(codes), self.d))
         for i, code in enumerate(codes):
-            buckets = token_buckets(code, self.d)
+            buckets = memo(code)
             if buckets:
                 counts = np.bincount(buckets, minlength=self.d).astype(np.float64)
                 vector = (counts / len(buckets)) * self.idf
@@ -166,15 +197,18 @@ class ExternalProvider:
     embeds_code = False  # only the ids in its file
 
     @classmethod
-    def build(cls, codes: list[str], d: int, L: int, vectors=None) -> "ExternalProvider":
-        """The provider of a run: the file `vectors`; `codes` and `d` play no part."""
+    def build(cls, codes: list[str], d: int, L: int, vectors=None,
+              memo=None) -> "ExternalProvider":
+        """The provider of a run: the file `vectors`; `codes`, `d` and `memo` play
+        no part."""
         if vectors is None:
             raise ValueError("external provider needs a vectors path")
         return load_external_embeddings(vectors, seq_len=L)
 
-    def embed_rows(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
+    def embed_rows(self, rows, memo=None) -> tuple[np.ndarray, np.ndarray | None]:
         """(pooled (N, d), sequences (N, L, d) or None): the stored vectors of the
-        rows' ids. Sequences are padded here; None unless every row has one."""
+        rows' ids, so nothing is lexed and `memo` plays no part. Sequences are
+        padded here; None unless every row has one."""
         records = []
         for row in rows:
             try:

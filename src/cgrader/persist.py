@@ -156,6 +156,12 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def remove_file(path) -> None:
+    """Deletes file `path` if it exists."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
 def save_model(path, kind: str, model, embedding_config: dict) -> None:
     # Streamed, so a save never holds the whole text and its encoded bytes: on
     # a 400-row demo experiment, writing one string raised peak RSS by ~7 MB.

@@ -8,7 +8,6 @@ hybrids fit their forest heads on the features of this run's CNN and LSTM.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -132,31 +131,43 @@ def read_json(path):
 
 
 def build_provider(cfg_provider: str, train_ds: Dataset, dim: int, seq_len: int,
-                   vectors_path=None):
+                   vectors_path=None, memo: embed.TokenBuckets | None = None):
     if seq_len < 0:
         raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
     return embed.PROVIDERS[cfg_provider].build(
-        [row.code for row in train_ds.rows], dim, seq_len, vectors_path)
+        [row.code for row in train_ds.rows], dim, seq_len, vectors_path, memo)
 
 
-def embed_dataset(provider, ds: Dataset):
-    """Returns (pooled (N, d), sequences of shape (N, L, d) or None)."""
-    return provider.embed_rows(ds.rows)
+def embed_dataset(provider, ds: Dataset, memo: embed.TokenBuckets | None = None):
+    """Returns (pooled (N, d), sequences or None).
+
+    TF-IDF sequences are a `neural.TokenSequences`: (N, L) bucket ids and their
+    idf values, whose `.shape` alone reads (N, L, d). External sequences are a
+    dense (N, L, d) array. `memo` lets TF-IDF share the lexing of earlier parts.
+    """
+    return provider.embed_rows(ds.rows, memo)
 
 
-def embed_split(provider, ds: Dataset) -> kinds.Split:
-    return kinds.Split(*embed_dataset(provider, ds), ds.scores())
+def embed_split(provider, ds: Dataset, memo: embed.TokenBuckets | None = None
+                ) -> kinds.Split:
+    return kinds.Split(*embed_dataset(provider, ds, memo), ds.scores())
 
 
 def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len: int,
-            vectors_path, train_cfg: TrainConfig):
+            vectors_path, train_cfg: TrainConfig, embed_test: bool = False):
     """The start of `train` and `experiment`: split, build the provider on the train
-    part, embed train and validation. Returns (TrainData, provider, test part)."""
+    part, embed train and validation, and the test part if `embed_test`. Returns
+    (TrainData, provider, test Split or None).
+
+    One memo serves every part, so each distinct code text is lexed once; it
+    ends with this call.
+    """
     parts = split(load_dataset(data_path), ratios, seed)
-    provider = build_provider(provider_name, parts.train, dim, seq_len, vectors_path)
-    data = kinds.TrainData(embed_split(provider, parts.train),
-                           embed_split(provider, parts.validation), train_cfg)
-    return data, provider, parts.test
+    memo = embed.TokenBuckets(dim)
+    provider = build_provider(provider_name, parts.train, dim, seq_len, vectors_path, memo)
+    data = kinds.TrainData(embed_split(provider, parts.train, memo),
+                           embed_split(provider, parts.validation, memo), train_cfg)
+    return data, provider, embed_split(provider, parts.test, memo) if embed_test else None
 
 
 def predict_kind(kind: str, model, pooled, sequences):
@@ -209,10 +220,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         # a folder that holds models_dir is made with it
         if not os.path.isdir(folder) and os.path.commonpath([folder, models_dir]) != folder:
             raise FileNotFoundError(f"no directory to write {path}")
-    data, provider, test_ds = prepare(
-        cfg.data, cfg.split_ratios, cfg.seed, cfg.embedding_provider,
-        cfg.embedding_dim, cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train)
-    test = embed_split(provider, test_ds)
+    data, provider, test = prepare(
+        cfg.data, cfg.split_ratios, cfg.seed, cfg.embedding_provider, cfg.embedding_dim,
+        cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train, embed_test=True)
 
     os.makedirs(models_dir, exist_ok=True)
     report = metrics.Report()
@@ -234,8 +244,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             persist.save_model(model_path, name, trained.model, emb_config)
         except Exception as exc:
             errors[name] = str(exc)
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(model_path)
+            persist.remove_file(model_path)
 
     histories = {name: trained.history for name, trained in fitted.items()
                  if trained.history is not None}

@@ -8,12 +8,13 @@ half-completed truncation), and is scored by the deduction rubric.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .clex import Token, TokenKind, significant_tokens, tokenize
+from .clex import Token, TokenKind, tokenize
 from .corpus import Dataset, Submission
 
 
@@ -88,13 +89,16 @@ _RELATIONAL_SWAP = {
 _OUTPUT_CALLS = {"printf", "puts", "putchar"}
 
 
-def _rebuild(tokens: list[Token], replace: dict[int, str]) -> str:
+# Each mutator takes the tokens of its input (`tokenize(code).tokens`), so a
+# caller that holds them does not lex the text again, and returns the new text.
+
+
+def _rebuild(tokens: Sequence[Token], replace: dict[int, str]) -> str:
     return "".join(replace.get(i, tok.text) for i, tok in enumerate(tokens))  # "" deletes
 
 
-def inject_syntax_error(code: str, rng: np.random.Generator) -> str:
+def inject_syntax_error(tokens: Sequence[Token], rng: np.random.Generator) -> str:
     """Delete a `;` or `}`, or drop the last character of a keyword."""
-    tokens = list(tokenize(code).tokens)
     sites: dict[str, list[int]] = {"semi": [], "brace": [], "keyword": []}
     for i, tok in enumerate(tokens):
         if tok.kind is TokenKind.PUNCTUATOR and tok.text == ";":
@@ -113,9 +117,8 @@ def inject_syntax_error(code: str, rng: np.random.Generator) -> str:
     return _rebuild(tokens, {idx: ""})
 
 
-def inject_logic_error(code: str, rng: np.random.Generator) -> str:
+def inject_logic_error(tokens: Sequence[Token], rng: np.random.Generator) -> str:
     """Swap a relational/arithmetic operator or nudge a loop-bound literal."""
-    tokens = list(tokenize(code).tokens)
     candidates: list[tuple[int, str]] = []
     for i, tok in enumerate(tokens):
         if tok.kind is TokenKind.PUNCTUATOR and tok.text in _RELATIONAL_SWAP:
@@ -134,7 +137,7 @@ def inject_logic_error(code: str, rng: np.random.Generator) -> str:
     return _rebuild(tokens, {idx: new_text})
 
 
-def _inside_loop_header(tokens: list[Token], i: int) -> bool:
+def _inside_loop_header(tokens: Sequence[Token], i: int) -> bool:
     """True if token i sits inside the parentheses of a for/while header."""
     depth = 0
     for j in range(i - 1, -1, -1):
@@ -156,15 +159,14 @@ def _inside_loop_header(tokens: list[Token], i: int) -> bool:
     return False
 
 
-def _first_significant(tokens: list[Token], indices) -> int | None:
+def _first_significant(tokens: Sequence[Token], indices) -> int | None:
     """The first of `indices` whose token is neither whitespace nor a comment."""
     return next((k for k in indices
                  if tokens[k].kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)), None)
 
 
-def remove_output(code: str, rng: np.random.Generator) -> str:
+def remove_output(tokens: Sequence[Token], rng: np.random.Generator) -> str:
     """Delete one printf/puts/putchar statement through its semicolon."""
-    tokens = list(tokenize(code).tokens)
     calls: list[tuple[int, int]] = []  # (identifier index, semicolon index)
     for i, tok in enumerate(tokens):
         if tok.kind is TokenKind.IDENTIFIER and tok.text in _OUTPUT_CALLS:
@@ -180,7 +182,7 @@ def remove_output(code: str, rng: np.random.Generator) -> str:
     return _rebuild(tokens, {i: "" for i in range(start, end + 1)})
 
 
-def _statement_end(tokens: list[Token], open_paren: int) -> int | None:
+def _statement_end(tokens: Sequence[Token], open_paren: int) -> int | None:
     """Index of the `;` terminating the call whose `(` is at open_paren."""
     depth = 0
     for k in range(open_paren, len(tokens)):
@@ -224,16 +226,21 @@ def draw_plan(rng: np.random.Generator) -> frozenset[MutationKind]:
     return frozenset({MutationKind.HALF_COMPLETED})
 
 
-def apply_plan(code: str, kinds: frozenset[MutationKind], rng: np.random.Generator) -> str:
-    """Apply faults in the fixed order no-output, logic, syntax."""
+# The token mutators in the order a plan applies them.
+_FAULTS = ((MutationKind.NO_OUTPUT, remove_output),
+           (MutationKind.LOGIC_ERROR, inject_logic_error),
+           (MutationKind.SYNTAX_ERROR, inject_syntax_error))
+
+
+def apply_plan(code: str, tokens: Sequence[Token], kinds: frozenset[MutationKind],
+               rng: np.random.Generator) -> str:
+    """Apply faults in the fixed order no-output, logic, syntax. `tokens` are
+    those of `code`; only a text between two faults is lexed."""
     if MutationKind.HALF_COMPLETED in kinds:
         return truncate_half(code)
-    if MutationKind.NO_OUTPUT in kinds:
-        code = remove_output(code, rng)
-    if MutationKind.LOGIC_ERROR in kinds:
-        code = inject_logic_error(code, rng)
-    if MutationKind.SYNTAX_ERROR in kinds:
-        code = inject_syntax_error(code, rng)
+    faults = [fault for kind, fault in _FAULTS if kind in kinds]
+    for n, fault in enumerate(faults):
+        code = fault(tokens if n == 0 else tokenize(code).tokens, rng)
     return code
 
 
@@ -250,19 +257,22 @@ def synthesize_with_plans(
         raise ValueError(f"count must be >= 1, got {count}")
     if not seeds:
         raise ValueError("need at least one seed program")
+    seed_tokens = []  # each seed lexed once, for this call
     for seed in seeds:
         if seed.score != rubric.full_marks:
             raise ValueError(f"seed {seed.id!r} is not a full-marks program")
-        if any(t.kind is TokenKind.ERROR for t in tokenize(seed.code).tokens):
+        seed_tokens.append(tokenize(seed.code).tokens)
+        if any(t.kind is TokenKind.ERROR for t in seed_tokens[-1]):
             raise ValueError(f"seed {seed.id!r} does not lex cleanly")
     rows = []
     plans = []
     for i in range(count):
-        seed = seeds[rng.integers(len(seeds))]
+        pick = rng.integers(len(seeds))
+        seed = seeds[pick]
         for _ in range(_MAX_ATTEMPTS):
             kinds = draw_plan(rng)
             try:
-                mutated = apply_plan(seed.code, kinds, rng)
+                mutated = apply_plan(seed.code, seed_tokens[pick], kinds, rng)
             except NotMutableError:
                 continue
             break

@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
 
@@ -23,3 +25,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"criterion {num:02d} ({label.replace('_', ' ')}): {status}"
         )
+
+
+@pytest.fixture
+def lexed(monkeypatch):
+    """The texts `clex.tokenize` is called on during the test, in call order."""
+    from cgrader import clex, embed, synth
+
+    texts, tokenize = [], clex.tokenize
+
+    def counting(code):
+        texts.append(code)
+        return tokenize(code)
+
+    for module in (clex, embed, synth):  # the modules that import it by name
+        monkeypatch.setattr(module, "tokenize", counting)
+    return texts

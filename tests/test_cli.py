@@ -102,6 +102,16 @@ class TestTrainCommand:
         assert kind == "ridge"
         assert emb["provider"] == "tfidf"
 
+    def test_failed_fit_leaves_no_model_file(self, corpus_csv, tmp_path, capsys):
+        out, grid = tmp_path / "m.json", tmp_path / "grid.json"
+        out.write_text('{"old": 1}', encoding="utf-8")
+        grid.write_text('{"k": [1000]}', encoding="utf-8")
+        code = main(["train", "--data", str(corpus_csv), "--model", "knn",
+                     "--dim", "16", "--grid", str(grid), "--out", str(out)])
+        assert code == EXIT_FIT
+        assert capsys.readouterr().err.startswith("error: fit failed: k=1000")
+        assert not out.exists()
+
     def test_unknown_model_kind_exits_2(self, corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", str(corpus_csv), "--model", "svm",
@@ -176,6 +186,13 @@ class TestExternalSequences:
         assert self.train(tmp_path, corpus_csv, "cnn", vectors) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "error: embedding provider supplies no token sequences\n")
+        assert not (tmp_path / "cnn.json").exists()
+
+    def test_a_net_without_sequences_removes_an_earlier_model_file(
+            self, tmp_path, corpus_csv):
+        vectors = _write_vectors(tmp_path, corpus_csv, [3, None, 20])
+        (tmp_path / "cnn.json").write_text('{"old": 1}', encoding="utf-8")
+        assert self.train(tmp_path, corpus_csv, "cnn", vectors) == EXIT_USAGE
         assert not (tmp_path / "cnn.json").exists()
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgrader.corpus import Dataset, Submission
+from cgrader import pipeline
+from cgrader.corpus import Dataset, Submission, save_dataset, split
 from cgrader.embed import (
     DEFAULT_SEQ_LEN,
     DEFAULT_TFIDF_DIM,
@@ -17,7 +18,9 @@ from cgrader.embed import (
     fnv1a_64,
     load_external_embeddings,
 )
+from cgrader.neural import TrainConfig
 from cgrader.pipeline import embed_dataset
+from cgrader.synth import Rubric, synthesize_with_plans
 
 SEED_DIR = Path(__file__).resolve().parent.parent / "seeds"
 
@@ -255,3 +258,61 @@ class TestExternal:
         assert given <= held <= given + 1024 * n < padded
         assert all(len(record.sequence) == min(m, L)
                    for record, m in zip(provider.table.values(), lengths))
+
+
+class TestLexOnce:
+    RATIOS = (0.5, 0.25, 0.25)
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        seeds = [Submission(path.stem, path.read_text(encoding="utf-8"), 10.0)
+                 for path in sorted(SEED_DIR.glob("*.c"))]
+        ds, _ = synthesize_with_plans(seeds, 120, Rubric(), np.random.default_rng(0))
+        save_dataset(ds, tmp_path / "corpus.csv")
+        return ds, tmp_path / "corpus.csv"
+
+    def test_prepare_lexes_each_distinct_code_text_once(self, corpus, lexed):
+        ds, path = corpus
+        lexed.clear()  # the corpus's synthesis lexes too
+        data, provider, test = pipeline.prepare(path, self.RATIOS, 0, "tfidf", 64, 16,
+                                                None, TrainConfig(), embed_test=True)
+        distinct = {row.code for row in ds.rows}
+        assert len(distinct) < len(ds)  # the corpus repeats code texts
+        assert sorted(lexed) == sorted(distinct)
+        # the shared memo changes no value: embed every part afresh
+        parts = split(ds, self.RATIOS, 0)
+        again = TfIdfProvider.fit([row.code for row in parts.train.rows], d=64, L=16)
+        assert np.array_equal(provider.doc_freq, again.doc_freq)
+        for part, embedded in ((parts.train, data.train), (parts.validation,
+                                                           data.validation),
+                               (parts.test, test)):
+            pooled, sequences = embed_dataset(again, part)
+            assert np.array_equal(embedded.pooled, pooled)
+            assert np.array_equal(embedded.sequences.ids, sequences.ids)
+            assert np.array_equal(embedded.sequences.values, sequences.values)
+
+    def test_train_leaves_the_test_part_unlexed(self, corpus, lexed):
+        ds, path = corpus
+        lexed.clear()
+        *_, test = pipeline.prepare(path, self.RATIOS, 0, "tfidf", 64, 16, None,
+                                    TrainConfig())
+        parts = split(ds, self.RATIOS, 0)
+        assert test is None
+        assert sorted(lexed) == sorted({row.code for row in parts.train.rows
+                                        + parts.validation.rows})
+
+    def test_no_memo_outlives_an_embed_code_call(self, lexed):
+        provider = fit(["int x;"])
+        provider.embed_code("int x = 3;")
+        provider.embed_code("int x = 3;")
+        assert lexed == ["int x;", "int x = 3;", "int x = 3;"]
+
+    def test_external_vectors_are_not_lexed(self, corpus, tmp_path, lexed):
+        ds, path = corpus
+        lexed.clear()
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text("".join(json.dumps({"id": row.id, "pooled": [1.0, 0.0]}) + "\n"
+                                   for row in ds.rows), encoding="utf-8")
+        pipeline.prepare(path, self.RATIOS, 0, "external", 64, 16, vectors, TrainConfig(),
+                         embed_test=True)
+        assert lexed == []

@@ -1,8 +1,10 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cgrader.cli import main
 from cgrader.clex import TokenKind, tokenize
 from cgrader.corpus import Submission
 from cgrader.synth import (
@@ -20,6 +22,10 @@ from cgrader.synth import (
 )
 
 SEED_DIR = Path(__file__).resolve().parent.parent / "seeds"
+
+
+def tokens(code):
+    return tokenize(code).tokens
 
 
 def lexes_cleanly(code):
@@ -68,38 +74,38 @@ class TestScoreFor:
 
 class TestSyntaxError:
     def test_semicolon_only_site(self):
-        assert inject_syntax_error("x;", np.random.default_rng(0)) == "x"
+        assert inject_syntax_error(tokens("x;"), np.random.default_rng(0)) == "x"
 
     def test_known_outcomes(self):
         # "int x;" offers a semicolon deletion or a keyword misspelling.
         seen = {
-            inject_syntax_error("int x;", np.random.default_rng(s)) for s in range(30)
+            inject_syntax_error(tokens("int x;"), np.random.default_rng(s)) for s in range(30)
         }
         assert seen == {"int x", "in x;"}
 
     def test_empty_code(self):
         with pytest.raises(NotMutableError):
-            inject_syntax_error("", np.random.default_rng(0))
+            inject_syntax_error(tokens(""), np.random.default_rng(0))
 
     def test_output_differs(self):
         code = "int main() { return 0; }"
         for s in range(20):
-            assert inject_syntax_error(code, np.random.default_rng(s)) != code
+            assert inject_syntax_error(tokens(code), np.random.default_rng(s)) != code
 
 
 class TestLogicError:
     def test_operator_swap(self):
-        assert inject_logic_error("i<n", np.random.default_rng(0)) == "i>n"
+        assert inject_logic_error(tokens("i<n"), np.random.default_rng(0)) == "i>n"
 
     def test_no_sites(self):
         with pytest.raises(NotMutableError):
-            inject_logic_error("puts(s);", np.random.default_rng(0))
+            inject_logic_error(tokens("puts(s);"), np.random.default_rng(0))
 
     def test_swap_preserves_token_count_and_lexes(self):
         code = "for (i = 0; i < 10; i++) { x += i; }"
         n_before = len(tokenize(code).tokens)
         for s in range(20):
-            mutated = inject_logic_error(code, np.random.default_rng(s))
+            mutated = inject_logic_error(tokens(code), np.random.default_rng(s))
             assert mutated != code
             assert lexes_cleanly(mutated)
             # Swaps replace one token; literal nudges keep the count too.
@@ -107,24 +113,24 @@ class TestLogicError:
 
     def test_loop_bound_perturbation(self):
         code = "while (i < 10) i++;"
-        seen = {inject_logic_error(code, np.random.default_rng(s)) for s in range(40)}
+        seen = {inject_logic_error(tokens(code), np.random.default_rng(s)) for s in range(40)}
         assert any("9" in m or "11" in m for m in seen)
 
 
 class TestRemoveOutput:
     def test_statement_removed(self):
         code = 'int main(){printf("hi");return 0;}'
-        out = remove_output(code, np.random.default_rng(0))
+        out = remove_output(tokens(code), np.random.default_rng(0))
         assert out == "int main(){return 0;}"
 
     def test_no_output_call(self):
         with pytest.raises(NotMutableError):
-            remove_output("int main(){return 0;}", np.random.default_rng(0))
+            remove_output(tokens("int main(){return 0;}"), np.random.default_rng(0))
 
     def test_result_lexes_cleanly(self):
         code = 'int main(){int x=1;printf("%d\\n", f(x));puts("done");return 0;}'
         for s in range(10):
-            assert lexes_cleanly(remove_output(code, np.random.default_rng(s)))
+            assert lexes_cleanly(remove_output(tokens(code), np.random.default_rng(s)))
 
 
 class TestTruncateHalf:
@@ -177,3 +183,32 @@ class TestSynthesize:
         bad = [Submission("s", "int main(){return 0;}", 8.0)]
         with pytest.raises(ValueError, match="full-marks"):
             synthesize_with_plans(bad, 5, Rubric(), np.random.default_rng(0))
+
+
+class TestLexOnce:
+    def test_seeds_and_texts_between_two_faults_are_lexed_once(self, lexed):
+        seeds = load_seeds()
+        _, plans = synthesize_with_plans(seeds, 400, Rubric(), np.random.default_rng(0))
+        between = sum(len(kinds) - 1 for kinds in plans if len(kinds) > 1)
+        assert lexed[: len(seeds)] == [seed.code for seed in seeds]
+        assert len(lexed) == len(seeds) + between == 5 + 99
+
+    # sha256 of `cgrader synth --count 400` corpus and plans over the bundled
+    # seeds, from the version that lexed a seed for every fault it took.
+    SHA256 = {
+        0: ("2e3ba4d39823182c7d1bf1fd64aedd0966ab59673d89e0e97ad2b60f6be0e863",
+            "e34fbe6bd370f9f655c7827e8e443521960567faf97f0f8fe0bf48d48f502cef"),
+        1: ("ab0b723b17b40293ce43058e5e49f30f4d31c1f55c1409448a4bc42f84702512",
+            "2e80615788cb6e85e789488dd7bafc91927deadfead03c9f459c0811ada0b4fa"),
+        2: ("86ef9dc36978e499f7b72abaa525158e41fe9c635fca95e3712efa982ab5faba",
+            "c042318c18d6b69e8825cd9afb77caa617a00c26177f3e8db4171439bba5f7ad"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SHA256))
+    def test_corpus_and_plans_are_unchanged(self, seed, tmp_path, capsys):
+        corpus, plans = tmp_path / "corpus.csv", tmp_path / "plans.csv"
+        assert main(["synth", "--seeds", str(SEED_DIR), "--count", "400",
+                     "--seed", str(seed), "--out", str(corpus), "--plans", str(plans)]) == 0
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (corpus, plans))
+        assert digests == self.SHA256[seed]
