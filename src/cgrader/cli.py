@@ -34,6 +34,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_synth(args) -> int:
+    persist.require_folders(filter(None, (args.out, args.plans)))
     rng = np.random.default_rng(pipeline.check_seed(args.seed, "--seed"))
     files = sorted(Path(args.seeds).glob("*.c"))
     if not files:
@@ -45,7 +46,7 @@ def cmd_synth(args) -> int:
     ds, plans = synth.synthesize_with_plans(seeds, args.count, synth.Rubric(), rng)
     save_dataset(ds, args.out)
     if args.plans:
-        with open(args.plans, "w", encoding="utf-8", newline="") as fh:
+        with persist.atomic_open(args.plans) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "kinds"])
             for row, kinds in zip(ds.rows, plans):
@@ -58,6 +59,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    persist.require_folders([args.out])
     train_cfg = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
                             learning_rate=args.learning_rate, patience=args.patience)
     try:

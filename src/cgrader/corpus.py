@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .persist import atomic_open
+
 CSV_HEADER = ["id", "code", "score"]
 DEFAULT_RATIOS = (0.5, 0.25, 0.25)
 
@@ -89,7 +91,7 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in ds.rows:

@@ -68,22 +68,54 @@ def fnv1a_64(text: str) -> int:
     return h
 
 
-class TokenBuckets:
-    """Maps a code text to the hash bucket in [0, d) of each of its significant
-    tokens, in order.
+@dataclass(frozen=True, eq=False)
+class TfIdfProvider:
+    """Deterministic hashed TF-IDF embeddings fitted on a token corpus.
 
-    While the object lives, each distinct code text is lexed once and each
-    distinct token text hashed once. It holds bucket ids, not tokens. Its
-    owner scopes it to one command step (`pipeline.prepare`, one `embed_code`),
-    so no memo outlives the call that made it.
+    Each provider has a lexing memo of its own, of bucket ids: while it lives,
+    each distinct code text is lexed once and each distinct token text hashed
+    once. Each command builds its own provider, so no memo crosses commands.
     """
 
-    def __init__(self, d: int):
-        self.d = d
-        self._codes: dict[str, list[int]] = {}
-        self._texts: dict[str, int] = {}
+    d: int
+    L: int
+    doc_count: int
+    doc_freq: np.ndarray  # (d,) ints
+    idf: np.ndarray = field(init=False, repr=False)  # (d,)
+    _codes: dict = field(default_factory=dict, init=False, repr=False)  # code -> buckets
+    _texts: dict = field(default_factory=dict, init=False, repr=False)  # token -> bucket
 
-    def __call__(self, code: str) -> list[int]:
+    name = "tfidf"
+    embeds_code = True  # any source text, so `grade` can score a new file
+
+    def __post_init__(self):  # `fit` calls it again once doc_freq is filled
+        idf = np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
+        object.__setattr__(self, "idf", idf)
+
+    @classmethod
+    def fit(cls, codes: list[str], d: int = DEFAULT_TFIDF_DIM,
+            L: int = DEFAULT_SEQ_LEN) -> "TfIdfProvider":
+        """Document frequencies of `codes`; the provider keeps their lexing."""
+        if d < 8:
+            raise ValueError(f"hash dimension must be >= 8, got {d}")
+        if not codes:
+            raise ValueError("cannot fit TF-IDF on an empty corpus")
+        provider = cls(d, L, len(codes), checked_zeros((d,), f"dim {d}", np.int64))
+        for code in codes:
+            provider.doc_freq[list(set(provider._buckets(code)))] += 1
+        provider.__post_init__()
+        return provider
+
+    def embed_rows(self, rows) -> tuple[np.ndarray, TokenSequences]:
+        """(pooled (N, d), sequences (N, L, d)) of the rows' code."""
+        return self._embed([row.code for row in rows], "seq_len")
+
+    def embed_code(self, code: str) -> Embedding:
+        pooled, sequences = self._embed([code], "L")
+        return Embedding(pooled[0], sequences[0])
+
+    def _buckets(self, code: str) -> list[int]:
+        """The bucket in [0, d) of each significant token of `code`, in order."""
         buckets = self._codes.get(code)
         if buckets is None:
             buckets = self._codes[code] = [
@@ -96,65 +128,14 @@ class TokenBuckets:
             bucket = self._texts[text] = fnv1a_64(text) % self.d
         return bucket
 
-
-@dataclass(frozen=True, eq=False)
-class TfIdfProvider:
-    """Deterministic hashed TF-IDF embeddings fitted on a token corpus."""
-
-    d: int
-    L: int
-    doc_count: int
-    doc_freq: np.ndarray  # (d,) ints
-    idf: np.ndarray = field(init=False, repr=False)  # (d,)
-
-    name = "tfidf"
-    embeds_code = True  # any source text, so `grade` can score a new file
-
-    def __post_init__(self):
-        idf = np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
-        object.__setattr__(self, "idf", idf)
-
-    @classmethod
-    def fit(cls, codes: list[str], d: int = DEFAULT_TFIDF_DIM, L: int = DEFAULT_SEQ_LEN,
-            memo: TokenBuckets | None = None) -> "TfIdfProvider":
-        """Document frequencies of `codes`. `memo`, of dimension `d`, may be shared
-        with the embedding of the same run; by default a fresh one."""
-        if d < 8:
-            raise ValueError(f"hash dimension must be >= 8, got {d}")
-        if not codes:
-            raise ValueError("cannot fit TF-IDF on an empty corpus")
-        memo = memo or TokenBuckets(d)
-        doc_freq = checked_zeros((d,), f"dim {d}", np.int64)
-        for code in codes:
-            doc_freq[list(set(memo(code)))] += 1
-        return cls(d, L, len(codes), doc_freq)
-
-    @classmethod
-    def build(cls, codes: list[str], d: int, L: int, vectors=None,
-              memo: TokenBuckets | None = None) -> "TfIdfProvider":
-        """The provider of a run whose train part holds `codes`."""
-        return cls.fit(codes, d=d, L=L, memo=memo)
-
-    def embed_rows(self, rows, memo: TokenBuckets | None = None
-                   ) -> tuple[np.ndarray, TokenSequences]:
-        """(pooled (N, d), sequences (N, L, d)) of the rows' code; `memo` as in `fit`."""
-        return self._embed([row.code for row in rows], "seq_len",
-                           memo or TokenBuckets(self.d))
-
-    def embed_code(self, code: str) -> Embedding:
-        """One file, lexed by a memo of its own: a second call lexes it again."""
-        pooled, sequences = self._embed([code], "L", TokenBuckets(self.d))
-        return Embedding(pooled[0], sequences[0])
-
-    def _embed(self, codes: list[str], name: str,
-               memo: TokenBuckets) -> tuple[np.ndarray, TokenSequences]:
+    def _embed(self, codes: list[str], name: str) -> tuple[np.ndarray, TokenSequences]:
         """An allocation that fails names `name` and L."""
         shape = (len(codes), self.L)
         ids = checked_zeros(shape, f"{name} {self.L}", np.int32)
         values = checked_zeros(shape, f"{name} {self.L}")
         pooled = np.zeros((len(codes), self.d))
         for i, code in enumerate(codes):
-            buckets = memo(code)
+            buckets = self._buckets(code)
             if buckets:
                 counts = np.bincount(buckets, minlength=self.d).astype(np.float64)
                 vector = (counts / len(buckets)) * self.idf
@@ -196,19 +177,10 @@ class ExternalProvider:
     name = "external"
     embeds_code = False  # only the ids in its file
 
-    @classmethod
-    def build(cls, codes: list[str], d: int, L: int, vectors=None,
-              memo=None) -> "ExternalProvider":
-        """The provider of a run: the file `vectors`; `codes`, `d` and `memo` play
-        no part."""
-        if vectors is None:
-            raise ValueError("external provider needs a vectors path")
-        return load_external_embeddings(vectors, seq_len=L)
-
-    def embed_rows(self, rows, memo=None) -> tuple[np.ndarray, np.ndarray | None]:
+    def embed_rows(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
         """(pooled (N, d), sequences (N, L, d) or None): the stored vectors of the
-        rows' ids, so nothing is lexed and `memo` plays no part. Sequences are
-        padded here; None unless every row has one."""
+        rows' ids, so nothing is lexed. Sequences are padded here; None unless
+        every row has one."""
         records = []
         for row in rows:
             try:
@@ -224,9 +196,6 @@ class ExternalProvider:
         for i, record in enumerate(records):
             sequences[i, : len(record.sequence)] = record.sequence
         return pooled, sequences
-
-    def embed_code(self, code: str) -> Embedding:
-        raise UnsupportedEmbedding(NO_AD_HOC_CODE)
 
     def config(self) -> dict:
         return {"provider": self.name, "path": self.path, "L": self.L}
@@ -269,8 +238,10 @@ def _vector_record(line: str, d: int | None, seq_len: int):
 
 
 def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalProvider:
-    """Load `{"id", "pooled", "sequence"?}` JSON-Lines vectors; other keys are rejected."""
+    """Load `{"id", "pooled", "sequence"?}` JSON-Lines vectors; other keys are rejected,
+    and so is an id that repeats (`1` and `"1"` are one id)."""
     table: dict[str, Embedding] = {}
+    lines: dict[str, int] = {}  # id -> its line
     d = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
@@ -280,6 +251,10 @@ def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalPr
                 sub_id, pooled, sequence = _vector_record(line, d, seq_len)
             except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise EmbeddingFormatError(f"{path}: line {line_num}: {exc}") from exc
+            if sub_id in lines:
+                raise EmbeddingFormatError(f"{path}: line {line_num}: id {sub_id!r} "
+                                           f"repeats line {lines[sub_id]}")
+            lines[sub_id] = line_num
             d = pooled.shape[0]
             table[sub_id] = Embedding(pooled, sequence)
     if d is None:

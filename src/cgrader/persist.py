@@ -135,20 +135,32 @@ def model_from_doc(doc: dict):
 
 @contextlib.contextmanager
 def atomic_open(path):
-    """A text file to write that replaces `path` only when the block completes."""
+    """A text file to write, newlines untranslated as `csv` needs, that replaces
+    `path` only when the block completes."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     except OSError as exc:  # name the user's path, not the temp file's
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def require_folders(paths, made=None) -> None:
+    """Raises FileNotFoundError for the first of `paths` whose folder is missing, so a
+    command fails before any work. A folder that holds folder `made`, which the
+    command makes, counts as present."""
+    for path in paths:
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder) and (
+                made is None or os.path.commonpath([folder, os.path.abspath(made)]) != folder):
+            raise FileNotFoundError(f"no directory to write {path}")
 
 
 def atomic_write_text(path, text: str) -> None:

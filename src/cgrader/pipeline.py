@@ -130,27 +130,18 @@ def read_json(path):
             raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
 
 
-def build_provider(cfg_provider: str, train_ds: Dataset, dim: int, seq_len: int,
-                   vectors_path=None, memo: embed.TokenBuckets | None = None):
-    if seq_len < 0:
-        raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
-    return embed.PROVIDERS[cfg_provider].build(
-        [row.code for row in train_ds.rows], dim, seq_len, vectors_path, memo)
-
-
-def embed_dataset(provider, ds: Dataset, memo: embed.TokenBuckets | None = None):
+def embed_dataset(provider, ds: Dataset):
     """Returns (pooled (N, d), sequences or None).
 
     TF-IDF sequences are a `neural.TokenSequences`: (N, L) bucket ids and their
     idf values, whose `.shape` alone reads (N, L, d). External sequences are a
-    dense (N, L, d) array. `memo` lets TF-IDF share the lexing of earlier parts.
+    dense (N, L, d) array.
     """
-    return provider.embed_rows(ds.rows, memo)
+    return provider.embed_rows(ds.rows)
 
 
-def embed_split(provider, ds: Dataset, memo: embed.TokenBuckets | None = None
-                ) -> kinds.Split:
-    return kinds.Split(*embed_dataset(provider, ds, memo), ds.scores())
+def embed_split(provider, ds: Dataset) -> kinds.Split:
+    return kinds.Split(*embed_dataset(provider, ds), ds.scores())
 
 
 def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len: int,
@@ -159,15 +150,22 @@ def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len:
     part, embed train and validation, and the test part if `embed_test`. Returns
     (TrainData, provider, test Split or None).
 
-    One memo serves every part, so each distinct code text is lexed once; it
-    ends with this call.
+    A TF-IDF provider keeps the lexing of its fit, so each distinct code text is
+    lexed once across all parts.
     """
+    if seq_len < 0:
+        raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
+    if provider_name == "external" and vectors_path is None:
+        raise ValueError("external provider needs a vectors path")
     parts = split(load_dataset(data_path), ratios, seed)
-    memo = embed.TokenBuckets(dim)
-    provider = build_provider(provider_name, parts.train, dim, seq_len, vectors_path, memo)
-    data = kinds.TrainData(embed_split(provider, parts.train, memo),
-                           embed_split(provider, parts.validation, memo), train_cfg)
-    return data, provider, embed_split(provider, parts.test, memo) if embed_test else None
+    if provider_name == "tfidf":
+        provider = embed.TfIdfProvider.fit([row.code for row in parts.train.rows],
+                                           d=dim, L=seq_len)
+    else:
+        provider = embed.load_external_embeddings(vectors_path, seq_len=seq_len)
+    data = kinds.TrainData(embed_split(provider, parts.train),
+                           embed_split(provider, parts.validation), train_cfg)
+    return data, provider, embed_split(provider, parts.test) if embed_test else None
 
 
 def predict_kind(kind: str, model, pooled, sequences):
@@ -214,17 +212,12 @@ def render_report(report: metrics.Report, errors: dict | None = None) -> str:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Fits, reports and saves every kind; returns kind -> message of each failure.
     A kind that fails leaves no model file, not even one of an earlier run."""
-    models_dir = os.path.abspath(cfg.models_dir)
-    for path in (cfg.report_path, cfg.curves_path):  # fail before any work
-        folder = os.path.dirname(os.path.abspath(path))
-        # a folder that holds models_dir is made with it
-        if not os.path.isdir(folder) and os.path.commonpath([folder, models_dir]) != folder:
-            raise FileNotFoundError(f"no directory to write {path}")
+    persist.require_folders((cfg.report_path, cfg.curves_path), made=cfg.models_dir)
     data, provider, test = prepare(
         cfg.data, cfg.split_ratios, cfg.seed, cfg.embedding_provider, cfg.embedding_dim,
         cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train, embed_test=True)
 
-    os.makedirs(models_dir, exist_ok=True)
+    os.makedirs(cfg.models_dir, exist_ok=True)
     report = metrics.Report()
     fitted: dict = {}
     errors: dict = {}

@@ -661,6 +661,25 @@ class TestInputErrors:
         assert err.value.filename == str(target)
         assert ".tmp-" not in str(err.value)
 
+    def test_train_checks_its_output_folder_before_any_work(self, tmp_path, corpus_csv,
+                                                            lexed, capsys):
+        out = tmp_path / "missing" / "m.json"
+        made = sorted(tmp_path.rglob("*"))
+        lexed.clear()
+        assert main(["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
+                     "--seq-len", "4", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: no directory to write {out}"]
+        assert lexed == [] and sorted(tmp_path.rglob("*")) == made
+
+    def test_synth_checks_its_plans_folder_before_writing_the_corpus(self, seed_dir,
+                                                                     tmp_path, capsys):
+        out, plans = tmp_path / "corpus.csv", tmp_path / "missing" / "plans.csv"
+        assert main(["synth", "--seeds", str(seed_dir), "--count", "5", "--out", str(out),
+                     "--plans", str(plans)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: no directory to write {plans}"]
+        assert sorted(tmp_path.rglob("*")) == [seed_dir, seed_dir / "sum.c"]
+
     def test_train_seed_is_an_unknown_key(self, tmp_path, corpus_csv, capsys):
         config = _experiment_config(tmp_path, corpus_csv, train={"seed": 5})
         assert main(["experiment", "--config", config]) == EXIT_USAGE

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgrader import pipeline
+from cgrader import persist, pipeline
+from cgrader.cli import main
 from cgrader.corpus import Dataset, Submission, save_dataset, split
 from cgrader.embed import (
     DEFAULT_SEQ_LEN,
@@ -14,13 +15,13 @@ from cgrader.embed import (
     EmbeddingFormatError,
     EmbeddingLookupError,
     TfIdfProvider,
-    UnsupportedEmbedding,
     fnv1a_64,
     load_external_embeddings,
 )
 from cgrader.neural import TrainConfig
 from cgrader.pipeline import embed_dataset
 from cgrader.synth import Rubric, synthesize_with_plans
+from cgrader.tabular import RidgeModel
 
 SEED_DIR = Path(__file__).resolve().parent.parent / "seeds"
 
@@ -219,10 +220,12 @@ class TestExternal:
         with pytest.raises(EmbeddingFormatError, match="line 1.*'tokens'.*'sequence'"):
             load_external_embeddings(path)
 
-    def test_embed_code_unsupported(self, tmp_path):
-        path = write_jsonl(tmp_path, [{"id": "a", "pooled": [1, 2]}])
-        with pytest.raises(UnsupportedEmbedding):
-            load_external_embeddings(path).embed_code("int x;")
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = write_jsonl(tmp_path, [{"id": "a", "pooled": [1, 2]},
+                                      {"id": 1, "pooled": [3, 4]},
+                                      {"id": "1", "pooled": [5, 6]}])
+        with pytest.raises(EmbeddingFormatError, match="line 3: id '1' repeats line 2"):
+            load_external_embeddings(path)
 
     def test_sequences_are_all_or_nothing(self, tmp_path):
         path = write_jsonl(
@@ -301,11 +304,23 @@ class TestLexOnce:
         assert sorted(lexed) == sorted({row.code for row in parts.train.rows
                                         + parts.validation.rows})
 
-    def test_no_memo_outlives_an_embed_code_call(self, lexed):
+    def test_fit_then_embed_rows_lexes_each_distinct_text_once(self, lexed):
+        codes = ["int x;", "int y;", "int x;"]
+        provider = TfIdfProvider.fit(codes, d=16, L=8)
+        provider.embed_rows([Submission(str(i), code, 5.0)
+                             for i, code in enumerate(codes + ["int z;", "int z;"])])
+        assert lexed == ["int x;", "int y;", "int z;"]
+
+    def test_each_grade_call_lexes_its_file(self, tmp_path, lexed):
+        model, program = tmp_path / "model.json", tmp_path / "prog.c"
         provider = fit(["int x;"])
-        provider.embed_code("int x = 3;")
-        provider.embed_code("int x = 3;")
-        assert lexed == ["int x;", "int x = 3;", "int x = 3;"]
+        persist.save_model(model, "ridge", RidgeModel(np.zeros(provider.d), 5.0, 1.0),
+                           provider.config())
+        program.write_text("int x = 3;", encoding="utf-8")
+        lexed.clear()
+        for _ in range(2):
+            assert main(["grade", "--model", str(model), "--code", str(program)]) == 0
+        assert lexed == ["int x = 3;", "int x = 3;"]
 
     def test_external_vectors_are_not_lexed(self, corpus, tmp_path, lexed):
         ds, path = corpus
