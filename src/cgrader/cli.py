@@ -68,13 +68,13 @@ def cmd_train(args) -> int:
         raise pipeline.ConfigError(
             f"--split must be comma-separated numbers, got {args.split!r}") from None
     pipeline.check_seed(args.seed, "--seed")
-    data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
-                                         args.dim, args.seq_len, args.vectors, train_cfg)
     spec = {}
     if args.grid:
         spec["grid"] = pipeline.read_json(args.grid)
         pipeline.check_json(spec["grid"], pipeline.grid_schema(args.model),
                             f"--grid {args.grid}")
+    data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
+                                         args.dim, args.seq_len, args.vectors, train_cfg)
     kind = args.model
     try:
         trained = kinds.fit(kind, data, args.seed, spec)

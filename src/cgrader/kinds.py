@@ -156,10 +156,7 @@ def _gbt_from_state(params, state) -> tabular.GbtModel:
 
 
 def _knn_from_state(params, state) -> tabular.KnnModel:
-    X, y = _floats(state["X"], 2), _floats(state["y"], 1)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"knn state holds {X.shape[0]} rows and {y.shape[0]} targets")
-    return tabular.KnnModel(X, y, int(params["k"]))
+    return tabular.knn_fit(_floats(state["X"], 2), _floats(state["y"], 1), int(params["k"]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,8 @@ config, "params": hyperparameters, "state": fitted state}. Each kind's params
 and state come from its `kinds.KINDS` entry, whose state holds numpy arrays.
 This module alone converts them: each array is stored as {"dtype": "<f8" (or
 "<i8" for tree node ids), "shape": [...], "b64": base64 of its little-endian
-bytes}, which round-trips bit for bit and parses as one JSON string.
-
-Format v1 files are still read. There, trees nest as {"feature",
-"threshold", "left", "right"} / {"leaf"} nodes (`tabular.trees_from_doc`), a
-net's arrays are {"shape", "data"} lists, and ridge weights and knn rows are
-plain number lists.
+bytes}, which round-trips bit for bit and parses as one JSON string. A
+document of any other format version is refused: its model must be retrained.
 """
 
 from __future__ import annotations
@@ -20,11 +16,11 @@ import contextlib
 import json
 import math
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
-from . import embed, tabular
+from . import embed
 from .kinds import KINDS
 
 FORMAT_VERSION = 2
@@ -92,20 +88,6 @@ def _decode(value, where: str = "state"):
     return {key: _decode(item, f"{where}.{key}") for key, item in value.items()}
 
 
-def _decode_v1(value, key=None):
-    """A v1 state as `_decode` would return its v2 form: nested trees become
-    node arrays, {"shape", "data"} and number lists become float arrays."""
-    if key == "trees":
-        return vars(tabular.trees_from_doc(value))
-    if isinstance(value, list):
-        return np.asarray(value, dtype=np.float64)
-    if not isinstance(value, dict):
-        return value
-    if set(value) == {"shape", "data"}:
-        return np.asarray(value["data"], dtype=np.float64).reshape(value["shape"])
-    return {k: _decode_v1(item, k) for k, item in value.items()}
-
-
 def model_to_doc(kind: str, model, embedding_config: dict) -> dict:
     if kind not in KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
@@ -115,12 +97,13 @@ def model_to_doc(kind: str, model, embedding_config: dict) -> dict:
 
 
 def model_from_doc(doc: dict):
-    """Returns (kind, model, embedding_config) of a v2 or v1 document."""
+    """Returns (kind, model, embedding_config) of a document."""
     if not isinstance(doc, dict):
         raise PersistError("a model document is a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
-        raise PersistError(f"unsupported format_version {version!r}")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise PersistError(f"model format_version {version!r} is not read (only "
+                           f"{FORMAT_VERSION} is): retrain the model")
     kind = doc.get("model")
     if not isinstance(kind, str) or kind not in KINDS:
         raise PersistError(f"unknown model kind {kind!r}")
@@ -128,18 +111,18 @@ def model_from_doc(doc: dict):
     if not (isinstance(params, dict) and isinstance(state, dict)):
         raise PersistError("a model document's params and state are JSON objects")
     with _malformed(f"{kind} model"):
-        state = _decode(state) if version == FORMAT_VERSION else _decode_v1(state)
-        model = KINDS[kind].from_state(params, state)
+        model = KINDS[kind].from_state(params, _decode(state))
     return kind, model, doc.get("embedding")
 
 
 @contextlib.contextmanager
 def atomic_open(path):
     """A text file to write, newlines untranslated as `csv` needs, that replaces
-    `path` only when the block completes."""
-    directory = os.path.dirname(os.path.abspath(path))
+    `path` only when the block completes. The file's mode follows the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.getpid()}-{secrets.token_hex(8)}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the user's path, not the temp file's
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     try:

@@ -231,25 +231,6 @@ def tree_predict(trees: Trees, X) -> np.ndarray:
                         trees.left[node], trees.right[node])
 
 
-def trees_from_doc(docs: list) -> Trees:
-    """Trees of model format v1: one nested {"feature", "threshold", "left",
-    "right"} / {"leaf"} document per tree, numbered depth-first."""
-    nodes = []
-
-    def add(doc):
-        node = len(nodes)
-        nodes.append(None)
-        if "leaf" in doc:
-            nodes[node] = (-1, 0.0, node, node, float(doc["leaf"]))
-            return node
-        feature, threshold = int(doc["feature"]), float(doc["threshold"])
-        left = add(doc["left"])
-        nodes[node] = (feature, threshold, left, add(doc["right"]), 0.0)
-        return node
-
-    return Trees.from_nodes([add(doc) for doc in docs], nodes)
-
-
 # ---------------------------------------------------------------------------
 # Random forest
 

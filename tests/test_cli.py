@@ -13,7 +13,7 @@ from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, spli
 from cgrader.embed import TfIdfProvider
 from cgrader.kinds import KINDS
 from cgrader.synth import Rubric, synthesize_with_plans
-from cgrader.tabular import RidgeModel, TreeParams, trees_from_doc
+from cgrader.tabular import ForestModel, RidgeModel, TreeParams, Trees
 
 SEED_CODE = """\
 #include <stdio.h>
@@ -238,12 +238,8 @@ def test_train_writes_the_experiments_model_file(experiment_run, kind):
 
 class TestGradeCommand:
     def test_constant_model_prints_constant(self, tmp_path, capsys):
-        from cgrader.embed import TfIdfProvider
-        from cgrader.tabular import ForestModel
-
         provider = TfIdfProvider.fit([SEED_CODE], d=16, L=4)
-        head = ForestModel(trees=trees_from_doc([{"leaf": 7.0}]), n_trees=1,
-                           tree_params=TreeParams())
+        head = ForestModel(Trees.from_nodes([0], [(-1, 0.0, 0, 0, 7.0)]), 1, TreeParams())
         path = tmp_path / "const.json"
         persist.save_model(path, "rf", head, provider.config())
         src = tmp_path / "prog.c"
@@ -563,14 +559,13 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         model.write_text(json.dumps(_ridge_doc(params=[])), encoding="utf-8")
     elif case == "model_is_a_list":
         model.write_text(json.dumps([_ridge_doc()]), encoding="utf-8")
-    elif case == "model_feature_is_negative":
-        doc = _ridge_doc()
-        tree = {"feature": -1, "threshold": 0.5, "left": {"leaf": 1.0},
-                "right": {"leaf": 2.0}}
-        doc.update(format_version=1, model="rf",  # a v1 doc: trees nest
-                   params={"n_trees": 1, "bootstrap": True,
-                           **dataclasses.asdict(TreeParams())},
-                   state={"trees": [tree]})
+    elif case == "model_nested_too_deep":
+        model.write_text("[" * 100_000, encoding="utf-8")
+    elif case == "model_feature_is_negative":  # an inner node with feature -1
+        trees = Trees.from_nodes([0], [(-1, 0.5, 1, 2, 0.0), (-1, 0.0, 1, 1, 1.0),
+                                       (-1, 0.0, 2, 2, 2.0)])
+        doc = persist.model_to_doc("rf", ForestModel(trees, 1, TreeParams()),
+                                   _ridge_doc()["embedding"])
         model.write_text(json.dumps(doc), encoding="utf-8")
     elif case == "model_L_too_large":  # L int32 ids, 4e15 bytes: beyond any address space
         doc = _ridge_doc(d=256)
@@ -589,6 +584,7 @@ INPUT_ERRORS = [
     "config_output_is_a_number",
     "model_params_is_a_list",
     "model_is_a_list",
+    "model_nested_too_deep",
     "config_nested_too_deep",
     "grid_nested_too_deep",
     "seq_len_too_large",
@@ -719,6 +715,14 @@ class TestInputErrors:
         assert main(["train", "--data", str(corpus_csv), "--model", "ridge",
                      "--grid", str(grid), "--out", str(tmp_path / "m.json")]) \
             == EXIT_USAGE
+
+    def test_train_reads_its_grid_before_the_corpus(self, tmp_path, capsys):
+        grid, data = tmp_path / "nope.json", tmp_path / "missing.csv"
+        assert main(["train", "--data", str(data), "--model", "ridge",
+                     "--grid", str(grid), "--out", str(tmp_path / "m.json")]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(grid) in err[0] and str(data) not in err[0], err
 
     @pytest.mark.parametrize("model, grid, names", [
         ("knn", {"k": [1000]}, "k=1000"),

@@ -15,6 +15,8 @@ from cgrader.neural import TrainConfig
 from cgrader.tabular import (ForestModel, TreeParams, Trees, ridge_fit, rf_predict,
                               tree_fit)
 
+MODELS_DIR = Path(__file__).resolve().parent / "data" / "models"  # one file per kind
+
 
 def tab_data(seed=0):
     rng = np.random.default_rng(seed)
@@ -98,15 +100,7 @@ def test_one_point_grid_is_fitted_once_as_params(tmp_path, monkeypatch, kind):
     assert (tmp_path / "grid.json").read_bytes() == (tmp_path / "params.json").read_bytes()
 
 
-GOLDEN_RF = (
-    '{"embedding": {"provider": "none"}, "format_version": 1, "model": "rf", '
-    '"params": {"bootstrap": true, "feature_subsample": 1.0, "max_depth": null, '
-    '"min_samples_leaf": 1, "min_samples_split": 2, "n_trees": 2, "seed": 0}, '
-    '"state": {"trees": [{"feature": 1, "left": {"leaf": 2.0}, "right": '
-    '{"feature": 0, "left": {"leaf": 4.0}, "right": {"leaf": 8.0}, '
-    '"threshold": -0.5}, "threshold": 0.5}, {"leaf": 6.5}]}}'
-)
-# The same forest in format v2: node ids "<i8", thresholds and values "<f8".
+# A forest of two trees in format v2: node ids "<i8", thresholds and values "<f8".
 GOLDEN_RF_V2 = (
     '{"embedding": {"provider": "none"}, "format_version": 2, "model": "rf", '
     '"params": {"bootstrap": true, "feature_subsample": 1.0, "max_depth": null, '
@@ -127,43 +121,21 @@ GOLDEN_RF_V2 = (
 
 
 def test_golden_forest_doc(tmp_path):
-    for golden in (GOLDEN_RF, GOLDEN_RF_V2):
-        path = tmp_path / "golden.json"
-        path.write_text(golden, encoding="utf-8")
-        kind, model, emb = persist.load_model(path)
-        # Depth-first node ids, left child first; a leaf is feature -1 and links
-        # to itself.
-        assert model.trees.roots.tolist() == [0, 5]
-        assert model.trees.feature.tolist() == [1, -1, 0, -1, -1, -1]
-        assert model.trees.threshold.tolist() == [0.5, 0.0, -0.5, 0.0, 0.0, 0.0]
-        assert model.trees.left.tolist() == [1, 1, 3, 3, 4, 5]
-        assert model.trees.right.tolist() == [2, 1, 4, 3, 4, 5]
-        assert model.trees.value.tolist() == [0.0, 2.0, 0.0, 4.0, 8.0, 6.5]
-        X = [[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0]]
-        assert rf_predict(model, X).tolist() == [4.25, 5.25, 7.25]
-        persist.save_model(tmp_path / "again.json", kind, model, emb)
-        assert (tmp_path / "again.json").read_text(encoding="utf-8") == GOLDEN_RF_V2
-
-
-def test_500_level_chain_tree(tmp_path):
-    depth = 500
-    tree = {"leaf": float(depth)}
-    for level in reversed(range(depth)):
-        tree = {"feature": 0, "threshold": level + 0.5, "left": {"leaf": float(level)},
-                "right": tree}
-    doc = json.loads(GOLDEN_RF)
-    doc["params"]["n_trees"] = 1
-    doc["state"]["trees"] = [tree]
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path = tmp_path / "golden.json"
+    path.write_text(GOLDEN_RF_V2, encoding="utf-8")
     kind, model, emb = persist.load_model(path)
-    X = np.arange(depth + 1, dtype=np.float64)[:, None]
-    assert np.array_equal(rf_predict(model, X), np.clip(X[:, 0], 0, 10))
-    persist.save_model(tmp_path / "v2.json", kind, model, emb)
-    kind, again, emb = persist.load_model(tmp_path / "v2.json")
-    assert all(np.array_equal(a, b) for a, b in zip(vars(model.trees).values(),
-                                                    vars(again.trees).values()))
-    assert persist.model_to_doc(kind, again, emb) == persist.model_to_doc(kind, model, emb)
+    # Depth-first node ids, left child first; a leaf is feature -1 and links
+    # to itself.
+    assert model.trees.roots.tolist() == [0, 5]
+    assert model.trees.feature.tolist() == [1, -1, 0, -1, -1, -1]
+    assert model.trees.threshold.tolist() == [0.5, 0.0, -0.5, 0.0, 0.0, 0.0]
+    assert model.trees.left.tolist() == [1, 1, 3, 3, 4, 5]
+    assert model.trees.right.tolist() == [2, 1, 4, 3, 4, 5]
+    assert model.trees.value.tolist() == [0.0, 2.0, 0.0, 4.0, 8.0, 6.5]
+    X = [[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0]]
+    assert rf_predict(model, X).tolist() == [4.25, 5.25, 7.25]
+    persist.save_model(tmp_path / "again.json", kind, model, emb)
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == GOLDEN_RF_V2
 
 
 def chain_forest(depth):
@@ -193,22 +165,16 @@ def test_5000_level_chain_tree_saves_loads_and_grades(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "7.00"
 
 
-def test_v1_tree_nested_deeper_than_the_json_parser_exits_2(tmp_path, capsys):
-    # A v1 file nests one JSON level per tree level, so a 5,000-level chain is
-    # too deep for `json.load`; v2 stores the same tree flat (test above).
-    depth = 5000
-    doc = json.loads((V1_DIR / "gbt.json").read_text(encoding="utf-8"))
-    doc["params"]["n_rounds"] = 1
-    doc["state"]["trees"] = ["chain"]
-    chain = ('{"feature": 0, "threshold": 0.5, "left": {"leaf": 1.0}, "right": ' * depth
-             + '{"leaf": 2.0}' + "}" * depth)
-    path = tmp_path / "deep_v1.json"
-    path.write_text(json.dumps(doc).replace('"chain"', chain), encoding="utf-8")
+def test_format_1_file_exits_2_asking_for_a_retrain(tmp_path, capsys):
+    doc = json.loads((MODELS_DIR / "rf.json").read_text(encoding="utf-8"))
+    doc["format_version"] = 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     program = tmp_path / "prog.c"
     program.write_text("int main(void) { return 0; }", encoding="utf-8")
     assert main(["grade", "--model", str(path), "--code", str(program)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: malformed model file {path}: "), err
+    assert len(err) == 1 and "format_version 1 " in err[0] and "retrain" in err[0], err
 
 
 def test_fitted_chain_deeper_than_the_recursion_limit_saves_loads_and_grades(
@@ -241,14 +207,12 @@ def test_fitted_chain_deeper_than_the_recursion_limit_saves_loads_and_grades(
     assert capsys.readouterr().out.strip() == "10.00"
 
 
-V1_DIR = Path(__file__).resolve().parent / "data" / "v1"
-
-
 @pytest.mark.parametrize("kind", list(kinds.KINDS))
 def test_v1_file_predicts_recorded_values(tmp_path, kind):
-    """Each file was written by the format v1 writer, with its predictions."""
-    expected = json.loads((V1_DIR / "expected.json").read_text(encoding="utf-8"))
-    loaded_kind, model, emb = persist.load_model(V1_DIR / f"{kind}.json")
+    """Each file holds a model first written by the format v1 writer, with its
+    predictions recorded then, and re-saved in format v2."""
+    expected = json.loads((MODELS_DIR / "expected.json").read_text(encoding="utf-8"))
+    loaded_kind, model, emb = persist.load_model(MODELS_DIR / f"{kind}.json")
     assert loaded_kind == kind
     embedded = [persist.provider_from_config(emb).embed_code(code)
                 for code in expected["programs"]]
@@ -256,20 +220,62 @@ def test_v1_file_predicts_recorded_values(tmp_path, kind):
     sequences = np.array([e.sequence for e in embedded])
     predict = kinds.KINDS[kind].predict
     assert predict(model, pooled, sequences).tolist() == expected["predictions"][kind]
-    again, _ = round_trip(tmp_path, kind, model, emb)
-    assert predict(again, pooled, sequences).tolist() == expected["predictions"][kind]
+    persist.save_model(tmp_path / "again.json", kind, model, emb)
+    assert ((tmp_path / "again.json").read_bytes()
+            == (MODELS_DIR / f"{kind}.json").read_bytes())
 
 
 def test_cnn_stride_is_read_only_as_1(tmp_path):
-    doc = json.loads((V1_DIR / "cnn.json").read_text(encoding="utf-8"))
-    assert doc["params"]["stride"] == 1
-    _, model, emb = persist.load_model(V1_DIR / "cnn.json")
-    persist.save_model(tmp_path / "v2.json", "cnn", model, emb)
-    saved = json.loads((tmp_path / "v2.json").read_text(encoding="utf-8"))
-    assert "stride" not in saved["params"]
+    # cnn files written before the stride was dropped record a stride of 1
+    doc = json.loads((MODELS_DIR / "cnn.json").read_text(encoding="utf-8"))
+    doc["params"]["stride"] = 1
+    path = tmp_path / "stride.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _, model, emb = persist.load_model(path)
+    persist.save_model(tmp_path / "again.json", "cnn", model, emb)
+    assert (tmp_path / "again.json").read_bytes() == (MODELS_DIR / "cnn.json").read_bytes()
     doc["params"]["stride"] = 2
     with pytest.raises(persist.PersistError, match="stride of 2"):
         persist.model_from_doc(doc)
+
+
+def grade_in_subprocess(tmp_path, model_path):
+    """`cgrader grade` of a small program with model `model_path`, in a child
+    process given 60 s."""
+    (tmp_path / "prog.c").write_text("int x;", encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "cgrader.cli", "grade", "--model", str(model_path),
+         "--code", str(tmp_path / "prog.c")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(persist.__file__).parents[1])})
+
+
+@pytest.mark.parametrize("k", [0, -1, "rows + 1"])
+def test_knn_k_outside_its_rows_exits_2(tmp_path, k):
+    doc = json.loads((MODELS_DIR / "knn.json").read_text(encoding="utf-8"))
+    rows = doc["state"]["X"]["shape"][0]
+    doc["params"]["k"] = rows + 1 if k == "rows + 1" else k
+    path = tmp_path / "knn.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    # A subprocess, so that a warning printed on stderr counts as a line
+    done = grade_in_subprocess(tmp_path, path)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2 and len(err) == 1 and err[0].startswith("error: "), err
+    assert "outside" in err[0], err
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask_022", "umask_077"])
+def test_saved_file_mode_follows_the_umask(tmp_path, umask, mode):
+    X, y = tab_data()
+    old = os.umask(umask)
+    try:
+        persist.save_model(tmp_path / "ridge.json", "ridge", ridge_fit(X, y, 1.0),
+                           {"provider": "none"})
+    finally:
+        os.umask(old)
+    assert (tmp_path / "ridge.json").stat().st_mode & 0o777 == mode
+    assert os.listdir(tmp_path) == ["ridge.json"]
 
 
 def break_golden(case):
@@ -313,14 +319,9 @@ MALFORMED_V2 = {  # fault -> words its error line names
 def test_malformed_v2_doc_exits_2(tmp_path, case):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(break_golden(case)), encoding="utf-8")
-    (tmp_path / "prog.c").write_text("int x;", encoding="utf-8")
     # A subprocess with a time limit: a tree walk that never reaches a leaf
     # would otherwise hang the suite.
-    done = subprocess.run(
-        [sys.executable, "-m", "cgrader.cli", "grade", "--model", str(path),
-         "--code", str(tmp_path / "prog.c")],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(persist.__file__).parents[1])})
+    done = grade_in_subprocess(tmp_path, path)
     err = done.stderr.splitlines()
     assert done.returncode == 2 and len(err) == 1 and err[0].startswith("error: "), err
     assert all(word in err[0] for word in MALFORMED_V2[case]), err

@@ -23,7 +23,6 @@ from cgrader.tabular import (
     ridge_predict,
     tree_fit,
     tree_predict,
-    trees_from_doc,
 )
 
 
@@ -341,8 +340,8 @@ class TestForest:
     def test_clamped_to_score_range(self):
         from cgrader.tabular import ForestModel
 
-        model = ForestModel(trees_from_doc([{"leaf": 12.0}, {"leaf": 12.0}]), 2,
-                            TreeParams())
+        leaves = [(-1, 0.0, 0, 0, 12.0), (-1, 0.0, 1, 1, 12.0)]
+        model = ForestModel(tabular.Trees.from_nodes([0, 1], leaves), 2, TreeParams())
         assert rf_predict(model, [[0.0]]) == 10.0
 
 
