@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import embed, kinds, metrics, persist, pipeline, synth
+from . import embed, kinds, persist, pipeline, synth
 from .corpus import DEFAULT_RATIOS, Submission, save_dataset, score_histogram
 from .neural import TrainConfig
 
@@ -76,22 +76,22 @@ def cmd_train(args) -> int:
     data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
                                          args.dim, args.seq_len, args.vectors, train_cfg)
     kind = args.model
-    try:
-        trained = kinds.fit(kind, data, args.seed, spec)
-    except Exception as exc:
+    fitted, rows, errors = pipeline.fit_and_score(
+        [kind], data, {"train": data.train, "validation": data.validation}, args.seed,
+        {kind: spec})
+    if errors:
         persist.remove_file(args.out)  # an earlier run's model must not pass for this one
-        if isinstance(exc, kinds.KindError):
-            raise
-        return _fail(EXIT_FIT, f"fit failed: {exc}")
+        if isinstance(errors[kind], kinds.KindError):
+            raise errors[kind]
+        return _fail(EXIT_FIT, f"fit failed: {errors[kind]}")
+    trained = fitted[kind]
     if trained.history is None:
         print(f"params: {trained.params}")
     else:
         print(f"stopped at epoch {trained.history.stopped_epoch}, "
               f"best epoch {trained.history.best_epoch}")
-    for split_name, part in (("train", data.train), ("validation", data.validation)):
-        yhat = pipeline.predict_kind(kind, trained.model, part.pooled, part.sequences)
-        row = metrics.evaluate(part.y, yhat, "model", split_name)
-        print(f"{split_name}: rmse={row.rmse:.4f} mae={row.mae:.4f} "
+    for row in rows:
+        print(f"{row.split_name}: rmse={row.rmse:.4f} mae={row.mae:.4f} "
               f"r2={row.r2:.4f} mape={row.mape:.4f}")
     persist.save_model(args.out, kind, trained.model, provider.config())
     print(f"model written to {args.out}")
@@ -100,11 +100,14 @@ def cmd_train(args) -> int:
 
 def cmd_grade(args) -> int:
     kind, model, emb_config = persist.load_model(args.model)
-    provider = persist.provider_class(emb_config)
+    with persist.naming(args.model):
+        provider = persist.provider_class(emb_config)
     if not provider.embeds_code:  # say so before reading a vectors file
         raise embed.UnsupportedEmbedding(embed.NO_AD_HOC_CODE)
+    with persist.naming(args.model):
+        provider = provider.from_config(emb_config)
     code = Path(args.code).read_text(encoding="utf-8")
-    embedding = provider.from_config(emb_config).embed_code(code)
+    embedding = provider.embed_code(code)
     score = pipeline.predict_kind(kind, model, embedding.pooled[None],
                                   embedding.sequence[None])[0]
     if not np.isfinite(score):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,26 +62,11 @@ def r2(y, yhat) -> float:
 @dataclass(frozen=True)
 class MetricsRow:
     model_name: str
-    split_name: str  # "train" or "test"
+    split_name: str  # "train", "validation" or "test"
     rmse: float
     mae: float
     r2: float
     mape: float
-
-
-@dataclass
-class Report:
-    rows: list[MetricsRow] = field(default_factory=list)
-
-    def add(self, row: MetricsRow):
-        if any(
-            (r.model_name, r.split_name) == (row.model_name, row.split_name)
-            for r in self.rows
-        ):
-            raise MetricError(
-                f"duplicate report row ({row.model_name}, {row.split_name})"
-            )
-        self.rows.append(row)
 
 
 def evaluate(y, yhat, model_name: str, split_name: str) -> MetricsRow:

@@ -136,10 +136,14 @@ def atomic_open(path):
 
 
 def require_folders(paths, made=None) -> None:
-    """Raises FileNotFoundError for the first of `paths` whose folder is missing, so a
-    command fails before any work. A folder that holds folder `made`, which the
-    command makes, counts as present."""
+    """Raises an OSError naming the first of `paths` that is a folder or whose folder
+    is missing, so a command fails before any work. A folder that holds folder
+    `made`, which the command makes, counts as present; a file at `made` does not."""
+    if made is not None and os.path.lexists(made) and not os.path.isdir(made):
+        raise NotADirectoryError(f"cannot make directory {made}: a file is there")
     for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder) and (
                 made is None or os.path.commonpath([folder, os.path.abspath(made)]) != folder):
@@ -164,10 +168,23 @@ def save_model(path, kind: str, model, embedding_config: dict) -> None:
         json.dump(model_to_doc(kind, model, embedding_config), fh, sort_keys=True)
 
 
+@contextlib.contextmanager
+def naming(path):
+    """Reports a ValueError raised in the block as a PersistError whose message
+    starts with `path`, so an error in an input file names the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from exc
+
+
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh, _malformed(f"model file {path}"):
-        doc = json.load(fh)
-    return model_from_doc(doc)
+    """(kind, model, embedding config) of model file `path`; an error in the file
+    names it."""
+    with naming(path):
+        with open(path, "r", encoding="utf-8") as fh, _malformed("model JSON"):
+            doc = json.load(fh)
+        return model_from_doc(doc)
 
 
 def provider_class(cfg: dict) -> type:

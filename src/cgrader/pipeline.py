@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import embed, kinds, metrics, persist
 from .corpus import DEFAULT_RATIOS, Dataset, load_dataset, split
@@ -86,14 +86,14 @@ class ExperimentConfig:
     report_path: str
     curves_path: str
     models_dir: str
-    embedding_provider: str = "tfidf"
-    embedding_dim: int = embed.DEFAULT_TFIDF_DIM
-    embedding_seq_len: int = embed.DEFAULT_SEQ_LEN
-    embedding_vectors: str | None = None
-    split_ratios: tuple = DEFAULT_RATIOS
-    seed: int = 0
-    grids: dict = field(default_factory=dict)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    embedding_provider: str
+    embedding_dim: int
+    embedding_seq_len: int
+    embedding_vectors: str | None
+    split_ratios: tuple
+    seed: int
+    grids: dict
+    train: TrainConfig
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
@@ -122,12 +122,15 @@ class ExperimentConfig:
 
 
 def read_json(path):
-    """The JSON document in file `path`; one nested too deep to parse is a ConfigError."""
+    """The JSON document in file `path`; one that does not parse is a ConfigError
+    naming `path`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError as exc:
             raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
+        except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def embed_dataset(provider, ds: Dataset):
@@ -145,10 +148,10 @@ def embed_split(provider, ds: Dataset) -> kinds.Split:
 
 
 def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len: int,
-            vectors_path, train_cfg: TrainConfig, embed_test: bool = False):
+            vectors_path, train_cfg: TrainConfig):
     """The start of `train` and `experiment`: split, build the provider on the train
-    part, embed train and validation, and the test part if `embed_test`. Returns
-    (TrainData, provider, test Split or None).
+    part, and embed train and validation. Returns (TrainData, provider, the split's
+    parts); the test part is left to the caller, so `train` never lexes it.
 
     A TF-IDF provider keeps the lexing of its fit, so each distinct code text is
     lexed once across all parts.
@@ -165,7 +168,27 @@ def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len:
         provider = embed.load_external_embeddings(vectors_path, seq_len=seq_len)
     data = kinds.TrainData(embed_split(provider, parts.train),
                            embed_split(provider, parts.validation), train_cfg)
-    return data, provider, embed_split(provider, parts.test) if embed_test else None
+    return data, provider, parts
+
+
+def fit_and_score(names, data: kinds.TrainData, scored: dict, seed: int, specs: dict):
+    """Fits the kinds `names` in order and scores each on every split of `scored`
+    (name -> `kinds.Split`), writing no file. Returns (kind -> Fitted, report rows,
+    kind -> exception of each failure); a hybrid whose net failed fails too."""
+    fitted, rows, errors = {}, [], {}
+    for name in names:
+        base = kinds.KINDS[name].base
+        try:
+            if base in errors:
+                raise kinds.KindError(f"base net {base} failed: {errors[base]}")
+            trained = kinds.fit(name, data, seed, specs.get(name), fitted)
+            rows += [metrics.evaluate(part.y, predict_kind(
+                name, trained.model, part.pooled, part.sequences), name, split_name)
+                for split_name, part in scored.items()]
+            fitted[name] = trained
+        except Exception as exc:
+            errors[name] = exc
+    return fitted, rows, errors
 
 
 def predict_kind(kind: str, model, pooled, sequences):
@@ -187,20 +210,20 @@ def render_curves(histories: dict) -> str:
     return buf.getvalue()
 
 
-def render_report(report: metrics.Report, errors: dict | None = None) -> str:
-    """Table-II CSV in `kinds.KINDS` order with 4-decimal values; an `error`
-    column appears only when some kind failed."""
+def render_report(rows: list, errors: dict) -> str:
+    """Table-II CSV of `metrics.MetricsRow`s in `kinds.KINDS` order with 4-decimal
+    values; an `error` column appears only when some kind failed."""
     tail = [""] if errors else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(metrics.REPORT_COLUMNS + (["error"] if errors else []))
-    rows = {(row.model_name, row.split_name): row for row in report.rows}
+    by_key = {(row.model_name, row.split_name): row for row in rows}
     for kind in kinds.KINDS:
-        if errors and kind in errors:
+        if kind in errors:
             writer.writerow([kind, "", "", "", "", "", errors[kind]])
             continue
         for split_name in ("train", "test"):
-            row = rows.get((kind, split_name))
+            row = by_key.get((kind, split_name))
             if row is not None:
                 writer.writerow(
                     [kind, split_name, f"{row.rmse:.4f}", f"{row.mae:.4f}",
@@ -210,37 +233,30 @@ def render_report(report: metrics.Report, errors: dict | None = None) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Fits, reports and saves every kind; returns kind -> message of each failure.
-    A kind that fails leaves no model file, not even one of an earlier run."""
-    persist.require_folders((cfg.report_path, cfg.curves_path), made=cfg.models_dir)
-    data, provider, test = prepare(
+    """Fits and scores every kind, then saves each fitted kind and writes the report
+    and curves. Returns kind -> exception of each failure, in `kinds.KINDS` order; a
+    failed kind leaves no model file, not even one of an earlier run."""
+    paths = {name: os.path.join(cfg.models_dir, f"{name}.json") for name in kinds.KINDS}
+    persist.require_folders([cfg.report_path, cfg.curves_path, *paths.values()],
+                            made=cfg.models_dir)
+    data, provider, parts = prepare(
         cfg.data, cfg.split_ratios, cfg.seed, cfg.embedding_provider, cfg.embedding_dim,
-        cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train, embed_test=True)
-
+        cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train)
     os.makedirs(cfg.models_dir, exist_ok=True)
-    report = metrics.Report()
-    fitted: dict = {}
-    errors: dict = {}
+    scored = {"train": data.train, "test": embed_split(provider, parts.test)}
+    fitted, rows, errors = fit_and_score(kinds.KINDS, data, scored, cfg.seed, cfg.grids)
     emb_config = provider.config()
-
-    for name, kind in kinds.KINDS.items():
-        model_path = os.path.join(cfg.models_dir, f"{name}.json")
+    for name, path in paths.items():
         try:
-            if kind.base in errors:
-                raise kinds.KindError(
-                    f"base net {kind.base} failed: {errors[kind.base]}")
-            trained = kinds.fit(name, data, cfg.seed, cfg.grids.get(name), fitted)
-            fitted[name] = trained
-            for split_name, part in (("train", data.train), ("test", test)):
-                yhat = predict_kind(name, trained.model, part.pooled, part.sequences)
-                report.add(metrics.evaluate(part.y, yhat, name, split_name))
-            persist.save_model(model_path, name, trained.model, emb_config)
+            if name in fitted:
+                persist.save_model(path, name, fitted[name].model, emb_config)
+                continue
         except Exception as exc:
-            errors[name] = str(exc)
-            persist.remove_file(model_path)
-
+            errors[name] = exc
+        persist.remove_file(path)
+    errors = {name: errors[name] for name in kinds.KINDS if name in errors}
     histories = {name: trained.history for name, trained in fitted.items()
                  if trained.history is not None}
-    persist.atomic_write_text(cfg.report_path, render_report(report, errors))
+    persist.atomic_write_text(cfg.report_path, render_report(rows, errors))
     persist.atomic_write_text(cfg.curves_path, render_curves(histories))
     return errors

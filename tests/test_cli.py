@@ -338,6 +338,32 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(path)]) == EXIT_PARTIAL
         assert sorted(p.stem for p in models.glob("*.json")) == sorted(set(KINDS) - {"knn"})
 
+    def test_a_net_that_fails_to_save_fails_alone(self, tmp_path, corpus_csv,
+                                                  monkeypatch, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "cnn.json").write_text("{}", encoding="utf-8")  # an earlier run's
+        save_model = persist.save_model
+
+        def failing_for_cnn(path, kind, *rest):
+            if kind == "cnn":
+                raise OSError(f"disk full writing {path}")
+            save_model(path, kind, *rest)
+
+        monkeypatch.setattr(persist, "save_model", failing_for_cnn)
+        path, doc = self.make_config(tmp_path, corpus_csv)
+        assert main(["experiment", "--config", str(path)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cnn: disk full writing {models / 'cnn.json'}"]
+        with open(doc["output"]["report"], encoding="utf-8", newline="") as fh:
+            rows = {(r["model"], r["split"]): r for r in csv.DictReader(fh)}
+        assert rows[("cnn", "")]["error"] == f"disk full writing {models / 'cnn.json'}"
+        assert rows[("cnn_rf", "test")]["error"] == ""
+        assert sorted(p.stem for p in models.glob("*.json")) == sorted(set(KINDS) - {"cnn"})
+        (tmp_path / "prog.c").write_text(SEED_CODE, encoding="utf-8")
+        assert main(["grade", "--model", str(models / "cnn_rf.json"),
+                     "--code", str(tmp_path / "prog.c")]) == EXIT_OK
+
     def test_missing_report_dir_exits_2_before_the_corpus_is_read(self, tmp_path,
                                                                   capsys):
         path, _ = self.make_config(
@@ -479,6 +505,14 @@ def _ridge_doc(d=16, **overrides):
     return doc
 
 
+MODEL_FAULTS = {  # case -> the fields that break a valid ridge model document
+    "model_format_1": {"format_version": 1},
+    "model_kind_unknown": {"model": "svm"},
+    "model_provider_unknown": {"embedding": {"provider": "nope"}},
+    "model_params_malformed": {"params": {"lambda": "x"}},
+}
+
+
 def _bad_input_argv(case, tmp_path, corpus_csv):
     missing = tmp_path / "missing-dir"
     program = tmp_path / "prog.c"
@@ -493,6 +527,33 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
     if case == "train_out_in_missing_dir":
         return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
                 "--seq-len", "4", "--out", str(missing / "model.json")]
+    if case == "train_out_is_a_directory":
+        (tmp_path / "outdir").mkdir()
+        return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
+                "--seq-len", "4", "--out", str(tmp_path / "outdir")]
+    if case in ("experiment_model_path_is_a_directory",
+                "experiment_models_dir_is_a_file"):
+        models = tmp_path / "old-models"
+        if case == "experiment_models_dir_is_a_file":
+            models.write_text("", encoding="utf-8")
+        else:
+            (models / "ridge.json").mkdir(parents=True)
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv,
+            output={"report": str(tmp_path / "report.csv"),
+                    "curves": str(tmp_path / "curves.csv"), "models_dir": str(models)})]
+    if case == "config_not_json":
+        (tmp_path / "config.json").write_text('{"data":\n', encoding="utf-8")
+        return ["experiment", "--config", str(tmp_path / "config.json")]
+    if case == "grid_not_json":
+        (tmp_path / "grid.json").write_text('{"k":\n', encoding="utf-8")
+        return ["train", "--data", str(corpus_csv), "--model", "knn", "--dim", "16",
+                "--seq-len", "4", "--grid", str(tmp_path / "grid.json"),
+                "--out", str(model)]
+    if case in MODEL_FAULTS:  # one of several model files a script grades with
+        graded = tmp_path / f"{case}.json"
+        graded.write_text(json.dumps(_ridge_doc(**MODEL_FAULTS[case])), encoding="utf-8")
+        return ["grade", "--model", str(graded), "--code", str(program)]
     if case == "experiment_missing_data":
         return ["experiment", "--config", _experiment_config(
             tmp_path, corpus_csv, data=str(tmp_path / "nope.csv"))]
@@ -601,6 +662,12 @@ INPUT_ERRORS = [
     "synth_seed_negative",
     "config_split_seed_negative",
     "split_not_numbers",
+    "train_out_is_a_directory",
+    "experiment_model_path_is_a_directory",
+    "experiment_models_dir_is_a_file",
+    "config_not_json",
+    "grid_not_json",
+    *MODEL_FAULTS,
 ]
 
 
@@ -636,13 +703,28 @@ class TestInputErrors:
         ("config_split_seed_negative", ["split.seed", "-1"]),
         ("split_not_numbers", ["--split", "a,b,c"]),
         ("experiment_report_in_missing_dir", ["no directory to write", "report.csv"]),
+        ("train_out_is_a_directory", ["outdir: it is a directory"]),
+        ("experiment_model_path_is_a_directory",
+         ["old-models/ridge.json: it is a directory"]),
+        ("experiment_models_dir_is_a_file", ["old-models: a file is there"]),
+        ("config_not_json", ["config.json: Expecting value: line 2"]),
+        ("grid_not_json", ["grid.json: Expecting value: line 2"]),
+        ("model_format_1", ["model_format_1.json: model format_version 1 is not read"]),
+        ("model_kind_unknown", ["model_kind_unknown.json: unknown model kind 'svm'"]),
+        ("model_provider_unknown",
+         ["model_provider_unknown.json: unknown embedding provider 'nope'"]),
+        ("model_params_malformed",
+         ["model_params_malformed.json: malformed ridge model: ValueError"]),
     ])
     def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
-                                                capsys):
-        assert main(_bad_input_argv(case, tmp_path, corpus_csv)) == EXIT_USAGE
+                                                lexed, capsys):
+        argv = _bad_input_argv(case, tmp_path, corpus_csv)
+        lexed.clear()
+        assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert all(word in err for word in words), err
         assert not (tmp_path / "models").exists() and not (tmp_path / "model.json").exists()
+        assert lexed == []  # each error comes before any work
 
     def test_valid_model_still_grades(self, tmp_path, corpus_csv, capsys):
         argv = _bad_input_argv("valid_model", tmp_path, corpus_csv)

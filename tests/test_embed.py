@@ -277,8 +277,9 @@ class TestLexOnce:
     def test_prepare_lexes_each_distinct_code_text_once(self, corpus, lexed):
         ds, path = corpus
         lexed.clear()  # the corpus's synthesis lexes too
-        data, provider, test = pipeline.prepare(path, self.RATIOS, 0, "tfidf", 64, 16,
-                                                None, TrainConfig(), embed_test=True)
+        data, provider, prepared = pipeline.prepare(path, self.RATIOS, 0, "tfidf", 64,
+                                                    16, None, TrainConfig())
+        test = pipeline.embed_split(provider, prepared.test)  # as `experiment` does
         distinct = {row.code for row in ds.rows}
         assert len(distinct) < len(ds)  # the corpus repeats code texts
         assert sorted(lexed) == sorted(distinct)
@@ -294,13 +295,13 @@ class TestLexOnce:
             assert np.array_equal(embedded.sequences.ids, sequences.ids)
             assert np.array_equal(embedded.sequences.values, sequences.values)
 
-    def test_train_leaves_the_test_part_unlexed(self, corpus, lexed):
+    def test_train_leaves_the_test_part_unlexed(self, corpus, lexed, tmp_path):
         ds, path = corpus
         lexed.clear()
-        *_, test = pipeline.prepare(path, self.RATIOS, 0, "tfidf", 64, 16, None,
-                                    TrainConfig())
+        assert main(["train", "--data", str(path), "--model", "ridge", "--dim", "64",
+                     "--seq-len", "16", "--split", ",".join(map(str, self.RATIOS)),
+                     "--seed", "0", "--out", str(tmp_path / "ridge.json")]) == 0
         parts = split(ds, self.RATIOS, 0)
-        assert test is None
         assert sorted(lexed) == sorted({row.code for row in parts.train.rows
                                         + parts.validation.rows})
 
@@ -328,6 +329,7 @@ class TestLexOnce:
         vectors = tmp_path / "vectors.jsonl"
         vectors.write_text("".join(json.dumps({"id": row.id, "pooled": [1.0, 0.0]}) + "\n"
                                    for row in ds.rows), encoding="utf-8")
-        pipeline.prepare(path, self.RATIOS, 0, "external", 64, 16, vectors, TrainConfig(),
-                         embed_test=True)
+        _, provider, parts = pipeline.prepare(path, self.RATIOS, 0, "external", 64, 16,
+                                              vectors, TrainConfig())
+        pipeline.embed_split(provider, parts.test)
         assert lexed == []
