@@ -39,10 +39,7 @@ def cmd_synth(args) -> int:
     files = sorted(Path(args.seeds).glob("*.c"))
     if not files:
         raise ValueError(f"no .c seed files in {args.seeds}")
-    seeds = [
-        Submission(path.stem, path.read_text(encoding="utf-8"), 10.0)
-        for path in files
-    ]
+    seeds = [Submission(path.stem, persist.read_text(path), 10.0) for path in files]
     ds, plans = synth.synthesize_with_plans(seeds, args.count, synth.Rubric(), rng)
     save_dataset(ds, args.out)
     if args.plans:
@@ -100,26 +97,22 @@ def cmd_train(args) -> int:
 
 def cmd_grade(args) -> int:
     kind, model, emb_config = persist.load_model(args.model)
-    with persist.naming(args.model):
-        provider = persist.provider_class(emb_config)
-    if not provider.embeds_code:  # say so before reading a vectors file
-        raise embed.UnsupportedEmbedding(embed.NO_AD_HOC_CODE)
-    with persist.naming(args.model):
-        provider = provider.from_config(emb_config)
-    code = Path(args.code).read_text(encoding="utf-8")
-    embedding = provider.embed_code(code)
-    score = pipeline.predict_kind(kind, model, embedding.pooled[None],
-                                  embedding.sequence[None])[0]
-    if not np.isfinite(score):
-        raise ValueError(f"{args.model}: the model predicts a non-finite score")
-    print(f"{float(np.clip(score, 0.0, 10.0)):.2f}")
+    code = persist.read_text(args.code)
+    with persist.naming(args.model):  # an embedding that does not fit the model
+        embedding = persist.provider_from_config(emb_config).embed_code(code)
+        score = pipeline.predict_kind(kind, model, embedding.pooled[None],
+                                      embedding.sequence[None])[0]
+        if not np.isfinite(score):
+            raise ValueError("the model predicts a non-finite score")
+    print(f"{score:.2f}")
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    cfg = pipeline.ExperimentConfig.from_dict(
-        pipeline.read_json(args.config), base_dir=str(Path(args.config).resolve().parent)
-    )
+    doc = pipeline.read_json(args.config)
+    with persist.naming(args.config):
+        cfg = pipeline.ExperimentConfig.from_dict(
+            doc, base_dir=str(Path(args.config).resolve().parent))
     errors = pipeline.run_experiment(cfg)
     print(f"report written to {cfg.report_path}")
     print(f"curves written to {cfg.curves_path}")

@@ -86,7 +86,6 @@ class TfIdfProvider:
     _texts: dict = field(default_factory=dict, init=False, repr=False)  # token -> bucket
 
     name = "tfidf"
-    embeds_code = True  # any source text, so `grade` can score a new file
 
     def __post_init__(self):  # `fit` calls it again once doc_freq is filled
         idf = np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
@@ -175,7 +174,6 @@ class ExternalProvider:
     path: str = ""
 
     name = "external"
-    embeds_code = False  # only the ids in its file
 
     def embed_rows(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
         """(pooled (N, d), sequences (N, L, d) or None): the stored vectors of the
@@ -199,14 +197,6 @@ class ExternalProvider:
 
     def config(self) -> dict:
         return {"provider": self.name, "path": self.path, "L": self.L}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ExternalProvider":
-        path, L = cfg.get("path"), cfg.get("L")
-        if not isinstance(path, str) or type(L) is not int or L < 0:
-            raise EmbeddingFormatError("an external embedding config holds a 'path' "
-                                       "string and an integer 'L' >= 0")
-        return load_external_embeddings(path, seq_len=L)
 
 
 _EXTERNAL_KEYS = ("id", "pooled", "sequence")
@@ -244,23 +234,26 @@ def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalPr
     lines: dict[str, int] = {}  # id -> its line
     d = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                sub_id, pooled, sequence = _vector_record(line, d, seq_len)
-            except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-                raise EmbeddingFormatError(f"{path}: line {line_num}: {exc}") from exc
-            if sub_id in lines:
-                raise EmbeddingFormatError(f"{path}: line {line_num}: id {sub_id!r} "
-                                           f"repeats line {lines[sub_id]}")
-            lines[sub_id] = line_num
-            d = pooled.shape[0]
-            table[sub_id] = Embedding(pooled, sequence)
+        try:
+            for line_num, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    sub_id, pooled, sequence = _vector_record(line, d, seq_len)
+                except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+                    raise EmbeddingFormatError(f"{path}: line {line_num}: {exc}") from exc
+                if sub_id in lines:
+                    raise EmbeddingFormatError(f"{path}: line {line_num}: id {sub_id!r} "
+                                               f"repeats line {lines[sub_id]}")
+                lines[sub_id] = line_num
+                d = pooled.shape[0]
+                table[sub_id] = Embedding(pooled, sequence)
+        except UnicodeDecodeError as exc:  # read in blocks: the line is not known
+            raise EmbeddingFormatError(f"{path}: {exc}") from exc
     if d is None:
         raise EmbeddingFormatError(f"{path}: no vectors found")
     return ExternalProvider(table, d, seq_len, str(path))
 
 
-# Provider name (as in configs, model files and `--embedding`) -> class.
-PROVIDERS = {provider.name: provider for provider in (TfIdfProvider, ExternalProvider)}
+# Provider names, as in configs, model files and `--embedding`.
+PROVIDERS = (TfIdfProvider.name, ExternalProvider.name)

@@ -170,12 +170,22 @@ def save_model(path, kind: str, model, embedding_config: dict) -> None:
 
 @contextlib.contextmanager
 def naming(path):
-    """Reports a ValueError raised in the block as a PersistError whose message
-    starts with `path`, so an error in an input file names the file."""
+    """Reports a ValueError or LookupError raised in the block as a PersistError
+    whose message starts with `path`, so an error in an input file names the file.
+    An UnsupportedEmbedding passes as it is: it is about the provider, not the file."""
     try:
         yield
-    except ValueError as exc:
+    except embed.UnsupportedEmbedding:
+        raise
+    except (ValueError, LookupError) as exc:
         raise PersistError(f"{path}: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """The text of UTF-8 file `path`; bytes that are not UTF-8 are an error naming it."""
+    with naming(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
 
 
 def load_model(path):
@@ -187,14 +197,13 @@ def load_model(path):
         return model_from_doc(doc)
 
 
-def provider_class(cfg: dict) -> type:
-    """The embedding provider class a model file's `embedding` config names."""
-    name = cfg.get("provider") if isinstance(cfg, dict) else None
-    if not isinstance(name, str) or name not in embed.PROVIDERS:
-        raise PersistError(f"unknown embedding provider {name!r}")
-    return embed.PROVIDERS[name]
-
-
 def provider_from_config(cfg: dict):
-    """The embedding provider a model file's `embedding` config describes."""
-    return provider_class(cfg).from_config(cfg)
+    """The embedding provider a model file's `embedding` config describes. An
+    external one is refused before its vectors file is opened: its vectors are
+    keyed by submission id, so it cannot embed a new file."""
+    name = cfg.get("provider") if isinstance(cfg, dict) else None
+    if name == embed.TfIdfProvider.name:
+        return embed.TfIdfProvider.from_config(cfg)
+    if name == embed.ExternalProvider.name:
+        raise embed.UnsupportedEmbedding(embed.NO_AD_HOC_CODE)
+    raise PersistError(f"unknown embedding provider {name!r}")

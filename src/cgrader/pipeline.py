@@ -33,8 +33,9 @@ def grid_schema(kind: str) -> dict:
     return {key: [object] for key in kinds.KINDS[kind].params}
 
 
-# A dict is a JSON object with those keys ("*": any key), [T] a non-empty array
-# of T, a type a JSON scalar of that type; `object` is any JSON value.
+# A dict is a JSON object that may hold only its keys (`_REQUIRED` lists those it
+# must hold), [T] a non-empty array of T, a type a JSON scalar of that type;
+# `object` is any JSON value.
 _SCHEMA = {
     "data": str,
     "output": {"report": str, "curves": str, "models_dir": str},
@@ -54,10 +55,9 @@ def check_json(value, schema, where: str) -> None:
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a JSON object")
         for key, item in value.items():
-            if key not in schema and "*" not in schema:
+            if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in {where}")
-            check_json(item, schema.get(key, schema.get("*")),
-                       key if where == "config" else f"{where}.{key}")
+            check_json(item, schema[key], key if where == "config" else f"{where}.{key}")
         for key in _REQUIRED.get(where, ()):
             if key not in value:
                 raise ConfigError(f"{where} missing required key {key!r}")
@@ -103,6 +103,8 @@ class ExperimentConfig:
         provider = emb.get("provider", "tfidf")
         if provider not in embed.PROVIDERS:
             raise ConfigError(f"unknown embedding provider {provider!r}")
+        if provider == "external" and "dim" in emb:
+            raise ConfigError("embedding.dim is not read by the external provider")
         sp = doc.get("split", {})
         resolve = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
         return cls(
@@ -113,7 +115,7 @@ class ExperimentConfig:
             embedding_provider=provider,
             embedding_dim=emb.get("dim", embed.DEFAULT_TFIDF_DIM),
             embedding_seq_len=emb.get("seq_len", embed.DEFAULT_SEQ_LEN),
-            embedding_vectors=resolve(emb["vectors"]) if emb.get("vectors") else None,
+            embedding_vectors=resolve(emb["vectors"]) if "vectors" in emb else None,
             split_ratios=tuple(sp.get("ratios", DEFAULT_RATIOS)),
             seed=check_seed(sp.get("seed", 0), "split.seed"),
             grids=doc.get("models", {}),
@@ -160,6 +162,8 @@ def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len:
         raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
     if provider_name == "external" and vectors_path is None:
         raise ValueError("external provider needs a vectors path")
+    if provider_name == "tfidf" and vectors_path is not None:
+        raise ConfigError(f"vectors file {vectors_path} is not read by the tfidf provider")
     parts = split(load_dataset(data_path), ratios, seed)
     if provider_name == "tfidf":
         provider = embed.TfIdfProvider.fit([row.code for row in parts.train.rows],

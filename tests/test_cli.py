@@ -12,6 +12,7 @@ from cgrader.cli import EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, split
 from cgrader.embed import TfIdfProvider
 from cgrader.kinds import KINDS
+from cgrader.neural import CnnRegressor, CnnSpec
 from cgrader.synth import Rubric, synthesize_with_plans
 from cgrader.tabular import ForestModel, RidgeModel, TreeParams, Trees
 
@@ -513,6 +514,33 @@ MODEL_FAULTS = {  # case -> the fields that break a valid ridge model document
 }
 
 
+UNFIT_MODELS = {  # case -> the start of its error line, after the model file's name
+    "model_ridge_d_unfit": "matmul: ",
+    "model_rf_d_unfit": "index 100 is out of bounds",
+    "model_cnn_L_unfit": "expected (batch, 16, 16), got (1, 32, 16)",
+    "model_bias_nan": "the model predicts a non-finite score",
+}
+
+
+def _unfit_model_doc(case):
+    """A model document that loads, but whose model fails on the embedding of a file."""
+    if case == "model_ridge_d_unfit":  # 256 weights for 128 buckets
+        return _ridge_doc(d=256, embedding=TfIdfProvider.fit([SEED_CODE], d=128,
+                                                             L=4).config())
+    if case == "model_bias_nan":
+        doc = _ridge_doc()
+        doc["state"]["bias"] = float("nan")
+        return doc
+    if case == "model_rf_d_unfit":  # a split on feature 100 of 64
+        trees = Trees.from_nodes([0], [(100, 0.5, 1, 2, 0.0), (-1, 0.0, 1, 1, 1.0),
+                                       (-1, 0.0, 2, 2, 2.0)])
+        return persist.model_to_doc("rf", ForestModel(trees, 1, TreeParams()),
+                                    TfIdfProvider.fit([SEED_CODE], d=64, L=4).config())
+    net = CnnRegressor(CnnSpec(), 16, 16, seed=0)  # 16 tokens in, for an L of 32
+    return persist.model_to_doc("cnn", net,
+                                TfIdfProvider.fit([SEED_CODE], d=16, L=32).config())
+
+
 def _bad_input_argv(case, tmp_path, corpus_csv):
     missing = tmp_path / "missing-dir"
     program = tmp_path / "prog.c"
@@ -616,7 +644,43 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         rate = -1.0 if case == "config_learning_rate_negative" else float("inf")
         return ["experiment", "--config", _experiment_config(
             tmp_path, corpus_csv, train={"learning_rate": rate})]
-    if case == "model_params_is_a_list":
+    if case == "config_unknown_key":
+        return ["experiment", "--config", _experiment_config(tmp_path, corpus_csv,
+                                                              train={"seed": 1})]
+    if case == "synth_seed_not_utf8":
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        (seeds / "sum.c").write_bytes(b"int main(void) { return 0; } /* \xff */\n")
+        return ["synth", "--seeds", str(seeds), "--count", "5",
+                "--out", str(tmp_path / "synth.csv")]
+    if case == "vectors_not_utf8":
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_bytes(b'{"id": "\xff", "pooled": [1.0]}\n')
+        return ["train", "--data", str(corpus_csv), "--model", "ridge",
+                "--embedding", "external", "--vectors", str(vectors), "--seq-len", "4",
+                "--out", str(model)]
+    if case in ("tfidf_vectors_unread", "config_tfidf_vectors_unread",
+                "config_tfidf_vectors_empty"):
+        vectors = "" if case == "config_tfidf_vectors_empty" else str(tmp_path / "nope.jsonl")
+        if case == "tfidf_vectors_unread":
+            return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
+                    "--seq-len", "4", "--vectors", vectors, "--out", str(model)]
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv,
+            embedding={"provider": "tfidf", "dim": 16, "vectors": vectors})]
+    if case == "config_external_dim_unread":
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv,
+            embedding={"provider": "external", "dim": 16,
+                       "vectors": str(tmp_path / "vectors.jsonl")})]
+    if case == "code_not_utf8":
+        program.write_bytes(b"int main(void) { return 0; } /* \xff */\n")
+        graded = tmp_path / "graded.json"
+        graded.write_text(json.dumps(_ridge_doc()), encoding="utf-8")
+        return ["grade", "--model", str(graded), "--code", str(program)]
+    if case in UNFIT_MODELS:
+        model.write_text(json.dumps(_unfit_model_doc(case)), encoding="utf-8")
+    elif case == "model_params_is_a_list":
         model.write_text(json.dumps(_ridge_doc(params=[])), encoding="utf-8")
     elif case == "model_is_a_list":
         model.write_text(json.dumps([_ridge_doc()]), encoding="utf-8")
@@ -667,7 +731,16 @@ INPUT_ERRORS = [
     "experiment_models_dir_is_a_file",
     "config_not_json",
     "grid_not_json",
+    "config_unknown_key",
+    "synth_seed_not_utf8",
+    "vectors_not_utf8",
+    "code_not_utf8",
+    "tfidf_vectors_unread",
+    "config_tfidf_vectors_unread",
+    "config_tfidf_vectors_empty",
+    "config_external_dim_unread",
     *MODEL_FAULTS,
+    *UNFIT_MODELS,
 ]
 
 
@@ -715,6 +788,15 @@ class TestInputErrors:
          ["model_provider_unknown.json: unknown embedding provider 'nope'"]),
         ("model_params_malformed",
          ["model_params_malformed.json: malformed ridge model: ValueError"]),
+        ("config_unknown_key", ["config.json: unknown key 'seed' in train"]),
+        ("synth_seed_not_utf8", ["sum.c: 'utf-8' codec can't decode byte 0xff"]),
+        ("vectors_not_utf8", ["vectors.jsonl: 'utf-8' codec can't decode byte 0xff"]),
+        ("code_not_utf8", ["prog.c: 'utf-8' codec can't decode byte 0xff"]),
+        ("tfidf_vectors_unread", ["nope.jsonl is not read by the tfidf provider"]),
+        ("config_tfidf_vectors_unread", ["nope.jsonl is not read by the tfidf provider"]),
+        ("config_tfidf_vectors_empty", ["is not read by the tfidf provider"]),
+        ("config_external_dim_unread",
+         ["config.json: embedding.dim is not read by the external provider"]),
     ])
     def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
                                                 lexed, capsys):
@@ -725,6 +807,14 @@ class TestInputErrors:
         assert all(word in err for word in words), err
         assert not (tmp_path / "models").exists() and not (tmp_path / "model.json").exists()
         assert lexed == []  # each error comes before any work
+
+    @pytest.mark.parametrize("case", list(UNFIT_MODELS))
+    def test_model_that_does_not_fit_its_embedding_names_its_file(self, case, tmp_path,
+                                                                  corpus_csv, capsys):
+        assert main(_bad_input_argv(case, tmp_path, corpus_csv)) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {tmp_path / 'model.json'}: {UNFIT_MODELS[case]}")
 
     def test_valid_model_still_grades(self, tmp_path, corpus_csv, capsys):
         argv = _bad_input_argv("valid_model", tmp_path, corpus_csv)

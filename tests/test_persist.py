@@ -10,7 +10,7 @@ import pytest
 
 from cgrader import kinds, neural, persist, tabular
 from cgrader.cli import main
-from cgrader.embed import TfIdfProvider
+from cgrader.embed import NO_AD_HOC_CODE, TfIdfProvider, UnsupportedEmbedding
 from cgrader.neural import TrainConfig
 from cgrader.tabular import (ForestModel, TreeParams, Trees, ridge_fit, rf_predict,
                               tree_fit)
@@ -336,6 +336,12 @@ def test_embedding_config_preserved(tmp_path):
     a = provider.embed_code("int z;")
     b = clone.embed_code("int z;")
     assert np.array_equal(a.pooled, b.pooled)
+
+
+def test_external_config_is_refused_before_its_vectors_are_opened(tmp_path):
+    cfg = {"provider": "external", "path": str(tmp_path / "missing.jsonl"), "L": 4}
+    with pytest.raises(UnsupportedEmbedding, match=NO_AD_HOC_CODE):
+        persist.provider_from_config(cfg)
 
 
 def test_unknown_kind_rejected():
