@@ -65,13 +65,16 @@ def cmd_train(args) -> int:
         raise pipeline.ConfigError(
             f"--split must be comma-separated numbers, got {args.split!r}") from None
     pipeline.check_seed(args.seed, "--seed")
+    if args.embedding == "external" and args.dim is not None:
+        raise pipeline.ConfigError("--dim is not read by the external provider")
+    dim = embed.DEFAULT_TFIDF_DIM if args.dim is None else args.dim
     spec = {}
     if args.grid:
         spec["grid"] = pipeline.read_json(args.grid)
         pipeline.check_json(spec["grid"], pipeline.grid_schema(args.model),
                             f"--grid {args.grid}")
     data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
-                                         args.dim, args.seq_len, args.vectors, train_cfg)
+                                         dim, args.seq_len, args.vectors, train_cfg)
     kind = args.model
     fitted, rows, errors = pipeline.fit_and_score(
         [kind], data, {"train": data.train, "validation": data.validation}, args.seed,
@@ -143,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=list(kinds.KINDS))
     p.add_argument("--embedding", choices=list(embed.PROVIDERS), default="tfidf")
     p.add_argument("--vectors", help="JSON-Lines vector file for --embedding external")
-    p.add_argument("--dim", type=int, default=embed.DEFAULT_TFIDF_DIM)
+    p.add_argument("--dim", type=int, help=f"TF-IDF buckets (default "
+                   f"{embed.DEFAULT_TFIDF_DIM}); not read by --embedding external")
     p.add_argument("--seq-len", type=int, default=embed.DEFAULT_SEQ_LEN)
     p.add_argument("--split", default=",".join(map(str, DEFAULT_RATIOS)))
     p.add_argument("--seed", type=int, default=0)

@@ -227,29 +227,38 @@ def _vector_record(line: str, d: int | None, seq_len: int):
     return str(obj["id"]), pooled, sequence
 
 
+def _numbered_lines(fh):
+    """(line number, bytes) of each line of a binary file, counted as a text
+    reader counts them: `\n`, `\r\n` and a bare `\r` each end a line."""
+    number = 0
+    for chunk in fh:  # split at b"\n" only
+        body = chunk[:-2] if chunk.endswith(b"\r\n") else chunk.rstrip(b"\n")
+        for line in body.split(b"\r"):
+            number += 1
+            yield number, line
+
+
 def load_external_embeddings(path, seq_len: int = DEFAULT_SEQ_LEN) -> ExternalProvider:
     """Load `{"id", "pooled", "sequence"?}` JSON-Lines vectors; other keys are rejected,
     and so is an id that repeats (`1` and `"1"` are one id)."""
     table: dict[str, Embedding] = {}
     lines: dict[str, int] = {}  # id -> its line
     d = None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line_num, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_num, raw in _numbered_lines(fh):
+            try:  # decoded line by line, so an undecodable byte names its line
+                line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                try:
-                    sub_id, pooled, sequence = _vector_record(line, d, seq_len)
-                except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-                    raise EmbeddingFormatError(f"{path}: line {line_num}: {exc}") from exc
-                if sub_id in lines:
-                    raise EmbeddingFormatError(f"{path}: line {line_num}: id {sub_id!r} "
-                                               f"repeats line {lines[sub_id]}")
-                lines[sub_id] = line_num
-                d = pooled.shape[0]
-                table[sub_id] = Embedding(pooled, sequence)
-        except UnicodeDecodeError as exc:  # read in blocks: the line is not known
-            raise EmbeddingFormatError(f"{path}: {exc}") from exc
+                sub_id, pooled, sequence = _vector_record(line, d, seq_len)
+            except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+                raise EmbeddingFormatError(f"{path}: line {line_num}: {exc}") from exc
+            if sub_id in lines:
+                raise EmbeddingFormatError(f"{path}: line {line_num}: id {sub_id!r} "
+                                           f"repeats line {lines[sub_id]}")
+            lines[sub_id] = line_num
+            d = pooled.shape[0]
+            table[sub_id] = Embedding(pooled, sequence)
     if d is None:
         raise EmbeddingFormatError(f"{path}: no vectors found")
     return ExternalProvider(table, d, seq_len, str(path))

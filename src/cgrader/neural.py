@@ -7,7 +7,6 @@ validation loss and restores the best weights.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,26 +344,28 @@ class LstmRegressor:
         return out, cache
 
     def _steps(self, X, mask_h):
-        """Runs the recurrence, yielding each step's hidden state and the
-        arrays the step's backward pass needs."""
+        """Runs the recurrence, yielding each step's hidden state and the five
+        arrays its backward pass keeps: the gates (gi, gf, gg, go) and the cell
+        state c. `backward` recomputes the rest from them."""
         p = self.params
         h_units = self.spec.units
         h = np.zeros((X.shape[0], h_units))
         c = np.zeros((X.shape[0], h_units))
         for t in range(self.seq_len):
-            hd = h * mask_h
-            a = X.dot(p["wx"], t) + hd @ p["wh"] + p["b"]
+            a = X.dot(p["wx"], t) + (h * mask_h) @ p["wh"] + p["b"]
             gi = _sigmoid(a[:, :h_units])
             gf = _sigmoid(a[:, h_units : 2 * h_units])
             gg = np.tanh(a[:, 2 * h_units : 3 * h_units])
             go = _sigmoid(a[:, 3 * h_units :])
-            c_prev = c
-            c = gf * c_prev + gi * gg
-            tanh_c = np.tanh(c)
-            h = go * tanh_c
-            yield h, (hd, gi, gf, gg, go, c_prev, tanh_c)
+            c = gf * c + gi * gg
+            h = go * np.tanh(c)
+            yield h, (gi, gf, gg, go, c)
 
     def backward(self, cache, dout):
+        """Gradients of every parameter. Each step's tanh(c), c_prev (the step
+        before's c) and masked input state hd = (go₋₁·tanh(c₋₁))·mask_h are
+        recomputed from the five cached arrays by the forward pass's own
+        operations, so they are the same floats."""
         p = self.params
         h_units = self.spec.units
         X, mask_h, steps = cache["X"], cache["mask_h"], cache["steps"]
@@ -382,8 +383,16 @@ class LstmRegressor:
         grads["b1"] = dh1.sum(axis=0)
         dh = dh1 @ p["w1"].T
         dc = np.zeros((batch, h_units))
+        zeros = np.zeros((batch, h_units))  # c, h and hd before the first step
+        tanh_c = np.tanh(steps[-1][4])
         for t in reversed(range(self.seq_len)):
-            hd, gi, gf, gg, go, c_prev, tanh_c = steps[t]
+            gi, gf, gg, go, _ = steps[t]
+            if t:
+                go_prev, c_prev = steps[t - 1][3:]
+                tanh_c_prev = np.tanh(c_prev)
+                hd = (go_prev * tanh_c_prev) * mask_h
+            else:
+                c_prev = hd = tanh_c_prev = zeros
             dgo = dh * tanh_c
             dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
             dgi = dc * gg
@@ -403,6 +412,7 @@ class LstmRegressor:
             grads["b"] += da.sum(axis=0)
             dh = (da @ p["wh"].T) * mask_h
             dc = dc * gf
+            tanh_c = tanh_c_prev
         return grads
 
     def features(self, X) -> np.ndarray:
@@ -428,14 +438,27 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict, grads: dict):
+        """One Adam update of `params`, `m` and `v` in place, with two scratch
+        arrays per parameter. The floats are those of the textbook expression
+        params -= lr·m̂ / (√v̂ + ε): each product and sum is the same one."""
         self.t += 1
-        for key in params:
-            g = grads[key]
-            self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * g
-            self.v[key] = ADAM_BETA2 * self.v[key] + (1 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[key] / (1 - ADAM_BETA1 ** self.t)
-            v_hat = self.v[key] / (1 - ADAM_BETA2 ** self.t)
-            params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m_scale = 1 - ADAM_BETA1 ** self.t
+        v_scale = 1 - ADAM_BETA2 ** self.t
+        for key, param in params.items():
+            g, m, v = grads[key], self.m[key], self.v[key]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            scratch = np.multiply(g, g)
+            scratch *= 1 - ADAM_BETA2
+            v *= ADAM_BETA2
+            v += scratch
+            np.divide(v, v_scale, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS  # √v̂ + ε
+            update = np.divide(m, m_scale)
+            update *= self.learning_rate
+            update /= scratch
+            param -= update
 
 
 def _dataset_loss(model, X, y, batch_size: int) -> float:
@@ -446,6 +469,16 @@ def _dataset_loss(model, X, y, batch_size: int) -> float:
         diff = pred - y[chunk]
         total += float(np.sum(diff * diff))
     return total / X.shape[0]
+
+
+def _batch_grads(model, X, y, rng, epoch: int) -> dict:
+    """The gradients of one batch's MSE. Its forward cache is freed on return,
+    so only one batch's step arrays are alive at a time."""
+    pred, cache = model.forward(X, training=True, rng=rng)
+    loss, dpred = mse_loss(pred, y)
+    if not np.isfinite(loss):
+        raise TrainingError(f"non-finite training loss at epoch {epoch}")
+    return model.backward(cache, dpred)
 
 
 def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHistory:
@@ -459,18 +492,15 @@ def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHi
     adam = Adam(model.params, cfg.learning_rate)
     history = TrainingHistory()
     best_val = np.inf
-    best_params = copy.deepcopy(model.params)
+    best_params = {name: arr.copy() for name, arr in model.params.items()}
     bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(X_train.shape[0])
         for start in range(0, perm.shape[0], cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            pred, cache = model.forward(X_train[batch], training=True, rng=rng)
-            loss, dpred = mse_loss(pred, y_train[batch])
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            grads = model.backward(cache, dpred)
-            adam.step(model.params, grads)
+            # the gradients die with the step, before the next batch's forward pass
+            adam.step(model.params,
+                      _batch_grads(model, X_train[batch], y_train[batch], rng, epoch))
         train_loss = _dataset_loss(model, X_train, y_train, cfg.batch_size)
         val_loss = _dataset_loss(model, X_val, y_val, cfg.batch_size)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
@@ -481,7 +511,8 @@ def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHi
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_params = copy.deepcopy(model.params)
+            for name, arr in model.params.items():
+                np.copyto(best_params[name], arr)
             bad_epochs = 0
         else:
             bad_epochs += 1

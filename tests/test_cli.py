@@ -673,6 +673,11 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
             tmp_path, corpus_csv,
             embedding={"provider": "external", "dim": 16,
                        "vectors": str(tmp_path / "vectors.jsonl")})]
+    if case == "train_external_dim_unread":  # vectors that would train without --dim
+        vectors = _write_vectors(tmp_path, corpus_csv, [None], d=2)
+        return ["train", "--data", str(corpus_csv), "--model", "ridge",
+                "--embedding", "external", "--vectors", str(vectors),
+                "--dim", "3", "--seq-len", "4", "--out", str(model)]
     if case == "code_not_utf8":
         program.write_bytes(b"int main(void) { return 0; } /* \xff */\n")
         graded = tmp_path / "graded.json"
@@ -739,6 +744,7 @@ INPUT_ERRORS = [
     "config_tfidf_vectors_unread",
     "config_tfidf_vectors_empty",
     "config_external_dim_unread",
+    "train_external_dim_unread",
     *MODEL_FAULTS,
     *UNFIT_MODELS,
 ]
@@ -790,13 +796,14 @@ class TestInputErrors:
          ["model_params_malformed.json: malformed ridge model: ValueError"]),
         ("config_unknown_key", ["config.json: unknown key 'seed' in train"]),
         ("synth_seed_not_utf8", ["sum.c: 'utf-8' codec can't decode byte 0xff"]),
-        ("vectors_not_utf8", ["vectors.jsonl: 'utf-8' codec can't decode byte 0xff"]),
+        ("vectors_not_utf8", ["vectors.jsonl: line 1: 'utf-8' codec can't decode byte 0xff"]),
         ("code_not_utf8", ["prog.c: 'utf-8' codec can't decode byte 0xff"]),
         ("tfidf_vectors_unread", ["nope.jsonl is not read by the tfidf provider"]),
         ("config_tfidf_vectors_unread", ["nope.jsonl is not read by the tfidf provider"]),
         ("config_tfidf_vectors_empty", ["is not read by the tfidf provider"]),
         ("config_external_dim_unread",
          ["config.json: embedding.dim is not read by the external provider"]),
+        ("train_external_dim_unread", ["--dim is not read by the external provider"]),
     ])
     def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
                                                 lexed, capsys):

@@ -227,6 +227,25 @@ class TestExternal:
         with pytest.raises(EmbeddingFormatError, match="line 3: id '1' repeats line 2"):
             load_external_embeddings(path)
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, end):
+        lines = [json.dumps({"id": i, "pooled": [1.0, 2.0]}).encode() for i in range(3000)]
+        lines[2500] = b'{"id": "\xff", "pooled": [1.0, 2.0]}'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(end.join(lines) + end)
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"bad\.jsonl: line 2501: 'utf-8' codec can't decode byte 0xff"):
+            load_external_embeddings(path)
+
+    def test_line_ends_count_as_a_text_reader_counts_them(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(b'{"id": "a", "pooled": [1]}\r\n\r\r\n{"id": "b", "pooled": [2]}\r'
+                         b'\n{"id": "a", "pooled": [3]}')
+        with open(path, encoding="utf-8") as fh:  # the lines a text reader sees
+            assert [n for n, line in enumerate(fh, 1) if '"a"' in line] == [1, 5]
+        with pytest.raises(EmbeddingFormatError, match="line 5: id 'a' repeats line 1"):
+            load_external_embeddings(path)
+
     def test_sequences_are_all_or_nothing(self, tmp_path):
         path = write_jsonl(
             tmp_path,

@@ -162,7 +162,10 @@ def vectors_argv(work, lines):
     (work / "fuzzed.csv").write_text((work / "corpus.csv").read_text(encoding="utf-8"),
                                      encoding="utf-8")
     (work / "vectors.jsonl").write_text("\n".join(lines), encoding="utf-8")
-    return train_argv(work, "--embedding", "external", "--vectors", work / "vectors.jsonl")
+    # no --dim: the external provider reads its d from the vectors, and refuses one
+    return ["train", "--data", work / "fuzzed.csv", "--model", "ridge", "--embedding",
+            "external", "--vectors", work / "vectors.jsonl", "--seq-len", "2",
+            "--out", work / "model.json"]
 
 
 @FUZZ

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from cgrader.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     CnnRegressor,
     CnnSpec,
@@ -395,6 +398,61 @@ class TestTrain:
         X, y = self.toy_data(4)
         with pytest.raises(TrainingError):
             train(toy_cnn(), X, y, X[:0], y[:0], TrainConfig(max_epochs=1))
+
+    def test_lstm_training_memory_grows_by_one_batch_of_five_arrays_per_step(self):
+        """Only one batch's step cache is alive at a time, and it holds five
+        (batch, units) float64 arrays per step. The bound allows six: the sixth
+        covers the step's input and the backward pass's temporaries."""
+        batch, units = 16, 32
+
+        def peak_bytes(seq_len):
+            rng = np.random.default_rng(0)
+            model = LstmRegressor(LstmSpec(units=units, dense_units=8), seq_len, 16)
+            X = TokenSequences(rng.integers(0, 16, (3 * batch, seq_len)),
+                               rng.uniform(0.5, 2.0, (3 * batch, seq_len)), 16)
+            y = rng.uniform(0, 10, 3 * batch)
+            cfg = TrainConfig(max_epochs=2, batch_size=batch, patience=2)
+            tracemalloc.start()
+            try:
+                train(model, X, y, X, y, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_step = (peak_bytes(64) - peak_bytes(8)) / (64 - 8)
+        assert per_step <= 6 * batch * units * 8, per_step
+
+
+class TestAdam:
+    @staticmethod
+    def textbook_step(params, grads, m, v, t, lr):
+        """The out-of-place update Adam.step replaces, kept as its oracle."""
+        for key in params:
+            g = grads[key]
+            m[key] = ADAM_BETA1 * m[key] + (1 - ADAM_BETA1) * g
+            v[key] = ADAM_BETA2 * v[key] + (1 - ADAM_BETA2) * (g * g)
+            m_hat = m[key] / (1 - ADAM_BETA1 ** t)
+            v_hat = v[key] / (1 - ADAM_BETA2 ** t)
+            params[key] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    def test_in_place_step_is_bit_identical_to_the_textbook_expression(self):
+        rng = np.random.default_rng(3)
+        shapes = {"w": (7, 5), "b": (5,), "out": (1,)}
+        params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+        expected = copy.deepcopy(params)
+        m = {key: np.zeros(shape) for key, shape in shapes.items()}
+        v = copy.deepcopy(m)
+        adam = Adam(params, learning_rate=3e-3)
+        for t in range(1, 6):
+            grads = {key: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                     for key, shape in shapes.items()}
+            adam.step(params, grads)
+            self.textbook_step(expected, grads, m, v, t, 3e-3)
+            assert adam.t == t
+            for key in shapes:
+                assert np.array_equal(params[key], expected[key])
+                assert np.array_equal(adam.m[key], m[key])
+                assert np.array_equal(adam.v[key], v[key])
 
 
 class TestFeatures:
