@@ -39,8 +39,9 @@ def cmd_synth(args) -> int:
     files = sorted(Path(args.seeds).glob("*.c"))
     if not files:
         raise ValueError(f"no .c seed files in {args.seeds}")
-    seeds = [Submission(path.stem, persist.read_text(path), 10.0) for path in files]
-    ds, plans = synth.synthesize_with_plans(seeds, args.count, synth.Rubric(), rng)
+    rubric = synth.Rubric()
+    seeds = [Submission(f.stem, persist.read_text(f), rubric.full_marks) for f in files]
+    ds, plans = synth.synthesize_with_plans(seeds, args.count, rubric, rng)
     save_dataset(ds, args.out)
     if args.plans:
         with persist.atomic_open(args.plans) as fh:

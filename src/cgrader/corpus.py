@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import SCORE_MAX, SCORE_MIN
 from .persist import atomic_open
 
 CSV_HEADER = ["id", "code", "score"]
@@ -26,10 +27,9 @@ class Submission:
     score: float
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 10.0:
-            raise DatasetError(
-                f"submission {self.id!r}: score {self.score} outside [0, 10]"
-            )
+        if not SCORE_MIN <= self.score <= SCORE_MAX:
+            raise DatasetError(f"submission {self.id!r}: score {self.score} "
+                               f"outside [{SCORE_MIN:g}, {SCORE_MAX:g}]")
         if not self.code.strip():
             raise DatasetError(f"submission {self.id!r}: empty code")
 

@@ -22,7 +22,7 @@ DEFAULT_SEQ_LEN = 512
 
 
 class EmbeddingFormatError(ValueError):
-    """Bad vector file or embedding config contents."""
+    """Bad vector file contents."""
 
 
 class EmbeddingLookupError(LookupError):
@@ -152,16 +152,11 @@ class TfIdfProvider:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TfIdfProvider":
-        try:
-            d, L, doc_count = int(cfg["d"]), int(cfg["L"]), int(cfg["doc_count"])
-            doc_freq = np.asarray(cfg["doc_freq"], dtype=np.int64)
-            if (d < 8 or min(L, doc_count) < 0 or doc_freq.shape != (d,)
-                    or np.any(doc_freq < 0)):
-                raise ValueError(f"bad TF-IDF config: d={d}, L={L}, doc_count={doc_count}")
-            return cls(d, L, doc_count, doc_freq)
-        except (TypeError, LookupError, ArithmeticError, ValueError, RecursionError) as exc:
-            raise EmbeddingFormatError(
-                f"malformed embedding config: {type(exc).__name__}: {exc}") from exc
+        d, L, doc_count = int(cfg["d"]), int(cfg["L"]), int(cfg["doc_count"])
+        doc_freq = np.asarray(cfg["doc_freq"], dtype=np.int64)
+        if d < 8 or min(L, doc_count) < 0 or doc_freq.shape != (d,) or np.any(doc_freq < 0):
+            raise ValueError(f"bad TF-IDF config: d={d}, L={L}, doc_count={doc_count}")
+        return cls(d, L, doc_count, doc_freq)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import hybrid, neural, tabular
+from . import hybrid, metrics, neural, tabular
 
 CV_FOLDS = 5
 
@@ -57,13 +57,18 @@ class Fitted:
 class Kind:
     name: str
     fit: Callable  # (TrainData, config entry, seed, base net's Fitted) -> Fitted
-    predict: Callable  # (model, pooled, sequences) -> scores
+    raw: Callable  # (model, pooled, sequences) -> scores before the clamp
     to_state: Callable  # model -> (params, state); state arrays stay numpy arrays
     from_state: Callable  # (params, state) -> model
     sequences: bool = False  # needs token sequences
     grid: dict | None = None  # default CV grid
     params: tuple = ()  # the param keys a grid or config may set
     base: str | None = None  # hybrids: the net kind whose features feed the head
+
+    def predict(self, model, pooled, sequences) -> np.ndarray:
+        """The model's scores clipped to the mark scale: the one clamp of every kind."""
+        return np.clip(self.raw(model, pooled, sequences), metrics.SCORE_MIN,
+                       metrics.SCORE_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +87,9 @@ def _pooled(name, fit, predict, to_state, from_state, grid, params) -> Kind:
             params.update({key: values[0] for key, values in chosen_grid.items()})
         elif chosen_grid:
             search = tabular.grid_search_cv(
-                lambda X, y, p: fit(X, y, p, seed), predict, chosen_grid,
-                data.train.pooled, data.train.y, k=CV_FOLDS, seed=seed,
+                lambda X, y, p: fit(X, y, p, seed),
+                lambda m, X: KINDS[name].predict(m, X, None),
+                chosen_grid, data.train.pooled, data.train.y, k=CV_FOLDS, seed=seed,
             )
             params.update(search.best_params)
         return Fitted(fit(data.train.pooled, data.train.y, params, seed), params=params)
@@ -113,16 +119,16 @@ def _gbt_fit(X, y, p, seed):
     return tabular.gbt_fit(X, y, seed=seed, **_given(p, "gbt"))
 
 
-def _floats(value, ndim: int) -> np.ndarray:
-    """`value` if it is a float64 array of `ndim` dimensions, else ValueError."""
-    if not (isinstance(value, np.ndarray) and value.dtype == np.float64
-            and value.ndim == ndim):
-        raise ValueError(f"expected a {ndim}-D float64 array, not {value!r:.60}")
-    return value
+def _trees(state, params, key) -> tabular.Trees:
+    """The checked trees of `state`, if `params[key]` counts them."""
+    trees, count = tabular.Trees(**state["trees"]).check(), params[key]
+    if count != trees.roots.size:
+        raise ValueError(f"{key} is {count}, the state holds {trees.roots.size} trees")
+    return trees
 
 
 def _forest_to_state(model: tabular.ForestModel):
-    params = {"n_trees": model.n_trees, "bootstrap": model.bootstrap,
+    params = {"n_trees": model.trees.roots.size, "bootstrap": model.bootstrap,
               **dataclasses.asdict(model.tree_params)}
     return params, {"trees": vars(model.trees)}
 
@@ -133,14 +139,14 @@ def _forest_from_state(params, state) -> tabular.ForestModel:
         raise TypeError("forest params are numbers, booleans or null")
     tree_params = tabular.TreeParams(**{f.name: params[f.name]
                                         for f in dataclasses.fields(tabular.TreeParams)})
-    trees = tabular.Trees(**state["trees"]).check()
+    trees = _trees(state, params, "n_trees")
     if not trees.roots.size:
         raise ValueError("a forest has at least one tree")
-    return tabular.ForestModel(trees, params["n_trees"], tree_params, params["bootstrap"])
+    return tabular.ForestModel(trees, tree_params, params["bootstrap"])
 
 
 def _gbt_to_state(model: tabular.GbtModel):
-    params = {"n_rounds": model.n_rounds, "learning_rate": model.learning_rate,
+    params = {"n_rounds": model.trees.roots.size, "learning_rate": model.learning_rate,
               "leaf_l2": model.leaf_l2}
     return params, {"base": model.base, "trees": vars(model.trees)}
 
@@ -148,15 +154,15 @@ def _gbt_to_state(model: tabular.GbtModel):
 def _gbt_from_state(params, state) -> tabular.GbtModel:
     return tabular.GbtModel(
         float(state["base"]),
-        tabular.Trees(**state["trees"]).check(),
+        _trees(state, params, "n_rounds"),
         float(params["learning_rate"]),
-        int(params["n_rounds"]),
         float(params["leaf_l2"]),
     )
 
 
 def _knn_from_state(params, state) -> tabular.KnnModel:
-    return tabular.knn_fit(_floats(state["X"], 2), _floats(state["y"], 1), int(params["k"]))
+    return tabular.knn_fit(neural.float_array(state["X"], 2),
+                           neural.float_array(state["y"], 1), int(params["k"]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +184,8 @@ def _net(name, net_cls, spec_cls) -> Kind:
                            for f in dataclasses.fields(spec_cls)})
         return net_cls(spec, int(params["seq_len"]), int(params["dim"]), params=state)
 
-    return Kind(name, fit, _net_predict, _net_to_state, from_state, sequences=True)
-
-
-def _net_predict(model, pooled, sequences):
-    return np.clip(model.predict(sequences), 0.0, 10.0)
+    return Kind(name, fit, lambda model, pooled, sequences: model.predict(sequences),
+                _net_to_state, from_state, sequences=True)
 
 
 def _net_to_state(net):
@@ -226,8 +229,8 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
             lambda X, y, p, seed: tabular.ridge_fit(X, y, lam=p.get("lambda", 1.0)),
             lambda model, X: tabular.ridge_predict(model, X),
             lambda m: ({"lambda": m.lam}, {"weights": m.weights, "bias": m.bias}),
-            lambda p, s: tabular.RidgeModel(_floats(s["weights"], 1), float(s["bias"]),
-                                            float(p["lambda"])),
+            lambda p, s: tabular.RidgeModel(neural.float_array(s["weights"], 1),
+                                            float(s["bias"]), float(p["lambda"])),
             grid={"lambda": [0.1, 1.0, 10.0]}, params=("lambda",)),
     _pooled("gbt", _gbt_fit, lambda model, X: tabular.gbt_predict(model, X),
             _gbt_to_state, _gbt_from_state,

@@ -1,4 +1,4 @@
-"""Regression metrics and the rows of the train/test report."""
+"""The mark scale, regression metrics and the rows of the train/test report."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCORE_MIN, SCORE_MAX = 0.0, 10.0  # the mark scale of every score and clamped prediction
 REPORT_COLUMNS = ["model", "split", "rmse", "mae", "r2", "mape"]
 
 

@@ -155,6 +155,14 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def float_array(value, ndim: int) -> np.ndarray:
+    """`value` if it is a float64 array of `ndim` dimensions, else ValueError."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and value.ndim == ndim):
+        raise ValueError(f"expected a {ndim}-D float64 array, not {value!r:.60}")
+    return value
+
+
 def _init_params(layout: dict, seed: int, given: dict | None) -> dict:
     """A net's arrays, each name in `layout` -> (shape, Glorot fans or None for
     zeros): drawn from `seed`, or the `given` trained ones once checked."""
@@ -166,10 +174,7 @@ def _init_params(layout: dict, seed: int, given: dict | None) -> dict:
         raise ValueError(f"net state holds {sorted(given)}, not {sorted(layout)}")
     for name, arr in given.items():
         shape = layout[name][0]
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.ndim == len(shape)):
-            raise ValueError(f"expected a {len(shape)}-D float64 array, not {arr!r:.60}")
-        if arr.shape != shape:
+        if float_array(arr, len(shape)).shape != shape:
             raise ValueError(f"net state {name!r} has shape {arr.shape}")
     return given
 

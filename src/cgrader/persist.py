@@ -203,7 +203,8 @@ def provider_from_config(cfg: dict):
     keyed by submission id, so it cannot embed a new file."""
     name = cfg.get("provider") if isinstance(cfg, dict) else None
     if name == embed.TfIdfProvider.name:
-        return embed.TfIdfProvider.from_config(cfg)
+        with _malformed("embedding config"):
+            return embed.TfIdfProvider.from_config(cfg)
     if name == embed.ExternalProvider.name:
         raise embed.UnsupportedEmbedding(embed.NO_AD_HOC_CODE)
     raise PersistError(f"unknown embedding provider {name!r}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .clex import Token, TokenKind, tokenize
 from .corpus import Dataset, Submission
+from .metrics import SCORE_MAX
 
 
 class NotMutableError(ValueError):
@@ -57,7 +58,7 @@ class MutationPlan:
 
 @dataclass(frozen=True)
 class Rubric:
-    full_marks: float = 10.0
+    full_marks: float = SCORE_MAX
     deductions: dict[MutationKind, float] = field(
         default_factory=lambda: {
             MutationKind.NO_OUTPUT: 2.0,

@@ -4,6 +4,7 @@ CART regression trees, bagged forests, ridge regression, k-nearest
 neighbours, gradient-boosted trees, and k-fold grid search. Everything is
 deterministic under a fixed seed; tree split ties break on (lower feature
 index, lower threshold) so structure is reproducible across platforms.
+Predictions are raw: `kinds` clips every kind's scores to the mark scale.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import scipy.linalg
 
 from .metrics import rmse
 
-SCORE_MIN = 0.0
-SCORE_MAX = 10.0
-
 
 class FitError(ValueError):
     pass
@@ -27,10 +25,6 @@ class FitError(ValueError):
 
 class RankDeficiencyError(FitError):
     pass
-
-
-def _clamp(values):
-    return np.clip(values, SCORE_MIN, SCORE_MAX)
 
 
 def validate_features(X, y):
@@ -238,7 +232,6 @@ def tree_predict(trees: Trees, X) -> np.ndarray:
 @dataclass
 class ForestModel:
     trees: Trees
-    n_trees: int
     tree_params: TreeParams
     bootstrap: bool = True
 
@@ -260,11 +253,11 @@ def rf_fit(X, y, n_trees: int = 100, params: TreeParams | None = None,
         rng = np.random.default_rng(tree_seed)
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         trees.append(tree_fit(X[idx], y[idx], params, rng=rng))
-    return ForestModel(Trees.stack(trees), n_trees, params, bootstrap)
+    return ForestModel(Trees.stack(trees), params, bootstrap)
 
 
 def rf_predict(model: ForestModel, X) -> np.ndarray:
-    return _clamp(np.mean(tree_predict(model.trees, X), axis=0))
+    return np.mean(tree_predict(model.trees, X), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +295,7 @@ def ridge_fit(X, y, lam: float = 1.0) -> RidgeModel:
 
 def ridge_predict(model: RidgeModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _clamp(X @ model.weights + model.bias)
+    return X @ model.weights + model.bias
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +326,7 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
         # Stable sort: equidistant neighbours resolve to the lower index.
         nearest = np.argsort(dists, kind="stable")[: model.k]
         out[i] = model.y[nearest].mean()
-    return _clamp(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +338,6 @@ class GbtModel:
     base: float
     trees: Trees
     learning_rate: float
-    n_rounds: int
     leaf_l2: float
 
 
@@ -370,7 +362,7 @@ def gbt_fit(X, y, n_rounds: int = 100, learning_rate: float = 0.1,
         tree = tree_fit(X, residuals, params, rng=rng, leaf_value=leaf_value)
         trees.append(tree)
         pred = pred + learning_rate * tree_predict(tree, X)[0]
-    return GbtModel(base, Trees.stack(trees), learning_rate, n_rounds, leaf_l2)
+    return GbtModel(base, Trees.stack(trees), learning_rate, leaf_l2)
 
 
 def gbt_predict(model: GbtModel, X) -> np.ndarray:
@@ -378,7 +370,7 @@ def gbt_predict(model: GbtModel, X) -> np.ndarray:
     preds = np.full(X.shape[0], model.base)
     for tree_preds in tree_predict(model.trees, X):
         preds = preds + model.learning_rate * tree_preds
-    return _clamp(preds)
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def test_train_writes_the_experiments_model_file(experiment_run, kind):
 class TestGradeCommand:
     def test_constant_model_prints_constant(self, tmp_path, capsys):
         provider = TfIdfProvider.fit([SEED_CODE], d=16, L=4)
-        head = ForestModel(Trees.from_nodes([0], [(-1, 0.0, 0, 0, 7.0)]), 1, TreeParams())
+        head = ForestModel(Trees.from_nodes([0], [(-1, 0.0, 0, 0, 7.0)]), TreeParams())
         path = tmp_path / "const.json"
         persist.save_model(path, "rf", head, provider.config())
         src = tmp_path / "prog.c"
@@ -534,7 +534,7 @@ def _unfit_model_doc(case):
     if case == "model_rf_d_unfit":  # a split on feature 100 of 64
         trees = Trees.from_nodes([0], [(100, 0.5, 1, 2, 0.0), (-1, 0.0, 1, 1, 1.0),
                                        (-1, 0.0, 2, 2, 2.0)])
-        return persist.model_to_doc("rf", ForestModel(trees, 1, TreeParams()),
+        return persist.model_to_doc("rf", ForestModel(trees, TreeParams()),
                                     TfIdfProvider.fit([SEED_CODE], d=64, L=4).config())
     net = CnnRegressor(CnnSpec(), 16, 16, seed=0)  # 16 tokens in, for an L of 32
     return persist.model_to_doc("cnn", net,
@@ -694,7 +694,7 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
     elif case == "model_feature_is_negative":  # an inner node with feature -1
         trees = Trees.from_nodes([0], [(-1, 0.5, 1, 2, 0.0), (-1, 0.0, 1, 1, 1.0),
                                        (-1, 0.0, 2, 2, 2.0)])
-        doc = persist.model_to_doc("rf", ForestModel(trees, 1, TreeParams()),
+        doc = persist.model_to_doc("rf", ForestModel(trees, TreeParams()),
                                    _ridge_doc()["embedding"])
         model.write_text(json.dumps(doc), encoding="utf-8")
     elif case == "model_L_too_large":  # L int32 ids, 4e15 bytes: beyond any address space

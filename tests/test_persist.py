@@ -148,7 +148,7 @@ def chain_forest(depth):
         nodes += [(0, level - depth + 0.5, node + 1, node + 2, 0.0),
                   (-1, 0.0, node + 1, node + 1, float(level % 10))]
     nodes.append((-1, 0.0, len(nodes), len(nodes), 7.0))
-    return ForestModel(Trees.from_nodes([0], nodes), 1, TreeParams())
+    return ForestModel(Trees.from_nodes([0], nodes), TreeParams())
 
 
 def test_5000_level_chain_tree_saves_loads_and_grades(tmp_path, capsys):
@@ -198,9 +198,9 @@ def test_fitted_chain_deeper_than_the_recursion_limit_saves_loads_and_grades(
     assert depth.max() == n - 1
     provider = TfIdfProvider.fit(["int x;", "int y;"], d=16, L=4)
     path = tmp_path / "fitted_chain.json"
-    persist.save_model(path, "rf", ForestModel(trees, 1, TreeParams()), provider.config())
+    persist.save_model(path, "rf", ForestModel(trees, TreeParams()), provider.config())
     _, model, _ = persist.load_model(path)
-    assert np.array_equal(rf_predict(model, X), np.clip(y, 0, 10))
+    assert np.array_equal(kinds.KINDS["rf"].predict(model, X, None), np.clip(y, 0, 10))
     program = tmp_path / "prog.c"
     program.write_text("int main(void) { return 0; }", encoding="utf-8")
     assert main(["grade", "--model", str(path), "--code", str(program)]) == 0

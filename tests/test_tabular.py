@@ -338,11 +338,12 @@ class TestForest:
         assert np.all(preds <= per_tree.max(axis=0) + 1e-12)
 
     def test_clamped_to_score_range(self):
+        from cgrader.kinds import KINDS
         from cgrader.tabular import ForestModel
 
         leaves = [(-1, 0.0, 0, 0, 12.0), (-1, 0.0, 1, 1, 12.0)]
-        model = ForestModel(tabular.Trees.from_nodes([0, 1], leaves), 2, TreeParams())
-        assert rf_predict(model, [[0.0]]) == 10.0
+        model = ForestModel(tabular.Trees.from_nodes([0, 1], leaves), TreeParams())
+        assert KINDS["rf"].predict(model, [[0.0]], None) == 10.0
 
 
 # --- ridge ------------------------------------------------------------------
