@@ -66,6 +66,7 @@ def cmd_train(args) -> int:
         raise pipeline.ConfigError(
             f"--split must be comma-separated numbers, got {args.split!r}") from None
     pipeline.check_seed(args.seed, "--seed")
+    pipeline.check_settings(ratios, args.embedding, args.seq_len, args.vectors)
     if args.embedding == "external" and args.dim is not None:
         raise pipeline.ConfigError("--dim is not read by the external provider")
     dim = embed.DEFAULT_TFIDF_DIM if args.dim is None else args.dim

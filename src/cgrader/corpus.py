@@ -102,15 +102,20 @@ def _format_score(score: float) -> str:
     return str(int(score)) if score == int(score) else repr(score)
 
 
-def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:
-    """Shuffle with a seeded PRNG, then cut floor(N*r1) / floor(N*r2) / rest."""
+def check_ratios(ratios) -> None:
+    """Raises a DatasetError unless `ratios` are three positive numbers summing to 1."""
     if len(ratios) != 3:
         raise DatasetError(f"expected three split ratios, got {ratios}")
-    r1, r2, r3 = ratios
     if not all(r > 0 for r in ratios):  # a NaN ratio fails here too
         raise DatasetError(f"split ratios must be positive, got {ratios}")
-    if abs((r1 + r2 + r3) - 1.0) > 1e-9:
+    if abs(sum(ratios) - 1.0) > 1e-9:
         raise DatasetError(f"split ratios must sum to 1, got {ratios}")
+
+
+def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:
+    """Shuffle with a seeded PRNG, then cut floor(N*r1) / floor(N*r2) / rest."""
+    check_ratios(ratios)
+    r1, r2, _ = ratios
     n = len(ds)
     if n < 3:
         raise DatasetError(f"need at least 3 rows to split, got {n}")

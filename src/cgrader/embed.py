@@ -152,7 +152,10 @@ class TfIdfProvider:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TfIdfProvider":
-        d, L, doc_count = int(cfg["d"]), int(cfg["L"]), int(cfg["doc_count"])
+        d, L, doc_count = cfg["d"], cfg["L"], cfg["doc_count"]
+        if not all(type(n) is int for n in (d, L, doc_count, *cfg["doc_freq"])):
+            raise ValueError(f"d, L, doc_count and doc_freq hold integers, not d={d!r:.20}, "
+                             f"L={L!r:.20}, doc_count={doc_count!r:.20}")
         doc_freq = np.asarray(cfg["doc_freq"], dtype=np.int64)
         if d < 8 or min(L, doc_count) < 0 or doc_freq.shape != (d,) or np.any(doc_freq < 0):
             raise ValueError(f"bad TF-IDF config: d={d}, L={L}, doc_count={doc_count}")

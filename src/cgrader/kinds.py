@@ -22,6 +22,25 @@ from . import hybrid, metrics, neural, tabular
 
 CV_FOLDS = 5
 
+# The JSON types of config, grid and model-file values, as `isinstance` reads them
+NUMBER = int | float
+JSON_TYPES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "a boolean",
+              int | None: "an integer or null"}
+
+
+def is_json(value, json_type) -> bool:
+    """Whether `value` is of `json_type`, one of JSON_TYPES; a boolean is no number."""
+    return isinstance(value, bool) == (json_type is bool) and isinstance(value, json_type)
+
+
+def _read(doc: dict, key: str, json_type=NUMBER):
+    """`doc[key]` as it is written, if it is of `json_type`; else ValueError. A
+    number is never coerced: 2.7 is no integer and "1" no number."""
+    value = doc[key]
+    if not is_json(value, json_type):
+        raise ValueError(f"{key} must be {JSON_TYPES[json_type]}, not {value!r:.60}")
+    return value
+
 
 class KindError(ValueError):
     """A kind cannot be fitted on the inputs it was given."""
@@ -62,7 +81,8 @@ class Kind:
     from_state: Callable  # (params, state) -> model
     sequences: bool = False  # needs token sequences
     grid: dict | None = None  # default CV grid
-    params: tuple = ()  # the param keys a grid or config may set
+    # the param keys a grid or config may set -> JSON type
+    params: dict = dataclasses.field(default_factory=dict)
     base: str | None = None  # hybrids: the net kind whose features feed the head
 
     def predict(self, model, pooled, sequences) -> np.ndarray:
@@ -104,12 +124,13 @@ def _given(p: dict, name: str) -> dict:
     return {key: p[key] for key in KINDS[name].params if key in p}
 
 
-_TREE_KEYS = ("max_depth", "min_samples_split", "min_samples_leaf", "feature_subsample")
+_TREE_TYPES = {"max_depth": int | None, "min_samples_split": int, "min_samples_leaf": int,
+               "feature_subsample": NUMBER}
 
 
 def _rf_fit(X, y, p, seed):
     forest = _given(p, "rf")
-    tree = {key: forest.pop(key) for key in _TREE_KEYS if key in forest}
+    tree = {key: forest.pop(key) for key in _TREE_TYPES if key in forest}
     params = tabular.TreeParams(**{
         "feature_subsample": tabular.RF_DEFAULT_SUBSAMPLE, "seed": seed, **tree})
     return tabular.rf_fit(X, y, params=params, **forest)
@@ -121,7 +142,7 @@ def _gbt_fit(X, y, p, seed):
 
 def _trees(state, params, key) -> tabular.Trees:
     """The checked trees of `state`, if `params[key]` counts them."""
-    trees, count = tabular.Trees(**state["trees"]).check(), params[key]
+    trees, count = tabular.Trees(**state["trees"]).check(), _read(params, key, int)
     if count != trees.roots.size:
         raise ValueError(f"{key} is {count}, the state holds {trees.roots.size} trees")
     return trees
@@ -134,15 +155,12 @@ def _forest_to_state(model: tabular.ForestModel):
 
 
 def _forest_from_state(params, state) -> tabular.ForestModel:
-    if not all(value is None or type(value) in (int, float, bool)
-               for value in params.values()):
-        raise TypeError("forest params are numbers, booleans or null")
-    tree_params = tabular.TreeParams(**{f.name: params[f.name]
-                                        for f in dataclasses.fields(tabular.TreeParams)})
+    types = {**_TREE_TYPES, "seed": int}
+    tree_params = tabular.TreeParams(**{key: _read(params, key, types[key]) for key in types})
     trees = _trees(state, params, "n_trees")
     if not trees.roots.size:
         raise ValueError("a forest has at least one tree")
-    return tabular.ForestModel(trees, tree_params, params["bootstrap"])
+    return tabular.ForestModel(trees, tree_params, _read(params, "bootstrap", bool))
 
 
 def _gbt_to_state(model: tabular.GbtModel):
@@ -152,17 +170,13 @@ def _gbt_to_state(model: tabular.GbtModel):
 
 
 def _gbt_from_state(params, state) -> tabular.GbtModel:
-    return tabular.GbtModel(
-        float(state["base"]),
-        _trees(state, params, "n_rounds"),
-        float(params["learning_rate"]),
-        float(params["leaf_l2"]),
-    )
+    return tabular.GbtModel(_read(state, "base"), _trees(state, params, "n_rounds"),
+                            _read(params, "learning_rate"), _read(params, "leaf_l2"))
 
 
 def _knn_from_state(params, state) -> tabular.KnnModel:
     return tabular.knn_fit(neural.float_array(state["X"], 2),
-                           neural.float_array(state["y"], 1), int(params["k"]))
+                           neural.float_array(state["y"], 1), _read(params, "k", int))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +194,11 @@ def _net(name, net_cls, spec_cls) -> Kind:
     def from_state(params, state):
         if params.get("stride", 1) != 1:  # cnn files once recorded a stride of 1
             raise ValueError(f"a conv stride of {params['stride']!r} is not supported")
-        spec = spec_cls(**{f.name: type(f.default)(params[f.name])
+        spec = spec_cls(**{f.name: _read(params, f.name,
+                                         NUMBER if isinstance(f.default, float) else int)
                            for f in dataclasses.fields(spec_cls)})
-        return net_cls(spec, int(params["seq_len"]), int(params["dim"]), params=state)
+        return net_cls(spec, _read(params, "seq_len", int), _read(params, "dim", int),
+                       params=state)
 
     return Kind(name, fit, lambda model, pooled, sequences: model.predict(sequences),
                 _net_to_state, from_state, sequences=True)
@@ -224,23 +240,24 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
             _forest_to_state, _forest_from_state,
             grid={"max_depth": [None, 8], "min_samples_split": [2, 4],
                   "min_samples_leaf": [1, 2]},
-            params=("n_trees", "bootstrap") + _TREE_KEYS),
+            params={"n_trees": int, "bootstrap": bool, **_TREE_TYPES}),
     _pooled("ridge",
             lambda X, y, p, seed: tabular.ridge_fit(X, y, lam=p.get("lambda", 1.0)),
             lambda model, X: tabular.ridge_predict(model, X),
             lambda m: ({"lambda": m.lam}, {"weights": m.weights, "bias": m.bias}),
             lambda p, s: tabular.RidgeModel(neural.float_array(s["weights"], 1),
-                                            float(s["bias"]), float(p["lambda"])),
-            grid={"lambda": [0.1, 1.0, 10.0]}, params=("lambda",)),
+                                            _read(s, "bias"), _read(p, "lambda")),
+            grid={"lambda": [0.1, 1.0, 10.0]}, params={"lambda": NUMBER}),
     _pooled("gbt", _gbt_fit, lambda model, X: tabular.gbt_predict(model, X),
             _gbt_to_state, _gbt_from_state,
             grid={"n_rounds": [100], "learning_rate": [0.1], "max_depth": [3]},
-            params=("n_rounds", "learning_rate", "max_depth", "leaf_l2")),
+            params={"n_rounds": int, "learning_rate": NUMBER, "max_depth": int | None,
+                    "leaf_l2": NUMBER}),
     _pooled("knn",
             lambda X, y, p, seed: tabular.knn_fit(X, y, k=p.get("k", 5)),
             lambda model, X: tabular.knn_predict(model, X),
             lambda m: ({"k": m.k}, {"X": m.X, "y": m.y}),
-            _knn_from_state, grid={"k": [3, 5, 7]}, params=("k",)),
+            _knn_from_state, grid={"k": [3, 5, 7]}, params={"k": int}),
     _net("cnn", neural.CnnRegressor, neural.CnnSpec),
     _net("lstm", neural.LstmRegressor, neural.LstmSpec),
     _hybrid("cnn_rf", "cnn"),

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from . import embed, kinds, metrics, persist
-from .corpus import DEFAULT_RATIOS, Dataset, load_dataset, split
+from .corpus import DEFAULT_RATIOS, Dataset, check_ratios, load_dataset, split
 from .neural import TrainConfig
 
 
@@ -23,28 +23,25 @@ class ConfigError(ValueError):
     pass
 
 
-_NUMBER = (int, float)
-_TYPE_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number"}
 _REQUIRED = {"config": ("data", "output"), "output": ("report", "curves", "models_dir")}
 
 
 def grid_schema(kind: str) -> dict:
     """A grid of `kind`: each of its param keys -> a list of values."""
-    return {key: [object] for key in kinds.KINDS[kind].params}
+    return {key: [json_type] for key, json_type in kinds.KINDS[kind].params.items()}
 
 
 # A dict is a JSON object that may hold only its keys (`_REQUIRED` lists those it
-# must hold), [T] a non-empty array of T, a type a JSON scalar of that type;
-# `object` is any JSON value.
+# must hold), [T] a non-empty array of T, and a type of `kinds.JSON_TYPES` a JSON
+# scalar of that type.
 _SCHEMA = {
     "data": str,
     "output": {"report": str, "curves": str, "models_dir": str},
     "embedding": {"provider": str, "dim": int, "seq_len": int, "vectors": str},
-    "split": {"ratios": [_NUMBER], "seed": int},
-    "train": {"max_epochs": int, "batch_size": int, "learning_rate": _NUMBER,
+    "split": {"ratios": [kinds.NUMBER], "seed": int},
+    "train": {"max_epochs": int, "batch_size": int, "learning_rate": kinds.NUMBER,
               "patience": int},
-    "models": {kind: {"grid": grid_schema(kind),
-                      "params": dict.fromkeys(kinds.KINDS[kind].params, object)}
+    "models": {kind: {"grid": grid_schema(kind), "params": kinds.KINDS[kind].params}
                for kind in kinds.KINDS},
 }
 
@@ -68,9 +65,20 @@ def check_json(value, schema, where: str) -> None:
             raise ConfigError(f"{where} must hold at least one value")
         for i, item in enumerate(value):
             check_json(item, schema[0], f"{where}[{i}]")
-    elif schema is not object and (isinstance(value, bool)
-                                   or not isinstance(value, schema)):
-        raise ConfigError(f"{where} must be {_TYPE_NAMES[schema]}")
+    elif not kinds.is_json(value, schema):
+        raise ConfigError(f"{where} must be {kinds.JSON_TYPES[schema]}")
+
+
+def check_settings(ratios, provider_name: str, seq_len: int, vectors_path) -> None:
+    """Raises a ValueError for split and embedding settings `prepare` cannot run
+    with. `train` and `experiment` call it before they read any input file."""
+    check_ratios(ratios)
+    if seq_len < 0:
+        raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
+    if provider_name == "external" and vectors_path is None:
+        raise ConfigError("external provider needs a vectors path")
+    if provider_name == "tfidf" and vectors_path is not None:
+        raise ConfigError(f"vectors file {vectors_path} is not read by the tfidf provider")
 
 
 def check_seed(seed: int, where: str) -> int:
@@ -107,7 +115,7 @@ class ExperimentConfig:
             raise ConfigError("embedding.dim is not read by the external provider")
         sp = doc.get("split", {})
         resolve = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
-        return cls(
+        cfg = cls(
             data=resolve(doc["data"]),
             report_path=resolve(output["report"]),
             curves_path=resolve(output["curves"]),
@@ -121,6 +129,9 @@ class ExperimentConfig:
             grids=doc.get("models", {}),
             train=TrainConfig(**doc.get("train", {})),
         )
+        check_settings(cfg.split_ratios, provider, cfg.embedding_seq_len,
+                       cfg.embedding_vectors)
+        return cfg
 
 
 def read_json(path):
@@ -156,14 +167,8 @@ def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len:
     parts); the test part is left to the caller, so `train` never lexes it.
 
     A TF-IDF provider keeps the lexing of its fit, so each distinct code text is
-    lexed once across all parts.
+    lexed once across all parts. The settings are those `check_settings` passed.
     """
-    if seq_len < 0:
-        raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
-    if provider_name == "external" and vectors_path is None:
-        raise ValueError("external provider needs a vectors path")
-    if provider_name == "tfidf" and vectors_path is not None:
-        raise ConfigError(f"vectors file {vectors_path} is not read by the tfidf provider")
     parts = split(load_dataset(data_path), ratios, seed)
     if provider_name == "tfidf":
         provider = embed.TfIdfProvider.fit([row.code for row in parts.train.rows],

@@ -514,6 +514,25 @@ MODEL_FAULTS = {  # case -> the fields that break a valid ridge model document
 }
 
 
+GRID_FAULTS = {  # case -> (kind, a grid holding a value of the wrong JSON type)
+    "grid_k_boolean": ("knn", {"k": [True]}),
+    "grid_k_fraction": ("knn", {"k": [2.5]}),
+    "grid_max_depth_string": ("gbt", {"max_depth": ["a"]}),
+    "config_grid_k_boolean": ("knn", {"k": [True]}),
+    "config_grid_k_fraction": ("knn", {"k": [2.5]}),
+    "config_grid_max_depth_string": ("gbt", {"max_depth": ["a"]}),
+}
+
+
+CONFIG_VALUE_FAULTS = {  # case -> the config sections that break it
+    "config_split_two_ratios": {"split": {"ratios": [0.5, 0.5]}},
+    "config_split_ratios_sum_above_1": {"split": {"ratios": [0.5, 0.5, 0.5]}},
+    "config_seq_len_negative": {"embedding": {"provider": "tfidf", "dim": 16,
+                                              "seq_len": -1}},
+    "config_external_without_vectors": {"embedding": {"provider": "external"}},
+}
+
+
 UNFIT_MODELS = {  # case -> the start of its error line, after the model file's name
     "model_ridge_d_unfit": "matmul: ",
     "model_rf_d_unfit": "index 100 is out of bounds",
@@ -578,6 +597,18 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         return ["train", "--data", str(corpus_csv), "--model", "knn", "--dim", "16",
                 "--seq-len", "4", "--grid", str(tmp_path / "grid.json"),
                 "--out", str(model)]
+    if case in GRID_FAULTS:
+        kind, grid = GRID_FAULTS[case]
+        if case.startswith("config_"):
+            return ["experiment", "--config", _experiment_config(
+                tmp_path, corpus_csv, models={kind: {"grid": grid}})]
+        (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+        return ["train", "--data", str(corpus_csv), "--model", kind, "--dim", "16",
+                "--seq-len", "4", "--grid", str(tmp_path / "grid.json"),
+                "--out", str(model)]
+    if case in CONFIG_VALUE_FAULTS:
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv, **CONFIG_VALUE_FAULTS[case])]
     if case in MODEL_FAULTS:  # one of several model files a script grades with
         graded = tmp_path / f"{case}.json"
         graded.write_text(json.dumps(_ridge_doc(**MODEL_FAULTS[case])), encoding="utf-8")
@@ -745,6 +776,7 @@ INPUT_ERRORS = [
     "config_tfidf_vectors_empty",
     "config_external_dim_unread",
     "train_external_dim_unread",
+    *GRID_FAULTS,
     *MODEL_FAULTS,
     *UNFIT_MODELS,
 ]
@@ -804,6 +836,23 @@ class TestInputErrors:
         ("config_external_dim_unread",
          ["config.json: embedding.dim is not read by the external provider"]),
         ("train_external_dim_unread", ["--dim is not read by the external provider"]),
+        ("grid_k_boolean", ["--grid", "grid.json.k[0] must be an integer"]),
+        ("grid_k_fraction", ["--grid", "grid.json.k[0] must be an integer"]),
+        ("grid_max_depth_string",
+         ["--grid", "grid.json.max_depth[0] must be an integer or null"]),
+        ("config_grid_k_boolean",
+         ["config.json: models.knn.grid.k[0] must be an integer"]),
+        ("config_grid_k_fraction",
+         ["config.json: models.knn.grid.k[0] must be an integer"]),
+        ("config_grid_max_depth_string",
+         ["config.json: models.gbt.grid.max_depth[0] must be an integer or null"]),
+        ("config_split_two_ratios",
+         ["config.json: expected three split ratios, got (0.5, 0.5)"]),
+        ("config_split_ratios_sum_above_1",
+         ["config.json: split ratios must sum to 1, got (0.5, 0.5, 0.5)"]),
+        ("config_seq_len_negative", ["config.json: seq_len must be >= 0, got -1"]),
+        ("config_external_without_vectors",
+         ["config.json: external provider needs a vectors path"]),
     ])
     def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
                                                 lexed, capsys):

@@ -264,6 +264,48 @@ def test_knn_k_outside_its_rows_exits_2(tmp_path, k):
     assert "outside" in err[0], err
 
 
+STORED_NUMBER_FAULTS = {  # case -> (golden kind, section, key, stored value, words)
+    "rf_n_trees_not_its_tree_count": ("rf", "params", "n_trees", 999,
+                                      "n_trees is 999, the state holds 3 trees"),
+    "gbt_n_rounds_not_its_tree_count": ("gbt", "params", "n_rounds", 4,
+                                        "n_rounds is 4, the state holds 3 trees"),
+    "knn_k_fraction": ("knn", "params", "k", 2.7, "k must be an integer, not 2.7"),
+    "knn_k_string": ("knn", "params", "k", "1", "k must be an integer, not '1'"),
+    "knn_k_boolean": ("knn", "params", "k", True, "k must be an integer, not True"),
+    "ridge_lambda_string": ("ridge", "params", "lambda", "1.0",
+                            "lambda must be a number, not '1.0'"),
+    "ridge_lambda_boolean": ("ridge", "params", "lambda", True,
+                             "lambda must be a number, not True"),
+    "cnn_conv_filters_fraction": ("cnn", "params", "conv_filters", 2.9,
+                                  "conv_filters must be an integer, not 2.9"),
+    "cnn_seq_len_fraction": ("cnn", "params", "seq_len", 4.5,
+                             "seq_len must be an integer, not 4.5"),
+    "gbt_n_rounds_string": ("gbt", "params", "n_rounds", "3",
+                            "n_rounds must be an integer, not '3'"),
+    "gbt_learning_rate_string": ("gbt", "params", "learning_rate", "0.1",
+                                 "learning_rate must be a number, not '0.1'"),
+    "lstm_dropout_string": ("lstm", "params", "dropout", "0.1",
+                            "dropout must be a number, not '0.1'"),
+    "tfidf_d_fraction": ("ridge", "embedding", "d", 8.7, "d=8.7"),
+    "tfidf_L_boolean": ("ridge", "embedding", "L", True, "L=True"),
+    "tfidf_doc_count_fraction": ("ridge", "embedding", "doc_count", 2.5, "doc_count=2.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(STORED_NUMBER_FAULTS))
+def test_stored_number_is_read_as_written_or_refused(tmp_path, capsys, case):
+    kind, section, key, value, words = STORED_NUMBER_FAULTS[case]
+    doc = json.loads((MODELS_DIR / f"{kind}.json").read_text(encoding="utf-8"))
+    doc[section][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "prog.c").write_text("int x;", encoding="utf-8")
+    assert main(["grade", "--model", str(path), "--code", str(tmp_path / "prog.c")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: malformed "), err
+    assert words in err[0], err
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask_022", "umask_077"])
 def test_saved_file_mode_follows_the_umask(tmp_path, umask, mode):
