@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, kinds, persist, pipeline, synth
-from .corpus import DEFAULT_RATIOS, Submission, save_dataset, score_histogram
+from .corpus import (DEFAULT_RATIOS, Submission, check_ratios, save_dataset,
+                     score_histogram)
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -60,21 +61,25 @@ def cmd_train(args) -> int:
     persist.require_folders([args.out])
     train_cfg = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
                             learning_rate=args.learning_rate, patience=args.patience)
-    try:
-        ratios = [float(r) for r in args.split.split(",")]
-    except ValueError:
-        raise pipeline.ConfigError(
-            f"--split must be comma-separated numbers, got {args.split!r}") from None
+    with persist.naming("--split"):
+        try:
+            ratios = [float(r) for r in args.split.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"expected comma-separated numbers, got {args.split!r}") from None
+        check_ratios(ratios)
     pipeline.check_seed(args.seed, "--seed")
-    pipeline.check_settings(ratios, args.embedding, args.seq_len, args.vectors)
+    with persist.naming("--seq-len"):
+        pipeline.check_seq_len(args.seq_len)
+    pipeline.check_vectors(args.embedding, args.vectors)
     if args.embedding == "external" and args.dim is not None:
         raise pipeline.ConfigError("--dim is not read by the external provider")
     dim = embed.DEFAULT_TFIDF_DIM if args.dim is None else args.dim
     spec = {}
     if args.grid:
         spec["grid"] = pipeline.read_json(args.grid)
-        pipeline.check_json(spec["grid"], pipeline.grid_schema(args.model),
-                            f"--grid {args.grid}")
+        with persist.naming(args.grid):
+            pipeline.check_json(spec["grid"], pipeline.grid_schema(args.model), "grid")
     data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
                                          dim, args.seq_len, args.vectors, train_cfg)
     kind = args.model

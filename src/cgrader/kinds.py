@@ -175,8 +175,9 @@ def _gbt_from_state(params, state) -> tabular.GbtModel:
 
 
 def _knn_from_state(params, state) -> tabular.KnnModel:
-    return tabular.knn_fit(neural.float_array(state["X"], 2),
-                           neural.float_array(state["y"], 1), _read(params, "k", int))
+    return tabular.knn_fit(neural.checked_array(state["X"], np.float64, 2, "X"),
+                           neural.checked_array(state["y"], np.float64, 1, "y"),
+                           _read(params, "k", int))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,9 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
             lambda X, y, p, seed: tabular.ridge_fit(X, y, lam=p.get("lambda", 1.0)),
             lambda model, X: tabular.ridge_predict(model, X),
             lambda m: ({"lambda": m.lam}, {"weights": m.weights, "bias": m.bias}),
-            lambda p, s: tabular.RidgeModel(neural.float_array(s["weights"], 1),
-                                            _read(s, "bias"), _read(p, "lambda")),
+            lambda p, s: tabular.RidgeModel(
+                neural.checked_array(s["weights"], np.float64, 1, "weights"),
+                _read(s, "bias"), _read(p, "lambda")),
             grid={"lambda": [0.1, 1.0, 10.0]}, params={"lambda": NUMBER}),
     _pooled("gbt", _gbt_fit, lambda model, X: tabular.gbt_predict(model, X),
             _gbt_to_state, _gbt_from_state,

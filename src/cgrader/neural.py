@@ -155,12 +155,17 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def float_array(value, ndim: int) -> np.ndarray:
-    """`value` if it is a float64 array of `ndim` dimensions, else ValueError."""
-    if not (isinstance(value, np.ndarray) and value.dtype == np.float64
-            and value.ndim == ndim):
-        raise ValueError(f"expected a {ndim}-D float64 array, not {value!r:.60}")
-    return value
+def checked_array(value, dtype, ndim: int, name: str) -> np.ndarray:
+    """`value` if it is an array of `dtype` and `ndim` dimensions, else a ValueError
+    naming it `name`. Every array a model file holds is read through it."""
+    dtype = np.dtype(dtype)
+    if isinstance(value, np.ndarray):
+        if value.dtype == dtype and value.ndim == ndim:
+            return value
+        value = f"a {value.ndim}-D {value.dtype} array"  # an array's repr spans lines
+    else:
+        value = f"{value!r:.60}"
+    raise ValueError(f"{name} must be a {ndim}-D {dtype} array, not {value}")
 
 
 def _init_params(layout: dict, seed: int, given: dict | None) -> dict:
@@ -174,7 +179,7 @@ def _init_params(layout: dict, seed: int, given: dict | None) -> dict:
         raise ValueError(f"net state holds {sorted(given)}, not {sorted(layout)}")
     for name, arr in given.items():
         shape = layout[name][0]
-        if float_array(arr, len(shape)).shape != shape:
+        if checked_array(arr, np.float64, len(shape), f"net state {name!r}").shape != shape:
             raise ValueError(f"net state {name!r} has shape {arr.shape}")
     return given
 

@@ -16,7 +16,6 @@ import contextlib
 import json
 import math
 import os
-import secrets
 
 import numpy as np
 
@@ -120,7 +119,7 @@ def atomic_open(path):
     """A text file to write, newlines untranslated as `csv` needs, that replaces
     `path` only when the block completes. The file's mode follows the umask."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".tmp-{os.getpid()}-{secrets.token_hex(8)}")
+                       f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the user's path, not the temp file's
@@ -169,16 +168,16 @@ def save_model(path, kind: str, model, embedding_config: dict) -> None:
 
 
 @contextlib.contextmanager
-def naming(path):
+def naming(name):
     """Reports a ValueError or LookupError raised in the block as a PersistError
-    whose message starts with `path`, so an error in an input file names the file.
-    An UnsupportedEmbedding passes as it is: it is about the provider, not the file."""
+    whose message starts with `name`, so an error in an input file or option names
+    it. An UnsupportedEmbedding passes as it is: it is about the provider, not the file."""
     try:
         yield
     except embed.UnsupportedEmbedding:
         raise
     except (ValueError, LookupError) as exc:
-        raise PersistError(f"{path}: {exc}") from exc
+        raise PersistError(f"{name}: {exc}") from exc
 
 
 def read_text(path) -> str:

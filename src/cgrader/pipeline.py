@@ -46,15 +46,16 @@ _SCHEMA = {
 }
 
 
-def check_json(value, schema, where: str) -> None:
-    """Raises ConfigError naming the first place where `value` leaves `schema`."""
+def check_json(value, schema, where: str, root: bool = True) -> None:
+    """Raises ConfigError naming the first place where `value` leaves `schema`:
+    `where` is the document's name at its root, then the key path inside it."""
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a JSON object")
         for key, item in value.items():
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in {where}")
-            check_json(item, schema[key], key if where == "config" else f"{where}.{key}")
+            check_json(item, schema[key], key if root else f"{where}.{key}", False)
         for key in _REQUIRED.get(where, ()):
             if key not in value:
                 raise ConfigError(f"{where} missing required key {key!r}")
@@ -64,17 +65,19 @@ def check_json(value, schema, where: str) -> None:
         if not value:
             raise ConfigError(f"{where} must hold at least one value")
         for i, item in enumerate(value):
-            check_json(item, schema[0], f"{where}[{i}]")
+            check_json(item, schema[0], f"{where}[{i}]", False)
     elif not kinds.is_json(value, schema):
         raise ConfigError(f"{where} must be {kinds.JSON_TYPES[schema]}")
 
 
-def check_settings(ratios, provider_name: str, seq_len: int, vectors_path) -> None:
-    """Raises a ValueError for split and embedding settings `prepare` cannot run
-    with. `train` and `experiment` call it before they read any input file."""
-    check_ratios(ratios)
+def check_seq_len(seq_len: int) -> None:
     if seq_len < 0:
         raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
+
+
+def check_vectors(provider_name: str, vectors_path) -> None:
+    """Raises a ConfigError unless a vectors path is given exactly when the provider
+    reads one."""
     if provider_name == "external" and vectors_path is None:
         raise ConfigError("external provider needs a vectors path")
     if provider_name == "tfidf" and vectors_path is not None:
@@ -129,8 +132,9 @@ class ExperimentConfig:
             grids=doc.get("models", {}),
             train=TrainConfig(**doc.get("train", {})),
         )
-        check_settings(cfg.split_ratios, provider, cfg.embedding_seq_len,
-                       cfg.embedding_vectors)
+        check_ratios(cfg.split_ratios)
+        check_seq_len(cfg.embedding_seq_len)
+        check_vectors(provider, cfg.embedding_vectors)
         return cfg
 
 
@@ -167,7 +171,8 @@ def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len:
     parts); the test part is left to the caller, so `train` never lexes it.
 
     A TF-IDF provider keeps the lexing of its fit, so each distinct code text is
-    lexed once across all parts. The settings are those `check_settings` passed.
+    lexed once across all parts. `train` and `experiment` pass settings that
+    `check_ratios`, `check_seq_len` and `check_vectors` passed, before any file is read.
     """
     parts = split(load_dataset(data_path), ratios, seed)
     if provider_name == "tfidf":

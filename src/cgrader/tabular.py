@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .metrics import rmse
+from .neural import checked_array
 
 
 class FitError(ValueError):
@@ -101,9 +101,8 @@ class Trees:
         to itself, so every walk from a root ends at a leaf.
         """
         for name, arr in vars(self).items():
-            dtype = np.dtype(np.float64 if name in ("threshold", "value") else np.intp)
-            if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1):
-                raise ValueError(f"tree array {name!r} is not a 1-D {dtype} array")
+            checked_array(arr, np.float64 if name in ("threshold", "value") else np.intp, 1,
+                          f"tree array {name!r}")
             if name != "roots" and arr.size != self.feature.size:
                 raise ValueError(f"tree array {name!r} has {arr.size} nodes, "
                                  f"'feature' has {self.feature.size}")
@@ -286,8 +285,8 @@ def ridge_fit(X, y, lam: float = 1.0) -> RidgeModel:
         )
     gram = Xc.T @ Xc + lam * np.eye(X.shape[1])
     try:
-        weights = scipy.linalg.solve(gram, Xc.T @ yc, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rank guard above
+        weights = np.linalg.solve(gram, Xc.T @ yc)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rank guard above
         raise RankDeficiencyError(str(exc)) from exc
     bias = float(y_mean - weights @ x_mean)
     return RidgeModel(weights, bias, lam)

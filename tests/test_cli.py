@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,8 @@ from cgrader.kinds import KINDS
 from cgrader.neural import CnnRegressor, CnnSpec
 from cgrader.synth import Rubric, synthesize_with_plans
 from cgrader.tabular import ForestModel, RidgeModel, TreeParams, Trees
+
+MODELS_DIR = Path(__file__).resolve().parent / "data" / "models"  # one file per kind
 
 SEED_CODE = """\
 #include <stdio.h>
@@ -139,6 +144,33 @@ class TestTrainCommand:
                      "--seq-len", "4", "--out", str(out)]) == EXIT_OK
         text = capsys.readouterr().out
         assert "validation: rmse=" in text and "r2=nan" in text
+        assert persist.load_model(out)[0] == "ridge"
+
+    def test_loads_no_scipy_and_grade_no_openssl(self, corpus_csv, tmp_path):
+        """A `cgrader` process maps numpy's BLAS and no other: ridge, CV and all,
+        solves with numpy. `grade` maps no libcrypto either: a saved file's temporary
+        name takes none. (numpy.random imports `secrets`, and so `_hashlib`, so a
+        command that draws random numbers, as `train` does, maps it all the same.)
+        A fresh process, so that no module an earlier test imported counts."""
+        program, out = tmp_path / "prog.c", tmp_path / "model.json"
+        program.write_text(SEED_CODE, encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from cgrader.cli import main\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m == '_hashlib' or m.split('.')[0] == 'scipy')\n"
+            f"assert main(['grade', '--model', {str(MODELS_DIR / 'ridge.json')!r},"
+            f" '--code', {str(program)!r}]) == 0\n"
+            "print('grade', loaded())\n"
+            f"assert main(['train', '--data', {str(corpus_csv)!r}, '--model', 'ridge',"
+            f" '--dim', '16', '--seq-len', '4', '--out', {str(out)!r}]) == 0\n"
+            "print('train', [m for m in loaded() if m != '_hashlib'])\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(persist.__file__).parents[1])})
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert "grade []" in lines and lines[-1] == "train []", done.stdout
         assert persist.load_model(out)[0] == "ridge"
 
 
@@ -524,6 +556,15 @@ GRID_FAULTS = {  # case -> (kind, a grid holding a value of the wrong JSON type)
 }
 
 
+TRAIN_FLAG_FAULTS = {  # case -> the options that break a valid `train` command
+    "train_seed_negative": ["--seed", "-1"],
+    "split_not_numbers": ["--split", "a,b,c"],
+    "split_two_ratios": ["--split", "0.5,0.5"],
+    "split_ratios_sum_above_1": ["--split", "0.5,0.5,0.5"],
+    "train_seq_len_negative": ["--seq-len", "-1"],
+}
+
+
 CONFIG_VALUE_FAULTS = {  # case -> the config sections that break it
     "config_split_two_ratios": {"split": {"ratios": [0.5, 0.5]}},
     "config_split_ratios_sum_above_1": {"split": {"ratios": [0.5, 0.5, 0.5]}},
@@ -648,8 +689,8 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         seq_len = "1000000000000" if case == "seq_len_too_large" else "-5"
         return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "8",
                 "--seq-len", seq_len, "--out", str(model)]
-    if case in ("train_seed_negative", "split_not_numbers"):
-        bad = ["--seed", "-1"] if case == "train_seed_negative" else ["--split", "a,b,c"]
+    if case in TRAIN_FLAG_FAULTS:
+        bad = TRAIN_FLAG_FAULTS[case]
         return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
                 "--seq-len", "4", *bad, "--out", str(model)]
     if case == "synth_seed_negative":
@@ -758,10 +799,9 @@ INPUT_ERRORS = [
     "learning_rate_nan",
     "config_learning_rate_negative",
     "config_learning_rate_infinite",
-    "train_seed_negative",
     "synth_seed_negative",
     "config_split_seed_negative",
-    "split_not_numbers",
+    *TRAIN_FLAG_FAULTS,
     "train_out_is_a_directory",
     "experiment_model_path_is_a_directory",
     "experiment_models_dir_is_a_file",
@@ -836,10 +876,9 @@ class TestInputErrors:
         ("config_external_dim_unread",
          ["config.json: embedding.dim is not read by the external provider"]),
         ("train_external_dim_unread", ["--dim is not read by the external provider"]),
-        ("grid_k_boolean", ["--grid", "grid.json.k[0] must be an integer"]),
-        ("grid_k_fraction", ["--grid", "grid.json.k[0] must be an integer"]),
-        ("grid_max_depth_string",
-         ["--grid", "grid.json.max_depth[0] must be an integer or null"]),
+        ("grid_k_boolean", ["grid.json: k[0] must be an integer"]),
+        ("grid_k_fraction", ["grid.json: k[0] must be an integer"]),
+        ("grid_max_depth_string", ["grid.json: max_depth[0] must be an integer or null"]),
         ("config_grid_k_boolean",
          ["config.json: models.knn.grid.k[0] must be an integer"]),
         ("config_grid_k_fraction",
@@ -853,6 +892,10 @@ class TestInputErrors:
         ("config_seq_len_negative", ["config.json: seq_len must be >= 0, got -1"]),
         ("config_external_without_vectors",
          ["config.json: external provider needs a vectors path"]),
+        ("split_two_ratios", ["--split: expected three split ratios, got [0.5, 0.5]"]),
+        ("split_ratios_sum_above_1",
+         ["--split: split ratios must sum to 1, got [0.5, 0.5, 0.5]"]),
+        ("train_seq_len_negative", ["--seq-len: seq_len must be >= 0, got -1"]),
     ])
     def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
                                                 lexed, capsys):
@@ -934,7 +977,7 @@ class TestInputErrors:
                      "--seq-len", "4", "--grid", str(grid), "--out", str(out)]) \
             == EXIT_USAGE
         captured = capsys.readouterr()
-        assert f"unknown key {key!r} in --grid {grid}" in captured.err
+        assert f"error: {grid}: unknown key {key!r} in grid\n" == captured.err
         assert "params:" not in captured.out and not out.exists()
 
     def test_bad_grid_file_exits_2(self, tmp_path, corpus_csv):
@@ -987,7 +1030,7 @@ class TestInputErrors:
         assert main(["train", "--data", str(corpus_csv), "--model", "knn", "--dim", "16",
                      "--grid", str(grid), "--out", str(out)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert f"--grid {grid}.k must hold at least one value" in captured.err
+        assert f"error: {grid}: k must hold at least one value\n" == captured.err
         assert "params:" not in captured.out and not out.exists()
 
     def test_empty_grid_list_in_config_exits_2(self, tmp_path, corpus_csv, capsys):

@@ -306,6 +306,38 @@ def test_stored_number_is_read_as_written_or_refused(tmp_path, capsys, case):
     assert words in err[0], err
 
 
+INTP = np.dtype(np.intp)
+ARRAY_DTYPE_FAULTS = {  # case -> (golden kind, key path of a stored array, message)
+    "rf_tree_ids_float": ("rf", ["trees", "feature"], f"tree array 'feature' must be a "
+                          f"1-D {INTP} array, not a 1-D float64 array"),
+    "ridge_weights_int": ("ridge", ["weights"],
+                          f"weights must be a 1-D float64 array, not a 1-D {INTP} array"),
+    "knn_X_int": ("knn", ["X"], f"X must be a 2-D float64 array, not a 2-D {INTP} array"),
+    "cnn_conv_w_int": ("cnn", ["conv_w"], f"net state 'conv_w' must be a 3-D float64 "
+                       f"array, not a 3-D {INTP} array"),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAY_DTYPE_FAULTS))
+def test_stored_array_of_the_other_dtype_is_refused(tmp_path, capsys, case):
+    """Tree, ridge, knn and net arrays are all read through one check: an array
+    stored as the other dtype exits 2 with one message form."""
+    kind, keys, message = ARRAY_DTYPE_FAULTS[case]
+    doc = json.loads((MODELS_DIR / f"{kind}.json").read_text(encoding="utf-8"))
+    array = doc["state"]
+    for key in keys:
+        array = array[key]
+    stored = np.frombuffer(base64.b64decode(array["b64"]), array["dtype"])
+    array["dtype"] = "<f8" if array["dtype"] == "<i8" else "<i8"
+    array["b64"] = base64.b64encode(stored.astype(array["dtype"]).tobytes()).decode("ascii")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "prog.c").write_text("int x;", encoding="utf-8")
+    assert main(["grade", "--model", str(path), "--code", str(tmp_path / "prog.c")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: malformed {kind} model: ValueError: {message}"]
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask_022", "umask_077"])
 def test_saved_file_mode_follows_the_umask(tmp_path, umask, mode):
