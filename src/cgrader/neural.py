@@ -202,7 +202,53 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-class CnnRegressor:
+class DenseHeadNet:
+    """What the CNN and the LSTM share: a body, written by each subclass, maps
+    (batch, L, d) input to (batch, feature_len) features z, and the dense head
+    relu(z @ w1 + b1) @ w2 + b2 maps those to one output per row. Each subclass
+    defines `forward`, whose cache holds "features" and "h1", and `backward`."""
+
+    def __init__(self, spec, seq_len: int, dim: int, feature_len: int, body: dict,
+                 seed: int, params: dict | None):
+        self.spec = spec
+        self.seq_len = seq_len
+        self.dim = dim
+        self.feature_len = feature_len
+        z, u = feature_len, spec.dense_units
+        self.params = _init_params({  # the body's arrays, then the head's
+            **body, "w1": ((z, u), (z, u)), "b1": ((u,), None),
+            "w2": ((u, 1), (u, 1)), "b2": ((1,), None),
+        }, seed, params)
+
+    def _head(self, features):
+        """(the head's (batch, 1) output, its hidden layer h1)."""
+        p = self.params
+        h1 = _relu(features @ p["w1"] + p["b1"])
+        return h1 @ p["w2"] + p["b2"], h1
+
+    def _head_backward(self, cache, dout, grads: dict) -> np.ndarray:
+        """Puts the gradients of w1, b1, w2 and b2 for the gradient `dout` of the
+        head's output, one per row, into `grads`; returns that of the features."""
+        p, h1 = self.params, cache["h1"]
+        dout = np.asarray(dout, dtype=np.float64).reshape(-1, 1)
+        grads["w2"] = h1.T @ dout
+        grads["b2"] = dout.sum(axis=0)
+        dh1 = (dout @ p["w2"].T) * (h1 > 0)
+        grads["w1"] = cache["features"].T @ dh1
+        grads["b1"] = dh1.sum(axis=0)
+        return dh1 @ p["w1"].T
+
+    def features(self, X) -> np.ndarray:
+        """The body's output, which the head reads (dropout off)."""
+        _, cache = self.forward(X, training=False)
+        return cache["features"]
+
+    def predict(self, X) -> np.ndarray:
+        out, _ = self.forward(X, training=False)
+        return out
+
+
+class CnnRegressor(DenseHeadNet):
     """Conv1d (valid, ReLU) -> max pool -> dense ReLU -> linear output."""
 
     def __init__(self, spec: CnnSpec, seq_len: int, dim: int, seed: int = 0,
@@ -211,20 +257,13 @@ class CnnRegressor:
             raise ShapeError(
                 f"sequence length {seq_len} shorter than kernel {spec.kernel_size}"
             )
-        self.spec = spec
-        self.seq_len = seq_len
-        self.dim = dim
         self.conv_len = seq_len - spec.kernel_size + 1
         self.pool_len = self.conv_len // spec.pool_size
         if self.pool_len < 1:
             raise ShapeError("pooled length is zero; sequence too short")
-        self.feature_len = self.pool_len * spec.conv_filters
-        k, d, f, u = spec.kernel_size, dim, spec.conv_filters, spec.dense_units
-        self.params = _init_params({  # each layer's weights, then its biases
-            "conv_w": ((k, d, f), (k * d, f)), "conv_b": ((f,), None),
-            "w1": ((self.feature_len, u), (self.feature_len, u)), "b1": ((u,), None),
-            "w2": ((u, 1), (u, 1)), "b2": ((1,), None),
-        }, seed, params)
+        k, d, f = spec.kernel_size, dim, spec.conv_filters
+        super().__init__(spec, seq_len, dim, self.pool_len * f, {
+            "conv_w": ((k, d, f), (k * d, f)), "conv_b": ((f,), None)}, seed, params)
 
     def forward(self, X, training: bool = False, rng=None, masks=None):
         X = _checked_input(self, X)
@@ -240,27 +279,17 @@ class CnnRegressor:
             X.shape[0], self.pool_len, spec.pool_size, spec.conv_filters
         )
         pool_arg = windows.argmax(axis=2)
-        pooled = windows.max(axis=2)
-        flat = pooled.reshape(X.shape[0], self.feature_len)
-        h1 = _relu(flat @ p["w1"] + p["b1"])
-        out = (h1 @ p["w2"] + p["b2"])[:, 0]
-        cache = {"X": X, "pre": pre, "pool_arg": pool_arg, "flat": flat, "h1": h1}
-        return out, cache
+        flat = windows.max(axis=2).reshape(X.shape[0], self.feature_len)
+        out, h1 = self._head(flat)
+        cache = {"X": X, "pre": pre, "pool_arg": pool_arg, "features": flat, "h1": h1}
+        return out[:, 0], cache
 
     def backward(self, cache, dout):
-        p = self.params
         spec = self.spec
         X, pre, pool_arg = cache["X"], cache["pre"], cache["pool_arg"]
-        flat, h1 = cache["flat"], cache["h1"]
         batch = X.shape[0]
-        dout = np.asarray(dout, dtype=np.float64).reshape(batch, 1)
         grads = {}
-        grads["w2"] = h1.T @ dout
-        grads["b2"] = dout.sum(axis=0)
-        dh1 = (dout @ p["w2"].T) * (h1 > 0)
-        grads["w1"] = flat.T @ dh1
-        grads["b1"] = dh1.sum(axis=0)
-        dflat = dh1 @ p["w1"].T
+        dflat = self._head_backward(cache, dout, grads)
         dpooled = dflat.reshape(batch, self.pool_len, spec.conv_filters)
         dwindows = np.zeros(
             (batch, self.pool_len, spec.pool_size, spec.conv_filters)
@@ -273,23 +302,15 @@ class CnnRegressor:
         dpre = dact * (pre > 0)
         grads["conv_b"] = dpre.sum(axis=(0, 1))
         # one product per kernel offset, over every (row, position) pair at once
-        grads["conv_w"] = np.zeros_like(p["conv_w"])
+        grads["conv_w"] = np.zeros_like(self.params["conv_w"])
         for j in range(spec.kernel_size):
             X.add_tdot(grads["conv_w"][j], dpre, slice(j, j + self.conv_len))
         return grads
 
-    def features(self, X) -> np.ndarray:
-        """Flatten-layer output feeding the first dense layer."""
-        _, cache = self.forward(X, training=False)
-        return cache["flat"]
 
-    def predict(self, X) -> np.ndarray:
-        out, _ = self.forward(X, training=False)
-        return out
-
-
-class LstmRegressor:
-    """LSTM with per-sequence input/recurrent dropout, dense ReLU head.
+class LstmRegressor(DenseHeadNet):
+    """LSTM with per-sequence input/recurrent dropout, dense ReLU head. Its
+    features are the final hidden state.
 
     The output unit itself uses ReLU, so raw predictions are >= 0.
     """
@@ -298,15 +319,9 @@ class LstmRegressor:
                  params: dict | None = None):
         if seq_len < 1:
             raise ShapeError("sequence length must be >= 1")
-        self.spec = spec
-        self.seq_len = seq_len
-        self.dim = dim
-        self.feature_len = spec.units
-        h, d, u = spec.units, dim, spec.dense_units
-        self.params = _init_params({  # each layer's weights, then its biases
+        h, d = spec.units, dim
+        super().__init__(spec, seq_len, dim, h, {
             "wx": ((d, 4 * h), (d, h)), "wh": ((h, 4 * h), (h, h)), "b": ((4 * h,), None),
-            "w1": ((h, u), (h, u)), "b1": ((u,), None),
-            "w2": ((u, 1), (u, 1)), "b2": ((1,), None),
         }, seed, params)
 
     def sample_masks(self, batch: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -333,25 +348,16 @@ class LstmRegressor:
             X = X.scaled(mask_x)  # the input dropout, once for every step
         else:
             mask_h = np.ones((batch, self.spec.units))
-        p = self.params
         # Inference keeps no step's arrays; a backward pass after it
         # recomputes them.
         steps = [] if training else None
         for h, step in self._steps(X, mask_h):
             if training:
                 steps.append(step)
-        h1 = _relu(h @ p["w1"] + p["b1"])
-        pre2 = h1 @ p["w2"] + p["b2"]
-        out = _relu(pre2)[:, 0]
-        cache = {
-            "X": X,  # after the input dropout
-            "steps": steps,
-            "h_final": h,
-            "h1": h1,
-            "pre2": pre2,
-            "mask_h": mask_h,
-        }
-        return out, cache
+        pre2, h1 = self._head(h)
+        cache = {"X": X,  # after the input dropout
+                 "steps": steps, "features": h, "h1": h1, "pre2": pre2, "mask_h": mask_h}
+        return _relu(pre2)[:, 0], cache
 
     def _steps(self, X, mask_h):
         """Runs the recurrence, yielding each step's hidden state and the five
@@ -381,17 +387,10 @@ class LstmRegressor:
         X, mask_h, steps = cache["X"], cache["mask_h"], cache["steps"]
         if steps is None:
             steps = [step for _, step in self._steps(X, mask_h)]
-        h1, pre2 = cache["h1"], cache["pre2"]
-        batch = h1.shape[0]
-        dout = np.asarray(dout, dtype=np.float64).reshape(batch, 1)
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-        dpre2 = dout * (pre2 > 0)
-        grads["w2"] = h1.T @ dpre2
-        grads["b2"] = dpre2.sum(axis=0)
-        dh1 = (dpre2 @ p["w2"].T) * (h1 > 0)
-        grads["w1"] = cache["h_final"].T @ dh1
-        grads["b1"] = dh1.sum(axis=0)
-        dh = dh1 @ p["w1"].T
+        pre2 = cache["pre2"][:, 0]
+        batch = pre2.shape[0]
+        grads = {name: np.zeros_like(p[name]) for name in ("wx", "wh", "b")}
+        dh = self._head_backward(cache, dout * (pre2 > 0), grads)  # the output ReLU's mask
         dc = np.zeros((batch, h_units))
         zeros = np.zeros((batch, h_units))  # c, h and hd before the first step
         tanh_c = np.tanh(steps[-1][4])
@@ -424,15 +423,6 @@ class LstmRegressor:
             dc = dc * gf
             tanh_c = tanh_c_prev
         return grads
-
-    def features(self, X) -> np.ndarray:
-        """Final hidden state (dropout off)."""
-        _, cache = self.forward(X, training=False)
-        return cache["h_final"]
-
-    def predict(self, X) -> np.ndarray:
-        out, _ = self.forward(X, training=False)
-        return out
 
 
 ADAM_BETA1 = 0.9

@@ -136,7 +136,7 @@ class TestLstmForward:
             model.params[key][:] = 0.0
         X = np.random.default_rng(0).normal(size=(3, TOY_L, TOY_D))
         pred, cache = model.forward(X)
-        assert np.all(cache["h_final"] == 0.0)
+        assert np.all(cache["features"] == 0.0)
         assert np.all(pred == 0.0)
 
     def test_inference_deterministic(self):
