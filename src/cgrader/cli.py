@@ -21,7 +21,7 @@ import numpy as np
 from . import embed, kinds, persist, pipeline, synth
 from .corpus import (DEFAULT_RATIOS, Submission, check_ratios, save_dataset,
                      score_histogram)
-from .neural import TrainConfig
+from .neural import TrainConfig, check_train_setting
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -59,8 +59,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     persist.require_folders([args.out])
-    train_cfg = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
-                            learning_rate=args.learning_rate, patience=args.patience)
+    settings = {"max_epochs": args.max_epochs, "batch_size": args.batch_size,
+                "learning_rate": args.learning_rate, "patience": args.patience}
+    for key, value in settings.items():
+        with persist.naming(f"--{key.replace('_', '-')}"):
+            check_train_setting(key, value, key)
+    train_cfg = TrainConfig(**settings)
     with persist.naming("--split"):
         try:
             ratios = [float(r) for r in args.split.split(",")]
@@ -75,6 +79,7 @@ def cmd_train(args) -> int:
     if args.embedding == "external" and args.dim is not None:
         raise pipeline.ConfigError("--dim is not read by the external provider")
     dim = embed.DEFAULT_TFIDF_DIM if args.dim is None else args.dim
+    embed.check_dim(dim, "--dim")
     spec = {}
     if args.grid:
         spec["grid"] = pipeline.read_json(args.grid)

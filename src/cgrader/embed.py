@@ -8,6 +8,7 @@ with no external artifacts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,6 +20,12 @@ from .neural import TokenSequences
 
 DEFAULT_TFIDF_DIM = 256
 DEFAULT_SEQ_LEN = 512
+
+
+def check_dim(d: int, where: str) -> None:
+    """Raises a ValueError naming `where` unless `d` may be a TF-IDF hash dimension."""
+    if d < 8:
+        raise ValueError(f"{where} must be >= 8, got {d}")
 
 
 class EmbeddingFormatError(ValueError):
@@ -81,28 +88,25 @@ class TfIdfProvider:
     L: int
     doc_count: int
     doc_freq: np.ndarray  # (d,) ints
-    idf: np.ndarray = field(init=False, repr=False)  # (d,)
     _codes: dict = field(default_factory=dict, init=False, repr=False)  # code -> buckets
     _texts: dict = field(default_factory=dict, init=False, repr=False)  # token -> bucket
 
     name = "tfidf"
 
-    def __post_init__(self):  # `fit` calls it again once doc_freq is filled
-        idf = np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
-        object.__setattr__(self, "idf", idf)
+    @functools.cached_property
+    def idf(self) -> np.ndarray:  # (d,); `fit` reads it only once doc_freq is filled
+        return np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
 
     @classmethod
     def fit(cls, codes: list[str], d: int = DEFAULT_TFIDF_DIM,
             L: int = DEFAULT_SEQ_LEN) -> "TfIdfProvider":
         """Document frequencies of `codes`; the provider keeps their lexing."""
-        if d < 8:
-            raise ValueError(f"hash dimension must be >= 8, got {d}")
+        check_dim(d, "hash dimension")
         if not codes:
             raise ValueError("cannot fit TF-IDF on an empty corpus")
         provider = cls(d, L, len(codes), checked_zeros((d,), f"dim {d}", np.int64))
         for code in codes:
             provider.doc_freq[list(set(provider._buckets(code)))] += 1
-        provider.__post_init__()
         return provider
 
     def embed_rows(self, rows) -> tuple[np.ndarray, TokenSequences]:
@@ -156,8 +160,9 @@ class TfIdfProvider:
         if not all(type(n) is int for n in (d, L, doc_count, *cfg["doc_freq"])):
             raise ValueError(f"d, L, doc_count and doc_freq hold integers, not d={d!r:.20}, "
                              f"L={L!r:.20}, doc_count={doc_count!r:.20}")
+        check_dim(d, "d")
         doc_freq = np.asarray(cfg["doc_freq"], dtype=np.int64)
-        if d < 8 or min(L, doc_count) < 0 or doc_freq.shape != (d,) or np.any(doc_freq < 0):
+        if min(L, doc_count) < 0 or doc_freq.shape != (d,) or np.any(doc_freq < 0):
             raise ValueError(f"bad TF-IDF config: d={d}, L={L}, doc_count={doc_count}")
         return cls(d, L, doc_count, doc_freq)
 

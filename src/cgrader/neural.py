@@ -123,11 +123,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size, patience, max_epochs must be >= 1")
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got "
-                             f"{self.learning_rate}")
+        for key in ("max_epochs", "batch_size", "learning_rate", "patience"):
+            check_train_setting(key, getattr(self, key), key)
+
+
+def check_train_setting(key: str, value, where: str) -> None:
+    """Raises a ValueError naming `where` unless `value` may be TrainConfig's `key`."""
+    if key != "learning_rate":
+        if value < 1:
+            raise ValueError(f"{where} must be >= 1, got {value}")
+    elif not 0 <= value < np.inf:
+        raise ValueError(f"{where} must be finite and >= 0, got {value}")
 
 
 @dataclass

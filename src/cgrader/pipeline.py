@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import embed, kinds, metrics, persist
 from .corpus import DEFAULT_RATIOS, Dataset, check_ratios, load_dataset, split
-from .neural import TrainConfig
+from .neural import TrainConfig, check_train_setting
 
 
 class ConfigError(ValueError):
@@ -117,6 +117,9 @@ class ExperimentConfig:
         if provider == "external" and "dim" in emb:
             raise ConfigError("embedding.dim is not read by the external provider")
         sp = doc.get("split", {})
+        train = doc.get("train", {})
+        for key, value in train.items():
+            check_train_setting(key, value, f"train.{key}")
         resolve = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
         cfg = cls(
             data=resolve(doc["data"]),
@@ -130,10 +133,11 @@ class ExperimentConfig:
             split_ratios=tuple(sp.get("ratios", DEFAULT_RATIOS)),
             seed=check_seed(sp.get("seed", 0), "split.seed"),
             grids=doc.get("models", {}),
-            train=TrainConfig(**doc.get("train", {})),
+            train=TrainConfig(**train),
         )
         check_ratios(cfg.split_ratios)
         check_seq_len(cfg.embedding_seq_len)
+        embed.check_dim(cfg.embedding_dim, "embedding.dim")
         check_vectors(provider, cfg.embedding_vectors)
         return cfg
 
@@ -172,7 +176,8 @@ def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len:
 
     A TF-IDF provider keeps the lexing of its fit, so each distinct code text is
     lexed once across all parts. `train` and `experiment` pass settings that
-    `check_ratios`, `check_seq_len` and `check_vectors` passed, before any file is read.
+    `check_ratios`, `check_seq_len`, `embed.check_dim` and `check_vectors` passed,
+    before any file is read.
     """
     parts = split(load_dataset(data_path), ratios, seed)
     if provider_name == "tfidf":

@@ -562,6 +562,9 @@ TRAIN_FLAG_FAULTS = {  # case -> the options that break a valid `train` command
     "split_two_ratios": ["--split", "0.5,0.5"],
     "split_ratios_sum_above_1": ["--split", "0.5,0.5,0.5"],
     "train_seq_len_negative": ["--seq-len", "-1"],
+    "max_epochs_zero": ["--max-epochs", "0"],
+    "batch_size_zero": ["--batch-size", "0"],
+    "patience_zero": ["--patience", "0"],
 }
 
 
@@ -571,6 +574,8 @@ CONFIG_VALUE_FAULTS = {  # case -> the config sections that break it
     "config_seq_len_negative": {"embedding": {"provider": "tfidf", "dim": 16,
                                               "seq_len": -1}},
     "config_external_without_vectors": {"embedding": {"provider": "external"}},
+    "config_max_epochs_zero": {"train": {"max_epochs": 0}},
+    "config_batch_size_zero": {"train": {"batch_size": 0}},
 }
 
 
@@ -693,6 +698,13 @@ def _bad_input_argv(case, tmp_path, corpus_csv):
         bad = TRAIN_FLAG_FAULTS[case]
         return ["train", "--data", str(corpus_csv), "--model", "ridge", "--dim", "16",
                 "--seq-len", "4", *bad, "--out", str(model)]
+    if case == "train_dim_too_small":  # the dim is checked before the missing corpus
+        return ["train", "--data", str(tmp_path / "nope.csv"), "--model", "ridge",
+                "--dim", "4", "--seq-len", "4", "--out", str(model)]
+    if case == "config_dim_too_small":
+        return ["experiment", "--config", _experiment_config(
+            tmp_path, corpus_csv, data=str(tmp_path / "nope.csv"),
+            embedding={"provider": "tfidf", "dim": 4, "seq_len": 4})]
     if case == "synth_seed_negative":
         seeds = tmp_path / "seeds"
         seeds.mkdir()
@@ -816,6 +828,9 @@ INPUT_ERRORS = [
     "config_tfidf_vectors_empty",
     "config_external_dim_unread",
     "train_external_dim_unread",
+    "train_dim_too_small",
+    "config_dim_too_small",
+    *CONFIG_VALUE_FAULTS,
     *GRID_FAULTS,
     *MODEL_FAULTS,
     *UNFIT_MODELS,
@@ -846,7 +861,7 @@ class TestInputErrors:
         ("dim_too_large", ["dim 1000000000000000000", "8,000,000,000,000,000,000 bytes"]),
         ("config_dim_too_large", ["dim 1000000000000000000", "bytes"]),
         ("learning_rate_negative", ["learning_rate", "-1"]),
-        ("learning_rate_nan", ["learning_rate", "nan"]),
+        ("learning_rate_nan", ["--learning-rate: learning_rate", "nan"]),
         ("config_learning_rate_negative", ["learning_rate", "-1"]),
         ("config_learning_rate_infinite", ["learning_rate", "inf"]),
         ("train_seed_negative", ["--seed", "-1"]),
@@ -896,6 +911,13 @@ class TestInputErrors:
         ("split_ratios_sum_above_1",
          ["--split: split ratios must sum to 1, got [0.5, 0.5, 0.5]"]),
         ("train_seq_len_negative", ["--seq-len: seq_len must be >= 0, got -1"]),
+        ("train_dim_too_small", ["--dim", "4"]),
+        ("config_dim_too_small", ["config.json", "embedding.dim"]),
+        ("max_epochs_zero", ["--max-epochs: max_epochs must be >= 1, got 0"]),
+        ("batch_size_zero", ["--batch-size: batch_size must be >= 1, got 0"]),
+        ("patience_zero", ["--patience: patience must be >= 1, got 0"]),
+        ("config_max_epochs_zero", ["config.json: train.max_epochs must be >= 1, got 0"]),
+        ("config_batch_size_zero", ["config.json: train.batch_size must be >= 1, got 0"]),
     ])
     def test_dim_and_rate_errors_name_the_input(self, case, words, tmp_path, corpus_csv,
                                                 lexed, capsys):

@@ -469,6 +469,21 @@ class TestFeatures:
         X = np.random.default_rng(0).normal(size=(3, 6, 4))
         assert model.features(X).shape == (3, 128)
 
+    @pytest.mark.parametrize("net", ["cnn", "lstm"])
+    @pytest.mark.parametrize("inputs", ["tokens", "dense"])
+    def test_predict_is_the_head_of_features(self, net, inputs):
+        """The hybrids fit their forests on `features`: it must be exactly what the
+        dense head reads, and the output unit (linear for the CNN, ReLU for the
+        LSTM) of relu(z @ w1 + b1) @ w2 + b2 must be `predict`, bit for bit."""
+        model = toy_cnn(seed=1) if net == "cnn" else toy_lstm(seed=2, dropout=0.3)
+        tokens = token_rows(np.random.default_rng(5), 8, TOY_L, TOY_D)
+        X = tokens if inputs == "tokens" else np.asarray(tokens)
+        p = model.params
+        head = np.maximum(model.features(X) @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"]
+        out = head[:, 0] if net == "cnn" else np.maximum(head[:, 0], 0.0)
+        assert np.count_nonzero(out) > 0  # a live output unit, not all ReLU zeros
+        assert np.array_equal(model.predict(X), out)
+
     def test_features_deterministic(self):
         model = toy_lstm(dropout=0.4)
         X = np.random.default_rng(1).normal(size=(2, TOY_L, TOY_D))
