@@ -74,7 +74,7 @@ def cmd_train(args) -> int:
         check_ratios(ratios)
     pipeline.check_seed(args.seed, "--seed")
     with persist.naming("--seq-len"):
-        pipeline.check_seq_len(args.seq_len)
+        pipeline.check_seq_len(args.seq_len, "seq_len")
     pipeline.check_vectors(args.embedding, args.vectors)
     if args.embedding == "external" and args.dim is not None:
         raise pipeline.ConfigError("--dim is not read by the external provider")

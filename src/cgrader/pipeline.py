@@ -70,9 +70,10 @@ def check_json(value, schema, where: str, root: bool = True) -> None:
         raise ConfigError(f"{where} must be {kinds.JSON_TYPES[schema]}")
 
 
-def check_seq_len(seq_len: int) -> None:
+def check_seq_len(seq_len: int, where: str) -> None:
+    """Raises a ConfigError naming `where` unless `seq_len` may be a sequence length."""
     if seq_len < 0:
-        raise ConfigError(f"seq_len must be >= 0, got {seq_len}")
+        raise ConfigError(f"{where} must be >= 0, got {seq_len}")
 
 
 def check_vectors(provider_name: str, vectors_path) -> None:
@@ -136,7 +137,7 @@ class ExperimentConfig:
             train=TrainConfig(**train),
         )
         check_ratios(cfg.split_ratios)
-        check_seq_len(cfg.embedding_seq_len)
+        check_seq_len(cfg.embedding_seq_len, "embedding.seq_len")
         embed.check_dim(cfg.embedding_dim, "embedding.dim")
         check_vectors(provider, cfg.embedding_vectors)
         return cfg

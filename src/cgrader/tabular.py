@@ -123,49 +123,84 @@ class Trees:
         return self
 
 
-def _best_split(Xf, y, feats, min_samples_leaf):
-    """Minimal summed child SSE over midpoint thresholds of `feats`.
+@dataclass(frozen=True)
+class RankedMatrix:
+    """A float matrix with its `column_ranks`. `np.asarray` gives the matrix, and
+    indexing rows subsets both, so a forest's bootstrap samples need no ranking."""
 
-    `Xf` holds the node's rows of the columns `feats`, in increasing order.
-    Columns constant over those rows have no threshold and are dropped before
-    any sorting. Returns (feature, threshold) or None. Ties: lowest feature
-    index, then lowest threshold.
+    values: np.ndarray
+    ranks: np.ndarray
+
+    def __getitem__(self, rows) -> "RankedMatrix":
+        return RankedMatrix(self.values[rows], self.ranks[rows])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+
+def column_ranks(X) -> np.ndarray:
+    """Dense value ranks of each column of X: equal values (-0.0 and 0.0 too)
+    share a rank and larger values get larger ones, so a stable argsort of a
+    column's ranks is the stable argsort of its values. int16 up to 32767 rows,
+    so that a rank and a row position pack into an int32 sort key, else intp."""
+    order = np.argsort(X, axis=0, kind="stable")
+    Xs = np.take_along_axis(X, order, axis=0)
+    dense = np.zeros(X.shape, dtype=np.int16 if X.shape[0] <= 32767 else np.intp)
+    np.cumsum(Xs[1:] != Xs[:-1], axis=0, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    return ranks
+
+
+def _best_split(X, ranks, idx, y, feats, min_samples_leaf):
+    """Minimal summed child SSE over the cut points of columns `feats` at rows `idx`.
+
+    Each column's rows are sorted by rank; a cut point lies between neighbours
+    of different ranks, and its threshold is the midpoint of their values. `y`
+    holds the node's targets. Returns (feature, threshold) or None. Ties: lowest
+    feature index, then lowest threshold.
     """
-    n = y.shape[0]
-    varies = (Xf[1:] != Xf[0]).any(axis=0)
-    if not varies.all():
-        feats, Xf = feats[varies], Xf[:, varies]
-    order = np.argsort(Xf, axis=0, kind="stable")
-    Xs = Xf[order, np.arange(feats.size)]
+    n, shift = idx.shape[0], idx.shape[0].bit_length()
+    # Keys (rank, position) are distinct, so numpy's fast unstable sort of them
+    # orders each column's rows as a stable sort by rank. int16 ranks are < 2**15.
+    key_type = np.int32 if ranks.dtype == np.int16 and shift <= 16 else np.int64
+    keys = ranks[idx][:, feats].astype(key_type) << shift
+    keys |= np.arange(n, dtype=keys.dtype)[:, None]
+    keys.sort(axis=0)
+    order, rs = keys & ((1 << shift) - 1), keys >> shift
     ys = y[order]
     s1 = np.cumsum(ys, axis=0)
     s2 = np.cumsum(ys * ys, axis=0)
-    # Candidate row i splits after the i + 1 smallest values; rows lo..hi-1
-    # leave at least min_samples_leaf rows on each side.
+    # A cut after sorted row lo..hi-1 leaves at least min_samples_leaf rows on
+    # each side. Column-major, so the first minimum has the lowest feature, then
+    # threshold.
     lo, hi = min_samples_leaf - 1, n - min_samples_leaf
-    left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    a1, a2 = s1[lo:hi], s2[lo:hi]
-    left_sse = a2 - a1 ** 2 / left_n
-    right_sse = (s2[-1] - a2) - (s1[-1] - a1) ** 2 / right_n
-    score = left_sse + right_sse
-    valid = Xs[lo + 1 : hi + 1] > Xs[lo:hi]
-    if not valid.any():
+    col, row = np.nonzero((rs[lo + 1 : hi + 1] != rs[lo:hi]).T)
+    if not col.size:
         return None
-    score[~valid] = np.inf
-    # Column-major, so the first minimum has the lowest feature, then threshold.
-    col, row = divmod(int(np.argmin(score.T)), hi - lo)
-    return int(feats[col]), (Xs[lo + row, col] + Xs[lo + row + 1, col]) / 2.0
+    row += lo
+    left_n = row + 1.0
+    a1, a2 = s1[row, col], s2[row, col]
+    left_sse = a2 - a1 ** 2 / left_n
+    right_sse = (s2[-1, col] - a2) - (s1[-1, col] - a1) ** 2 / (n - left_n)
+    best = int(np.argmin(left_sse + right_sse))
+    feature, r = int(feats[col[best]]), row[best]
+    below, above = idx[order[r : r + 2, col[best]]]
+    return feature, (X[below, feature] + X[above, feature]) / 2.0
 
 
 def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None) -> Trees:
     """Greedy CART regression tree. ``leaf_value`` overrides the leaf mean.
 
-    Nodes are numbered depth-first, left child first, the order in which they
-    draw their feature subsample from `rng`. The build keeps its pending right
-    subtrees on a stack, so depth is limited by memory only.
+    X may be a `RankedMatrix`; a plain matrix is ranked here. Nodes are
+    numbered depth-first, left child first, the order in which they draw their
+    feature subsample from `rng`. The build keeps its pending right subtrees on
+    a stack, so depth is limited by memory only.
     """
+    ranks = X.ranks if isinstance(X, RankedMatrix) else None
     X, y = validate_features(X, y)
+    if ranks is None:
+        ranks = column_ranks(X)
     with np.errstate(over="ignore"):  # |split score| <= len(y) * sum(y**2)
         if not math.isfinite(y.size * float(y @ y)):
             raise FitError(f"targets too large for CART split scores: len(y) * "
@@ -174,6 +209,8 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
         rng = np.random.default_rng(params.seed)
     n_features = X.shape[1]
     m = math.ceil(params.feature_subsample * n_features)
+    # A column constant over the tree has no cut point at any node.
+    varies = (ranks[1:] != ranks[0]).any(axis=0)
     if leaf_value is None:
         leaf_value = lambda targets: float(targets.sum() / targets.size)
     nodes = []
@@ -195,10 +232,10 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
         if not stop:
             if m < n_features:
                 feats = np.sort(rng.choice(n_features, size=m, replace=False))
+                feats = feats[varies[feats]]
             else:
-                feats = np.arange(n_features)
-            found = _best_split(X[idx[:, None], feats], targets, feats,
-                                params.min_samples_leaf)
+                feats = np.flatnonzero(varies)
+            found = _best_split(X, ranks, idx, targets, feats, params.min_samples_leaf)
         if found is None:
             nodes.append((-1, 0.0, node, node, leaf_value(targets)))
             continue
@@ -246,12 +283,13 @@ def rf_fit(X, y, n_trees: int = 100, params: TreeParams | None = None,
     if params is None:
         params = TreeParams(feature_subsample=RF_DEFAULT_SUBSAMPLE)
     n = X.shape[0]
+    ranked = RankedMatrix(X, column_ranks(X))
     seeds = np.random.SeedSequence(params.seed).spawn(n_trees)
     trees = []
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(tree_fit(X[idx], y[idx], params, rng=rng))
+        trees.append(tree_fit(ranked[idx], y[idx], params, rng=rng))
     return ForestModel(Trees.stack(trees), params, bootstrap)
 
 
@@ -356,9 +394,10 @@ def gbt_fit(X, y, n_rounds: int = 100, learning_rate: float = 0.1,
     leaf_value = lambda targets: float(np.sum(targets) / (targets.shape[0] + leaf_l2))
     trees = []
     rng = np.random.default_rng(seed)
+    ranked = RankedMatrix(X, column_ranks(X))
     for _ in range(n_rounds):
         residuals = y - pred
-        tree = tree_fit(X, residuals, params, rng=rng, leaf_value=leaf_value)
+        tree = tree_fit(ranked, residuals, params, rng=rng, leaf_value=leaf_value)
         trees.append(tree)
         pred = pred + learning_rate * tree_predict(tree, X)[0]
     return GbtModel(base, Trees.stack(trees), learning_rate, leaf_l2)

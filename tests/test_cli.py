@@ -904,7 +904,8 @@ class TestInputErrors:
          ["config.json: expected three split ratios, got (0.5, 0.5)"]),
         ("config_split_ratios_sum_above_1",
          ["config.json: split ratios must sum to 1, got (0.5, 0.5, 0.5)"]),
-        ("config_seq_len_negative", ["config.json: seq_len must be >= 0, got -1"]),
+        ("config_seq_len_negative",
+         ["config.json: embedding.seq_len must be >= 0, got -1"]),
         ("config_external_without_vectors",
          ["config.json: external provider needs a vectors path"]),
         ("split_two_ratios", ["--split: expected three split ratios, got [0.5, 0.5]"]),

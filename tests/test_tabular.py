@@ -2,8 +2,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cgrader import tabular
 from cgrader.metrics import rmse
@@ -268,8 +270,10 @@ def assert_same_trees(got, expected):
 
 
 class TestMatchesReferenceBuild:
-    """Dropping constant columns and building from a stack leave every
-    node array as the recursive full-width search made it."""
+    """Sorting each node's rows by column ranks, scoring only the cut points
+    where the rank changes, dropping columns constant over the tree and
+    building from a stack leave every node array as the recursive full-width
+    float search made it."""
 
     def test_tree_fit(self):
         rng = np.random.default_rng(90)
@@ -297,6 +301,74 @@ class TestMatchesReferenceBuild:
         monkeypatch.setattr(tabular, "tree_fit", reference_tree_fit)
         for case, trees in zip(cases, fits):
             assert_same_trees(trees, fit(*case))
+
+
+@st.composite
+def tied_matrices(draw):
+    """Float matrices drawn from a few values, 0.0 and -0.0 among them, with
+    duplicate rows."""
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=4)) + [0.0, -0.0]
+    n, p = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n * p, max_size=n * p))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return np.array(picks).reshape(n, p)[rows]
+
+
+class TestColumnRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_matrices())
+    def test_ranks_sort_and_tie_as_the_values(self, X):
+        ranks = tabular.column_ranks(X)
+        assert ranks.dtype == np.int16
+        assert np.array_equal(np.argsort(ranks, axis=0, kind="stable"),
+                              np.argsort(X, axis=0, kind="stable"))
+        for col in range(X.shape[1]):
+            r, x = ranks[:, col], X[:, col]
+            assert np.array_equal(r[:, None] == r, x[:, None] == x)
+
+    def test_tree_on_more_rows_than_int16_ranks_hold(self):
+        # intp ranks; a rank and a row position need 32 bits: int64 sort keys.
+        rng = np.random.default_rng(94)
+        X = rng.integers(0, 40, size=(33_000, 3)).astype(np.float64)
+        X[:, 0] = rng.permutation(X.shape[0])
+        y = X[:, 1] % 7 + rng.integers(0, 3, size=X.shape[0]) + 10 * (X[:, 0] >= 32_800)
+        assert tabular.column_ranks(X).dtype == np.intp
+        params = TreeParams(max_depth=2)
+        assert_same_trees(tree_fit(X, y, params), reference_tree_fit(X, y, params))
+
+    def test_plain_and_ranked_matrix_grow_the_same_tree(self):
+        rng = np.random.default_rng(93)
+        for _ in range(100):
+            X, y = tied_data(rng)
+            params = random_tree_params(rng, [1.0, 0.5][int(rng.integers(2))])
+            ranked = tabular.RankedMatrix(X, tabular.column_ranks(X))
+            assert_same_trees(tree_fit(ranked, y, params), tree_fit(X, y, params))
+            rows = rng.integers(0, X.shape[0], size=X.shape[0])
+            assert_same_trees(tree_fit(ranked[rows], y[rows], params),
+                              tree_fit(X[rows], y[rows], params))
+
+    def test_int16_ranks_resampled_to_more_rows_than_int32_keys_hold(self):
+        # Ranks below 2**15, but row positions that need 17 bits: int64 sort keys.
+        rng = np.random.default_rng(96)
+        X = np.stack([rng.permutation(20_000), rng.integers(0, 9, 20_000)], axis=1) * 1.0
+        y = X[:, 1] / 10 + 10 * (X[:, 0] >= 19_900)
+        rows = rng.integers(0, X.shape[0], size=70_000)
+        ranked = tabular.RankedMatrix(X, tabular.column_ranks(X))
+        params = TreeParams(max_depth=1)
+        assert_same_trees(tree_fit(ranked[rows], y[rows], params),
+                          tree_fit(X[rows], y[rows], params))
+
+    @pytest.mark.parametrize("fit", [lambda X, y: rf_fit(X, y, n_trees=100),
+                                     lambda X, y: gbt_fit(X, y, n_rounds=100)],
+                             ids=["rf", "gbt"])
+    def test_a_forest_ranks_its_matrix_once(self, fit, monkeypatch):
+        calls, rank = [], tabular.column_ranks
+        monkeypatch.setattr(tabular, "column_ranks",
+                            lambda X: calls.append(X.shape) or rank(X))
+        rng = np.random.default_rng(95)
+        fit(rng.normal(size=(40, 5)), rng.uniform(0, 10, 40))
+        assert calls == [(40, 5)]
 
 
 # --- random forest ----------------------------------------------------------
