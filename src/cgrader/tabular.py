@@ -123,7 +123,7 @@ class Trees:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedMatrix:
     """A float matrix with its `column_ranks`. `np.asarray` gives the matrix, and
     indexing rows subsets both, so a forest's bootstrap samples need no ranking."""
@@ -162,7 +162,8 @@ def _best_split(X, ranks, idx, y, feats, min_samples_leaf):
     """
     n, shift = idx.shape[0], idx.shape[0].bit_length()
     # Keys (rank, position) are distinct, so numpy's fast unstable sort of them
-    # orders each column's rows as a stable sort by rank. int16 ranks are < 2**15.
+    # orders each column's rows as a stable sort by rank. An int16 rank is below
+    # 2**15, so int32 keys hold it beside a position below 2**16.
     key_type = np.int32 if ranks.dtype == np.int16 and shift <= 16 else np.int64
     keys = ranks[idx][:, feats].astype(key_type) << shift
     keys |= np.arange(n, dtype=keys.dtype)[:, None]
@@ -171,9 +172,8 @@ def _best_split(X, ranks, idx, y, feats, min_samples_leaf):
     ys = y[order]
     s1 = np.cumsum(ys, axis=0)
     s2 = np.cumsum(ys * ys, axis=0)
-    # A cut after sorted row lo..hi-1 leaves at least min_samples_leaf rows on
-    # each side. Column-major, so the first minimum has the lowest feature, then
-    # threshold.
+    # A cut after sorted row lo..hi-1 leaves at least min_samples_leaf rows on each
+    # side. Column-major, so the first minimum has the lowest feature, then threshold.
     lo, hi = min_samples_leaf - 1, n - min_samples_leaf
     col, row = np.nonzero((rs[lo + 1 : hi + 1] != rs[lo:hi]).T)
     if not col.size:
@@ -197,10 +197,9 @@ def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None)
     feature subsample from `rng`. The build keeps its pending right subtrees on
     a stack, so depth is limited by memory only.
     """
-    ranks = X.ranks if isinstance(X, RankedMatrix) else None
+    ranked = X if isinstance(X, RankedMatrix) else None
     X, y = validate_features(X, y)
-    if ranks is None:
-        ranks = column_ranks(X)
+    ranks = column_ranks(X) if ranked is None else ranked.ranks
     with np.errstate(over="ignore"):  # |split score| <= len(y) * sum(y**2)
         if not math.isfinite(y.size * float(y @ y)):
             raise FitError(f"targets too large for CART split scores: len(y) * "
