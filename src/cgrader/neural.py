@@ -7,6 +7,7 @@ validation loss and restores the best weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -354,26 +355,44 @@ class LstmRegressor(DenseHeadNet):
             X = X.scaled(mask_x)  # the input dropout, once for every step
         else:
             mask_h = np.ones((batch, self.spec.units))
-        # Inference keeps no step's arrays; a backward pass after it
-        # recomputes them.
-        steps = [] if training else None
-        for h, step in self._steps(X, mask_h):
-            if training:
-                steps.append(step)
+        # Training keeps only the (h, c) entering each segment, from which the
+        # backward pass recomputes the segment's steps; inference keeps nothing,
+        # and a backward pass after it first recomputes those checkpoints.
+        h, checkpoints = self._run(X, mask_h, keep=training)
         pre2, h1 = self._head(h)
         cache = {"X": X,  # after the input dropout
-                 "steps": steps, "features": h, "h1": h1, "pre2": pre2, "mask_h": mask_h}
+                 "checkpoints": checkpoints, "features": h, "h1": h1, "pre2": pre2,
+                 "mask_h": mask_h}
         return _relu(pre2)[:, 0], cache
 
-    def _steps(self, X, mask_h):
-        """Runs the recurrence, yielding each step's hidden state and the five
-        arrays its backward pass keeps: the gates (gi, gf, gg, go) and the cell
-        state c. `backward` recomputes the rest from them."""
+    def _segments(self) -> list[range]:
+        """The steps cut into runs of isqrt(seq_len), the last one maybe shorter."""
+        span = math.isqrt(self.seq_len)
+        return [range(start, min(start + span, self.seq_len))
+                for start in range(0, self.seq_len, span)]
+
+    def _run(self, X, mask_h, keep: bool):
+        """Runs the recurrence over every step. Returns the final hidden state
+        and, if `keep`, the (h, c) entering each of `_segments` (else None)."""
+        state = (np.zeros((X.shape[0], self.spec.units)),) * 2
+        checkpoints = [] if keep else None
+        for segment in self._segments():
+            if keep:
+                checkpoints.append(state)
+            for h, (*_, c) in self._steps(X, mask_h, state, segment):
+                pass
+            state = (h, c)
+        return state[0], checkpoints
+
+    def _steps(self, X, mask_h, state, segment):
+        """Runs the recurrence over the steps of `segment` from `state`, the
+        (h, c) entering the first of them, yielding each step's hidden state
+        and the five arrays its backward pass keeps: the gates (gi, gf, gg, go)
+        and the cell state c. `backward` recomputes the rest from them."""
         p = self.params
         h_units = self.spec.units
-        h = np.zeros((X.shape[0], h_units))
-        c = np.zeros((X.shape[0], h_units))
-        for t in range(self.seq_len):
+        h, c = state
+        for t in segment:
             a = X.dot(p["wx"], t) + (h * mask_h) @ p["wh"] + p["b"]
             gi = _sigmoid(a[:, :h_units])
             gf = _sigmoid(a[:, h_units : 2 * h_units])
@@ -384,50 +403,56 @@ class LstmRegressor(DenseHeadNet):
             yield h, (gi, gf, gg, go, c)
 
     def backward(self, cache, dout):
-        """Gradients of every parameter. Each step's tanh(c), c_prev (the step
-        before's c) and masked input state hd = (go₋₁·tanh(c₋₁))·mask_h are
-        recomputed from the five cached arrays by the forward pass's own
+        """Gradients of every parameter. The segments run in reverse, and each
+        one's step arrays are recomputed from its checkpoint by `_steps`, then
+        freed before the next, so at most one segment's steps are alive. Each
+        step's tanh(c), c_prev (the step before's c) and masked input state
+        hd = (go₋₁·tanh(c₋₁))·mask_h are recomputed from the five kept arrays,
+        or the checkpoint at a segment's first step, by the forward pass's own
         operations, so they are the same floats."""
         p = self.params
         h_units = self.spec.units
-        X, mask_h, steps = cache["X"], cache["mask_h"], cache["steps"]
-        if steps is None:
-            steps = [step for _, step in self._steps(X, mask_h)]
+        X, mask_h, checkpoints = cache["X"], cache["mask_h"], cache["checkpoints"]
+        if checkpoints is None:
+            _, checkpoints = self._run(X, mask_h, keep=True)
         pre2 = cache["pre2"][:, 0]
-        batch = pre2.shape[0]
         grads = {name: np.zeros_like(p[name]) for name in ("wx", "wh", "b")}
         dh = self._head_backward(cache, dout * (pre2 > 0), grads)  # the output ReLU's mask
-        dc = np.zeros((batch, h_units))
-        zeros = np.zeros((batch, h_units))  # c, h and hd before the first step
-        tanh_c = np.tanh(steps[-1][4])
-        for t in reversed(range(self.seq_len)):
-            gi, gf, gg, go, _ = steps[t]
-            if t:
-                go_prev, c_prev = steps[t - 1][3:]
-                tanh_c_prev = np.tanh(c_prev)
-                hd = (go_prev * tanh_c_prev) * mask_h
-            else:
-                c_prev = hd = tanh_c_prev = zeros
-            dgo = dh * tanh_c
-            dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
-            dgi = dc * gg
-            dgf = dc * c_prev
-            dgg = dc * gi
-            da = np.concatenate(
-                [
-                    dgi * gi * (1.0 - gi),
-                    dgf * gf * (1.0 - gf),
-                    dgg * (1.0 - gg * gg),
-                    dgo * go * (1.0 - go),
-                ],
-                axis=1,
-            )
-            X.add_tdot(grads["wx"], da, t)
-            grads["wh"] += hd.T @ da
-            grads["b"] += da.sum(axis=0)
-            dh = (da @ p["wh"].T) * mask_h
-            dc = dc * gf
-            tanh_c = tanh_c_prev
+        dc = np.zeros((pre2.shape[0], h_units))
+        tanh_c = None  # of the step after the segment's last, carried back
+        for segment, (h0, c0) in zip(reversed(self._segments()), reversed(checkpoints)):
+            steps = [step for _, step in self._steps(X, mask_h, (h0, c0), segment)]
+            if tanh_c is None:
+                tanh_c = np.tanh(steps[-1][4])
+            for i in reversed(range(len(segment))):
+                gi, gf, gg, go, _ = steps[i]
+                if i:
+                    go_prev, c_prev = steps[i - 1][3:]
+                    tanh_c_prev = np.tanh(c_prev)
+                    hd = (go_prev * tanh_c_prev) * mask_h
+                else:  # h0 is go₋₁·tanh(c₋₁), or zeros before the first step
+                    c_prev, tanh_c_prev, hd = c0, np.tanh(c0), h0 * mask_h
+                dgo = dh * tanh_c
+                dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
+                dgi = dc * gg
+                dgf = dc * c_prev
+                dgg = dc * gi
+                da = np.concatenate(
+                    [
+                        dgi * gi * (1.0 - gi),
+                        dgf * gf * (1.0 - gf),
+                        dgg * (1.0 - gg * gg),
+                        dgo * go * (1.0 - go),
+                    ],
+                    axis=1,
+                )
+                X.add_tdot(grads["wx"], da, segment[i])
+                grads["wh"] += hd.T @ da
+                grads["b"] += da.sum(axis=0)
+                dh = (da @ p["wh"].T) * mask_h
+                dc = dc * gf
+                tanh_c = tanh_c_prev
+            del steps  # before the next segment's are recomputed
         return grads
 
 

@@ -156,7 +156,8 @@ def _best_split(X, ranks, idx, y, feats, min_samples_leaf):
     """Minimal summed child SSE over the cut points of columns `feats` at rows `idx`.
 
     Each column's rows are sorted by rank; a cut point lies between neighbours
-    of different ranks, and its threshold is the midpoint of their values. `y`
+    of different ranks, and its threshold is the midpoint of their values, or
+    the lower value where that midpoint is not below the upper one. `y`
     holds the node's targets. Returns (feature, threshold) or None. Ties: lowest
     feature index, then lowest threshold.
     """
@@ -185,8 +186,11 @@ def _best_split(X, ranks, idx, y, feats, min_samples_leaf):
     right_sse = (s2[-1, col] - a2) - (s1[-1, col] - a1) ** 2 / (n - left_n)
     best = int(np.argmin(left_sse + right_sse))
     feature, r = int(feats[col[best]]), row[best]
-    below, above = idx[order[r : r + 2, col[best]]]
-    return feature, (X[below, feature] + X[above, feature]) / 2.0
+    below, above = X[idx[order[r : r + 2, col[best]]], feature].tolist()
+    mid = (below + above) / 2.0  # as Python floats, an overflow is inf, not a warning
+    # A midpoint that rounds onto `above` or overflows would send every row of
+    # the node to one side; `below` cuts where the ranks do.
+    return feature, mid if below <= mid < above else below
 
 
 def tree_fit(X, y, params: TreeParams = TreeParams(), rng=None, leaf_value=None) -> Trees:

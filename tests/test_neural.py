@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,76 @@ class TestGradients:
         grads = analytic_grads(model, X, y)
         assert np.all(grads["conv_w"] == 0.0)
         assert not np.all(grads["conv_b"] == 0.0)
+
+
+def full_cache_backward(model, cache, dout):
+    """The backward pass before checkpointing, kept as its oracle: every step's
+    five arrays, recomputed over the whole sequence from zeros, are alive at
+    once, and the steps run back from the last."""
+    p = model.params
+    h_units = model.spec.units
+    X, mask_h = cache["X"], cache["mask_h"]
+    zeros = np.zeros((X.shape[0], h_units))  # c, h and hd before the first step
+    steps = [step for _, step in model._steps(X, mask_h, (zeros, zeros),
+                                              range(model.seq_len))]
+    pre2 = cache["pre2"][:, 0]
+    grads = {name: np.zeros_like(p[name]) for name in ("wx", "wh", "b")}
+    dh = model._head_backward(cache, dout * (pre2 > 0), grads)
+    dc = np.zeros((pre2.shape[0], h_units))
+    tanh_c = np.tanh(steps[-1][4])
+    for t in reversed(range(model.seq_len)):
+        gi, gf, gg, go, _ = steps[t]
+        if t:
+            go_prev, c_prev = steps[t - 1][3:]
+            tanh_c_prev = np.tanh(c_prev)
+            hd = (go_prev * tanh_c_prev) * mask_h
+        else:
+            c_prev = hd = tanh_c_prev = zeros
+        dgo = dh * tanh_c
+        dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
+        dgi = dc * gg
+        dgf = dc * c_prev
+        dgg = dc * gi
+        da = np.concatenate([dgi * gi * (1.0 - gi), dgf * gf * (1.0 - gf),
+                             dgg * (1.0 - gg * gg), dgo * go * (1.0 - go)], axis=1)
+        X.add_tdot(grads["wx"], da, t)
+        grads["wh"] += hd.T @ da
+        grads["b"] += da.sum(axis=0)
+        dh = (da @ p["wh"].T) * mask_h
+        dc = dc * gf
+        tanh_c = tanh_c_prev
+    return grads
+
+
+class TestCheckpointedBackward:
+    """The training forward keeps (h, c) only where each segment of
+    isqrt(seq_len) steps begins, and the backward pass recomputes one segment at
+    a time; the gradients must be those of the full per-step cache, bit for bit."""
+
+    @pytest.mark.parametrize("seq_len", [1, 2, 5, 9, 17])
+    @pytest.mark.parametrize("inputs", ["tokens", "dense"])
+    @pytest.mark.parametrize("forward", ["masks", "inference"])
+    def test_bit_identical_to_the_full_cache(self, seq_len, inputs, forward):
+        rng = np.random.default_rng(seq_len)
+        model = LstmRegressor(LstmSpec(units=6, dropout=0.3, recurrent_dropout=0.3,
+                                       dense_units=8), seq_len, TOY_D, seed=seq_len)
+        model.params["b"][:] = rng.normal(0, 0.5, model.params["b"].shape)
+        model.params["b2"][:] = 3.0  # keeps the output ReLU alive on every row
+        tokens = token_rows(rng, 5, seq_len, TOY_D) if seq_len >= 3 else TokenSequences(
+            rng.integers(0, TOY_D, (5, seq_len)), rng.uniform(1, 5, (5, seq_len)), TOY_D)
+        X = tokens if inputs == "tokens" else np.asarray(tokens)
+        masks = model.sample_masks(5, rng) if forward == "masks" else None
+        pred, cache = model.forward(X, training=masks is not None, masks=masks)
+        span = math.isqrt(seq_len)
+        if masks is not None:
+            assert len(cache["checkpoints"]) == -(-seq_len // span)
+        _, dpred = mse_loss(pred, rng.uniform(0, 10, 5))
+        got = model.backward(cache, dpred)
+        expected = full_cache_backward(model, cache, dpred)
+        assert np.any(expected["wx"] != 0)
+        for name, grad in expected.items():
+            assert np.array_equal(got[name], grad), name
+        assert set(got) == set(model.params)
 
 
 def einsum_conv_w_grad(model, X, cache, dout):
@@ -422,6 +493,29 @@ class TestTrain:
         per_step = (peak_bytes(64) - peak_bytes(8)) / (64 - 8)
         assert per_step <= 6 * batch * units * 8, per_step
 
+
+    def test_lstm_training_memory_grows_by_under_one_array_per_step(self):
+        """Training keeps two arrays per segment of isqrt(seq_len) steps and
+        recomputes one segment's five per step at a time, so from seq_len 64 to
+        256 its peak grows by well under one (batch, units) array per step."""
+        batch, units = 16, 32
+
+        def peak_bytes(seq_len):
+            rng = np.random.default_rng(0)
+            model = LstmRegressor(LstmSpec(units=units, dense_units=8), seq_len, 16)
+            X = TokenSequences(rng.integers(0, 16, (3 * batch, seq_len)),
+                               rng.uniform(0.5, 2.0, (3 * batch, seq_len)), 16)
+            y = rng.uniform(0, 10, 3 * batch)
+            cfg = TrainConfig(max_epochs=2, batch_size=batch, patience=2)
+            tracemalloc.start()
+            try:
+                train(model, X, y, X, y, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_step = (peak_bytes(256) - peak_bytes(64)) / (256 - 64)
+        assert per_step <= batch * units * 8, per_step
 
 class TestAdam:
     @staticmethod

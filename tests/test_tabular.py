@@ -171,6 +171,19 @@ class TestTree:
                       - (total - left) ** 2 / (1100 - i))
         assert tree.threshold[0] == min(sse, key=sse.get) - 0.5
 
+    @pytest.mark.parametrize("column", [
+        [1.0 + 2 ** -52, 1.0 + 2 ** -51],  # adjacent: the midpoint rounds up
+        [1e308, 1.7e308],  # the midpoint overflows to +inf
+        [-1.7e308, -1e308],  # the midpoint overflows to -inf
+    ], ids=["adjacent", "huge", "huge_negative"])
+    def test_split_whose_midpoint_leaves_the_gap_cuts_at_the_lower_value(self, column):
+        X = np.array(column)[:, None]
+        tree = tree_fit(X, [0.0, 1.0], TreeParams(max_depth=3))
+        assert tree.feature.size == 3
+        assert tree.threshold[0] == column[0]
+        assert np.all(np.isfinite(tree.value))
+        assert np.array_equal(tree_predict(tree, X)[0], [0.0, 1.0])
+
 
 # --- exactness against the split search and build as they were ---------------
 
