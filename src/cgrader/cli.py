@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, kinds, persist, pipeline, synth
-from .corpus import (DEFAULT_RATIOS, Submission, check_ratios, save_dataset,
-                     score_histogram)
-from .neural import TrainConfig, check_train_setting
+from .corpus import DEFAULT_RATIOS, Submission, save_dataset, score_histogram
+from .neural import TRAIN_SETTINGS, TrainConfig
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -57,36 +56,29 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# `pipeline.RunSettings.check`'s names in `train`
+FLAGS = {"ratios": "--split", "seed": "--seed", "provider": "--embedding", "dim": "--dim",
+         "seq_len": "--seq-len", "vectors": "--vectors",
+         **{key: f"--{key.replace('_', '-')}" for key in TRAIN_SETTINGS}}
+
+
 def cmd_train(args) -> int:
     persist.require_folders([args.out])
-    settings = {"max_epochs": args.max_epochs, "batch_size": args.batch_size,
-                "learning_rate": args.learning_rate, "patience": args.patience}
-    for key, value in settings.items():
-        with persist.naming(f"--{key.replace('_', '-')}"):
-            check_train_setting(key, value, key)
-    train_cfg = TrainConfig(**settings)
-    with persist.naming("--split"):
-        try:
-            ratios = [float(r) for r in args.split.split(",")]
-        except ValueError:
-            raise ValueError(
-                f"expected comma-separated numbers, got {args.split!r}") from None
-        check_ratios(ratios)
-    pipeline.check_seed(args.seed, "--seed")
-    with persist.naming("--seq-len"):
-        pipeline.check_seq_len(args.seq_len, "seq_len")
-    pipeline.check_vectors(args.embedding, args.vectors)
-    if args.embedding == "external" and args.dim is not None:
-        raise pipeline.ConfigError("--dim is not read by the external provider")
-    dim = embed.DEFAULT_TFIDF_DIM if args.dim is None else args.dim
-    embed.check_dim(dim, "--dim")
+    try:
+        ratios = [float(r) for r in args.split.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--split must be comma-separated numbers, got {args.split!r}") from None
+    settings = pipeline.RunSettings(
+        args.data, ratios, args.seed, args.embedding, args.dim, args.seq_len,
+        args.vectors, {key: getattr(args, key) for key in TRAIN_SETTINGS})
+    settings.check(FLAGS)
     spec = {}
     if args.grid:
         spec["grid"] = pipeline.read_json(args.grid)
         with persist.naming(args.grid):
             pipeline.check_json(spec["grid"], pipeline.grid_schema(args.model), "grid")
-    data, provider, _ = pipeline.prepare(args.data, ratios, args.seed, args.embedding,
-                                         dim, args.seq_len, args.vectors, train_cfg)
+    data, provider, _ = pipeline.prepare(settings)
     kind = args.model
     fitted, rows, errors = pipeline.fit_and_score(
         [kind], data, {"train": data.train, "validation": data.validation}, args.seed,

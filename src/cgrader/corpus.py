@@ -102,14 +102,15 @@ def _format_score(score: float) -> str:
     return str(int(score)) if score == int(score) else repr(score)
 
 
-def check_ratios(ratios) -> None:
-    """Raises a DatasetError unless `ratios` are three positive numbers summing to 1."""
+def check_ratios(ratios, where: str = "split ratios") -> None:
+    """Raises a DatasetError naming `where` unless `ratios` are three positive
+    numbers summing to 1."""
     if len(ratios) != 3:
-        raise DatasetError(f"expected three split ratios, got {ratios}")
+        raise DatasetError(f"{where} must be three numbers, got {ratios}")
     if not all(r > 0 for r in ratios):  # a NaN ratio fails here too
-        raise DatasetError(f"split ratios must be positive, got {ratios}")
+        raise DatasetError(f"{where} must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DatasetError(f"split ratios must sum to 1, got {ratios}")
+        raise DatasetError(f"{where} must sum to 1, got {ratios}")
 
 
 def split(ds: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitDataset:

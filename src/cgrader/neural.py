@@ -115,6 +115,9 @@ class LstmSpec:
             raise ValueError("dropout rates must be in [0, 1)")
 
 
+TRAIN_SETTINGS = ("max_epochs", "batch_size", "learning_rate", "patience")  # all but seed
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 50
@@ -124,7 +127,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("max_epochs", "batch_size", "learning_rate", "patience"):
+        for key in TRAIN_SETTINGS:
             check_train_setting(key, getattr(self, key), key)
 
 
@@ -298,15 +301,13 @@ class CnnRegressor(DenseHeadNet):
         grads = {}
         dflat = self._head_backward(cache, dout, grads)
         dpooled = dflat.reshape(batch, self.pool_len, spec.conv_filters)
-        dwindows = np.zeros(
-            (batch, self.pool_len, spec.pool_size, spec.conv_filters)
-        )
+        # dpre starts as dact: the windows' gradients are scattered through a view of
+        # their slots (splitting an axis needs no copy), then masked by pre > 0 in place
+        dpre = np.zeros_like(pre)
+        dwindows = dpre[:, : self.pool_len * spec.pool_size].reshape(
+            batch, self.pool_len, spec.pool_size, spec.conv_filters)
         np.put_along_axis(dwindows, pool_arg[:, :, None, :], dpooled[:, :, None, :], axis=2)
-        dact = np.zeros_like(pre)
-        dact[:, : self.pool_len * spec.pool_size, :] = dwindows.reshape(
-            batch, self.pool_len * spec.pool_size, spec.conv_filters
-        )
-        dpre = dact * (pre > 0)
+        np.multiply(dpre, pre > 0, out=dpre)
         grads["conv_b"] = dpre.sum(axis=(0, 1))
         # one product per kernel offset, over every (row, position) pair at once
         grads["conv_w"] = np.zeros_like(self.params["conv_w"])

@@ -12,11 +12,11 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import embed, kinds, metrics, persist
 from .corpus import DEFAULT_RATIOS, Dataset, check_ratios, load_dataset, split
-from .neural import TrainConfig, check_train_setting
+from .neural import TRAIN_SETTINGS, TrainConfig, check_train_setting
 
 
 class ConfigError(ValueError):
@@ -70,21 +70,6 @@ def check_json(value, schema, where: str, root: bool = True) -> None:
         raise ConfigError(f"{where} must be {kinds.JSON_TYPES[schema]}")
 
 
-def check_seq_len(seq_len: int, where: str) -> None:
-    """Raises a ConfigError naming `where` unless `seq_len` may be a sequence length."""
-    if seq_len < 0:
-        raise ConfigError(f"{where} must be >= 0, got {seq_len}")
-
-
-def check_vectors(provider_name: str, vectors_path) -> None:
-    """Raises a ConfigError unless a vectors path is given exactly when the provider
-    reads one."""
-    if provider_name == "external" and vectors_path is None:
-        raise ConfigError("external provider needs a vectors path")
-    if provider_name == "tfidf" and vectors_path is not None:
-        raise ConfigError(f"vectors file {vectors_path} is not read by the tfidf provider")
-
-
 def check_seed(seed: int, where: str) -> int:
     """`seed`, if numpy can seed a generator with it; else a ConfigError naming `where`."""
     if seed < 0:
@@ -92,55 +77,70 @@ def check_seed(seed: int, where: str) -> int:
     return seed
 
 
+@dataclass(frozen=True)
+class RunSettings:
+    """What `prepare` reads: the corpus, its split and embedding, and the training
+    settings given (`neural.TRAIN_SETTINGS` key -> value). No `dim` means the default."""
+
+    data: str
+    ratios: tuple | list = DEFAULT_RATIOS
+    seed: int = 0
+    provider: str = "tfidf"
+    dim: int | None = None
+    seq_len: int = embed.DEFAULT_SEQ_LEN
+    vectors: str | None = None
+    train: dict = field(default_factory=dict)
+
+    def check(self, names: dict) -> None:
+        """Raises a ValueError `<name> must ..., got <value>` unless `prepare` may run
+        on these settings; `names` maps each field and training setting to its name."""
+        for key, value in self.train.items():
+            check_train_setting(key, value, names[key])
+        check_ratios(self.ratios, names["ratios"])
+        check_seed(self.seed, names["seed"])
+        if self.seq_len < 0:
+            raise ConfigError(f"{names['seq_len']} must be >= 0, got {self.seq_len}")
+        if self.provider not in embed.PROVIDERS:
+            raise ConfigError(f"{names['provider']} must be one of "
+                              f"{', '.join(embed.PROVIDERS)}, got {self.provider}")
+        unread = "dim" if self.provider == "external" else "vectors"
+        if getattr(self, unread) is not None:  # each provider reads one of the two
+            raise ConfigError(f"{names[unread]} must not be given under the {self.provider}"
+                              f" provider, got {getattr(self, unread)}")
+        if self.provider == "external" and self.vectors is None:
+            raise ConfigError(f"{names['vectors']} must be given under the external "
+                              "provider, got None")
+        if self.dim is not None:
+            embed.check_dim(self.dim, names["dim"])
+
+
+# `RunSettings.check`'s names in a config, whose `split` and `embedding` keys are
+# named as the fields they give
+CONFIG_KEYS = {key: f"{section}.{key}" for section in ("split", "embedding", "train")
+               for key in _SCHEMA[section]}
+
+
 @dataclass
 class ExperimentConfig:
-    data: str
+    settings: RunSettings
     report_path: str
     curves_path: str
     models_dir: str
-    embedding_provider: str
-    embedding_dim: int
-    embedding_seq_len: int
-    embedding_vectors: str | None
-    split_ratios: tuple
-    seed: int
     grids: dict
-    train: TrainConfig
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
         check_json(doc, _SCHEMA, "config")
-        output = doc["output"]
-        emb = doc.get("embedding", {})
-        provider = emb.get("provider", "tfidf")
-        if provider not in embed.PROVIDERS:
-            raise ConfigError(f"unknown embedding provider {provider!r}")
-        if provider == "external" and "dim" in emb:
-            raise ConfigError("embedding.dim is not read by the external provider")
-        sp = doc.get("split", {})
-        train = doc.get("train", {})
-        for key, value in train.items():
-            check_train_setting(key, value, f"train.{key}")
         resolve = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
-        cfg = cls(
-            data=resolve(doc["data"]),
-            report_path=resolve(output["report"]),
-            curves_path=resolve(output["curves"]),
-            models_dir=resolve(output["models_dir"]),
-            embedding_provider=provider,
-            embedding_dim=emb.get("dim", embed.DEFAULT_TFIDF_DIM),
-            embedding_seq_len=emb.get("seq_len", embed.DEFAULT_SEQ_LEN),
-            embedding_vectors=resolve(emb["vectors"]) if "vectors" in emb else None,
-            split_ratios=tuple(sp.get("ratios", DEFAULT_RATIOS)),
-            seed=check_seed(sp.get("seed", 0), "split.seed"),
-            grids=doc.get("models", {}),
-            train=TrainConfig(**train),
-        )
-        check_ratios(cfg.split_ratios)
-        check_seq_len(cfg.embedding_seq_len, "embedding.seq_len")
-        embed.check_dim(cfg.embedding_dim, "embedding.dim")
-        check_vectors(provider, cfg.embedding_vectors)
-        return cfg
+        given = {key: value for section in ("split", "embedding")
+                 for key, value in doc.get(section, {}).items()}
+        if "vectors" in given:
+            given["vectors"] = resolve(given["vectors"])
+        settings = RunSettings(resolve(doc["data"]), train=doc.get("train", {}), **given)
+        settings.check(CONFIG_KEYS)
+        output = doc["output"]
+        return cls(settings, resolve(output["report"]), resolve(output["curves"]),
+                   resolve(output["models_dir"]), doc.get("models", {}))
 
 
 def read_json(path):
@@ -169,25 +169,26 @@ def embed_split(provider, ds: Dataset) -> kinds.Split:
     return kinds.Split(*embed_dataset(provider, ds), ds.scores())
 
 
-def prepare(data_path, ratios, seed: int, provider_name: str, dim: int, seq_len: int,
-            vectors_path, train_cfg: TrainConfig):
+def prepare(settings: RunSettings):
     """The start of `train` and `experiment`: split, build the provider on the train
     part, and embed train and validation. Returns (TrainData, provider, the split's
     parts); the test part is left to the caller, so `train` never lexes it.
 
     A TF-IDF provider keeps the lexing of its fit, so each distinct code text is
     lexed once across all parts. `train` and `experiment` pass settings that
-    `check_ratios`, `check_seq_len`, `embed.check_dim` and `check_vectors` passed,
-    before any file is read.
+    passed `RunSettings.check`, before any file is read.
     """
-    parts = split(load_dataset(data_path), ratios, seed)
-    if provider_name == "tfidf":
+    parts = split(load_dataset(settings.data), settings.ratios, settings.seed)
+    if settings.provider == "tfidf":
+        dim = embed.DEFAULT_TFIDF_DIM if settings.dim is None else settings.dim
         provider = embed.TfIdfProvider.fit([row.code for row in parts.train.rows],
-                                           d=dim, L=seq_len)
+                                           d=dim, L=settings.seq_len)
     else:
-        provider = embed.load_external_embeddings(vectors_path, seq_len=seq_len)
+        provider = embed.load_external_embeddings(settings.vectors,
+                                                  seq_len=settings.seq_len)
     data = kinds.TrainData(embed_split(provider, parts.train),
-                           embed_split(provider, parts.validation), train_cfg)
+                           embed_split(provider, parts.validation),
+                           TrainConfig(**settings.train))
     return data, provider, parts
 
 
@@ -259,12 +260,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     paths = {name: os.path.join(cfg.models_dir, f"{name}.json") for name in kinds.KINDS}
     persist.require_folders([cfg.report_path, cfg.curves_path, *paths.values()],
                             made=cfg.models_dir)
-    data, provider, parts = prepare(
-        cfg.data, cfg.split_ratios, cfg.seed, cfg.embedding_provider, cfg.embedding_dim,
-        cfg.embedding_seq_len, cfg.embedding_vectors, cfg.train)
+    data, provider, parts = prepare(cfg.settings)
     os.makedirs(cfg.models_dir, exist_ok=True)
     scored = {"train": data.train, "test": embed_split(provider, parts.test)}
-    fitted, rows, errors = fit_and_score(kinds.KINDS, data, scored, cfg.seed, cfg.grids)
+    fitted, rows, errors = fit_and_score(kinds.KINDS, data, scored, cfg.settings.seed,
+                                         cfg.grids)
     emb_config = provider.config()
     for name, path in paths.items():
         try:

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from cgrader import persist, pipeline
-from cgrader.cli import EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from cgrader.cli import EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, FLAGS, main
 from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, split
 from cgrader.embed import TfIdfProvider
 from cgrader.kinds import KINDS
-from cgrader.neural import CnnRegressor, CnnSpec
+from cgrader.neural import TRAIN_SETTINGS, CnnRegressor, CnnSpec, TrainConfig
 from cgrader.synth import Rubric, synthesize_with_plans
 from cgrader.tabular import ForestModel, RidgeModel, TreeParams, Trees
 
@@ -467,10 +467,10 @@ class TestConfigParsing:
         block = section[section.index("```json") + len("```json"):]
         doc = json.loads(block[:block.index("```")])
         cfg = pipeline.ExperimentConfig.from_dict(doc, base_dir="/cfg")
-        assert cfg.data == "/cfg/corpus.csv"
-        assert cfg.embedding_seq_len == 16
+        assert cfg.settings.data == "/cfg/corpus.csv"
+        assert cfg.settings.seq_len == 16
         assert cfg.grids["knn"] == {"grid": {"k": [3, 5, 7]}}
-        assert cfg.train.patience == 5
+        assert TrainConfig(**cfg.settings.train).patience == 5
 
     @pytest.mark.parametrize("section, value", [
         ("embedding", {"dim": "256"}),
@@ -504,15 +504,24 @@ class TestConfigParsing:
                 "embedding": {"window": 5},
             })
 
+    def test_unknown_provider_rejected(self):
+        with pytest.raises(pipeline.ConfigError, match=r"^embedding\.provider must be one "
+                           r"of tfidf, external, got word2vec$"):
+            pipeline.ExperimentConfig.from_dict({
+                "data": "d.csv",
+                "output": {"report": "r", "curves": "c", "models_dir": "m"},
+                "embedding": {"provider": "word2vec"},
+            })
+
     def test_defaults(self):
         cfg = pipeline.ExperimentConfig.from_dict({
             "data": "d.csv",
             "output": {"report": "r", "curves": "c", "models_dir": "m"},
         })
-        assert cfg.embedding_provider == "tfidf"
-        assert cfg.split_ratios == (0.5, 0.25, 0.25)
-        assert cfg.train.max_epochs == 50
-        assert cfg.train.batch_size == 64
+        assert cfg.settings.provider == "tfidf"
+        assert cfg.settings.ratios == (0.5, 0.25, 0.25)
+        assert TrainConfig(**cfg.settings.train).max_epochs == 50
+        assert TrainConfig(**cfg.settings.train).batch_size == 64
 
 
 def _experiment_config(tmp_path, corpus_csv, **overrides):
@@ -576,6 +585,26 @@ CONFIG_VALUE_FAULTS = {  # case -> the config sections that break it
     "config_external_without_vectors": {"embedding": {"provider": "external"}},
     "config_max_epochs_zero": {"train": {"max_epochs": 0}},
     "config_batch_size_zero": {"train": {"batch_size": 0}},
+}
+
+
+SETTING_FAULTS = {  # case -> (RunSettings field, `train` flags, config sections)
+    "seed": ("seed", ["--seed", "-1"], {"split": {"seed": -1}}),
+    "ratios": ("ratios", ["--split", "0.5,0.5"], {"split": {"ratios": [0.5, 0.5]}}),
+    "seq_len": ("seq_len", ["--seq-len", "-1"], {"embedding": {"seq_len": -1}}),
+    "dim": ("dim", ["--dim", "4"], {"embedding": {"dim": 4}}),
+    "dim_under_external": (
+        "dim", ["--embedding", "external", "--vectors", "{vectors}", "--dim", "16"],
+        {"embedding": {"provider": "external", "vectors": "{vectors}", "dim": 16}}),
+    "vectors_under_tfidf": ("vectors", ["--vectors", "{vectors}"],
+                            {"embedding": {"vectors": "{vectors}"}}),
+    "vectors_missing_under_external": ("vectors", ["--embedding", "external"],
+                                       {"embedding": {"provider": "external"}}),
+    "max_epochs": ("max_epochs", ["--max-epochs", "0"], {"train": {"max_epochs": 0}}),
+    "batch_size": ("batch_size", ["--batch-size", "0"], {"train": {"batch_size": 0}}),
+    "learning_rate": ("learning_rate", ["--learning-rate", "-1"],
+                      {"train": {"learning_rate": -1.0}}),
+    "patience": ("patience", ["--patience", "0"], {"train": {"patience": 0}}),
 }
 
 
@@ -849,7 +878,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("case, words", [
         ("seq_len_too_large", ["seq_len", "bytes"]),
-        ("seq_len_negative", ["seq_len"]),
+        ("seq_len_negative", ["--seq-len must be >= 0, got -5"]),
         ("model_L_too_large", ["L 1000000000000000", "4,000,000,000,000,000 bytes"]),
     ])
     def test_seq_len_errors_name_seq_len(self, case, words, tmp_path, corpus_csv, capsys):
@@ -860,14 +889,14 @@ class TestInputErrors:
     @pytest.mark.parametrize("case, words", [
         ("dim_too_large", ["dim 1000000000000000000", "8,000,000,000,000,000,000 bytes"]),
         ("config_dim_too_large", ["dim 1000000000000000000", "bytes"]),
-        ("learning_rate_negative", ["learning_rate", "-1"]),
-        ("learning_rate_nan", ["--learning-rate: learning_rate", "nan"]),
+        ("learning_rate_negative", ["--learning-rate must be finite and >= 0, got -1.0"]),
+        ("learning_rate_nan", ["--learning-rate must be finite and >= 0, got nan"]),
         ("config_learning_rate_negative", ["learning_rate", "-1"]),
         ("config_learning_rate_infinite", ["learning_rate", "inf"]),
         ("train_seed_negative", ["--seed", "-1"]),
         ("synth_seed_negative", ["--seed", "-1"]),
         ("config_split_seed_negative", ["split.seed", "-1"]),
-        ("split_not_numbers", ["--split", "a,b,c"]),
+        ("split_not_numbers", ["--split must be comma-separated numbers, got 'a,b,c'"]),
         ("experiment_report_in_missing_dir", ["no directory to write", "report.csv"]),
         ("train_out_is_a_directory", ["outdir: it is a directory"]),
         ("experiment_model_path_is_a_directory",
@@ -885,12 +914,19 @@ class TestInputErrors:
         ("synth_seed_not_utf8", ["sum.c: 'utf-8' codec can't decode byte 0xff"]),
         ("vectors_not_utf8", ["vectors.jsonl: line 1: 'utf-8' codec can't decode byte 0xff"]),
         ("code_not_utf8", ["prog.c: 'utf-8' codec can't decode byte 0xff"]),
-        ("tfidf_vectors_unread", ["nope.jsonl is not read by the tfidf provider"]),
-        ("config_tfidf_vectors_unread", ["nope.jsonl is not read by the tfidf provider"]),
-        ("config_tfidf_vectors_empty", ["is not read by the tfidf provider"]),
+        ("tfidf_vectors_unread",
+         ["--vectors must not be given under the tfidf provider, got {tmp}/nope.jsonl\n"]),
+        ("config_tfidf_vectors_unread",
+         ["config.json: embedding.vectors must not be given under the tfidf provider, "
+          "got {tmp}/nope.jsonl\n"]),
+        ("config_tfidf_vectors_empty",
+         ["config.json: embedding.vectors must not be given under the tfidf provider, "
+          "got {tmp}/\n"]),
         ("config_external_dim_unread",
-         ["config.json: embedding.dim is not read by the external provider"]),
-        ("train_external_dim_unread", ["--dim is not read by the external provider"]),
+         ["config.json: embedding.dim must not be given under the external provider, "
+          "got 16\n"]),
+        ("train_external_dim_unread",
+         ["--dim must not be given under the external provider, got 3\n"]),
         ("grid_k_boolean", ["grid.json: k[0] must be an integer"]),
         ("grid_k_fraction", ["grid.json: k[0] must be an integer"]),
         ("grid_max_depth_string", ["grid.json: max_depth[0] must be an integer or null"]),
@@ -901,22 +937,22 @@ class TestInputErrors:
         ("config_grid_max_depth_string",
          ["config.json: models.gbt.grid.max_depth[0] must be an integer or null"]),
         ("config_split_two_ratios",
-         ["config.json: expected three split ratios, got (0.5, 0.5)"]),
+         ["config.json: split.ratios must be three numbers, got [0.5, 0.5]"]),
         ("config_split_ratios_sum_above_1",
-         ["config.json: split ratios must sum to 1, got (0.5, 0.5, 0.5)"]),
+         ["config.json: split.ratios must sum to 1, got [0.5, 0.5, 0.5]"]),
         ("config_seq_len_negative",
          ["config.json: embedding.seq_len must be >= 0, got -1"]),
         ("config_external_without_vectors",
-         ["config.json: external provider needs a vectors path"]),
-        ("split_two_ratios", ["--split: expected three split ratios, got [0.5, 0.5]"]),
-        ("split_ratios_sum_above_1",
-         ["--split: split ratios must sum to 1, got [0.5, 0.5, 0.5]"]),
-        ("train_seq_len_negative", ["--seq-len: seq_len must be >= 0, got -1"]),
-        ("train_dim_too_small", ["--dim", "4"]),
-        ("config_dim_too_small", ["config.json", "embedding.dim"]),
-        ("max_epochs_zero", ["--max-epochs: max_epochs must be >= 1, got 0"]),
-        ("batch_size_zero", ["--batch-size: batch_size must be >= 1, got 0"]),
-        ("patience_zero", ["--patience: patience must be >= 1, got 0"]),
+         ["config.json: embedding.vectors must be given under the external provider, "
+          "got None"]),
+        ("split_two_ratios", ["--split must be three numbers, got [0.5, 0.5]"]),
+        ("split_ratios_sum_above_1", ["--split must sum to 1, got [0.5, 0.5, 0.5]"]),
+        ("train_seq_len_negative", ["--seq-len must be >= 0, got -1"]),
+        ("train_dim_too_small", ["--dim must be >= 8, got 4"]),
+        ("config_dim_too_small", ["config.json: embedding.dim must be >= 8, got 4"]),
+        ("max_epochs_zero", ["--max-epochs must be >= 1, got 0"]),
+        ("batch_size_zero", ["--batch-size must be >= 1, got 0"]),
+        ("patience_zero", ["--patience must be >= 1, got 0"]),
         ("config_max_epochs_zero", ["config.json: train.max_epochs must be >= 1, got 0"]),
         ("config_batch_size_zero", ["config.json: train.batch_size must be >= 1, got 0"]),
     ])
@@ -926,9 +962,39 @@ class TestInputErrors:
         lexed.clear()
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert all(word in err for word in words), err
+        assert all(word.replace("{tmp}", str(tmp_path)) in err for word in words), err
         assert not (tmp_path / "models").exists() and not (tmp_path / "model.json").exists()
         assert lexed == []  # each error comes before any work
+
+    @pytest.mark.parametrize("case", list(SETTING_FAULTS))
+    def test_train_and_experiment_refuse_a_setting_alike(self, case, tmp_path, corpus_csv,
+                                                         lexed, capsys):
+        """`train` with the bad flag and `experiment` with the bad key both exit 2
+        before any work, with messages that differ only in the name."""
+        field, flags, config = SETTING_FAULTS[case]
+        fill = lambda value: str(tmp_path / "v.jsonl") if value == "{vectors}" else value
+        train = ["train", "--data", str(corpus_csv), "--model", "ridge",
+                 "--out", str(tmp_path / "model.json"), *map(fill, flags)]
+        path = _experiment_config(tmp_path, corpus_csv, **{
+            section: {key: fill(value) for key, value in values.items()}
+            for section, values in config.items()})
+        rests = []
+        for argv, name in ((train, FLAGS[field]),
+                           (["experiment", "--config", path],
+                            f"{path}: {pipeline.CONFIG_KEYS[field]}")):
+            lexed.clear()
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {name} must "), err
+            assert lexed == []
+            rests.append(err.removeprefix(f"error: {name}"))
+        assert rests[0] == rests[1]
+        assert not (tmp_path / "models").exists() and not (tmp_path / "model.json").exists()
+
+    def test_flags_and_config_keys_name_every_checked_setting(self):
+        fields = {f.name for f in dataclasses.fields(pipeline.RunSettings)}
+        settings = fields - {"data", "train"} | set(TRAIN_SETTINGS)
+        assert set(FLAGS) == set(pipeline.CONFIG_KEYS) == settings
 
     @pytest.mark.parametrize("case", list(UNFIT_MODELS))
     def test_model_that_does_not_fit_its_embedding_names_its_file(self, case, tmp_path,

@@ -296,9 +296,10 @@ class TestLexOnce:
     def test_prepare_lexes_each_distinct_code_text_once(self, corpus, lexed):
         ds, path = corpus
         lexed.clear()  # the corpus's synthesis lexes too
-        data, provider, prepared = pipeline.prepare(path, self.RATIOS, 0, "tfidf", 64,
-                                                    16, None, TrainConfig())
+        data, provider, prepared = pipeline.prepare(
+            pipeline.RunSettings(path, self.RATIOS, 0, "tfidf", 64, 16))
         test = pipeline.embed_split(provider, prepared.test)  # as `experiment` does
+        assert data.config == TrainConfig()  # no training setting given
         distinct = {row.code for row in ds.rows}
         assert len(distinct) < len(ds)  # the corpus repeats code texts
         assert sorted(lexed) == sorted(distinct)
@@ -348,7 +349,7 @@ class TestLexOnce:
         vectors = tmp_path / "vectors.jsonl"
         vectors.write_text("".join(json.dumps({"id": row.id, "pooled": [1.0, 0.0]}) + "\n"
                                    for row in ds.rows), encoding="utf-8")
-        _, provider, parts = pipeline.prepare(path, self.RATIOS, 0, "external", 64, 16,
-                                              vectors, TrainConfig())
+        _, provider, parts = pipeline.prepare(
+            pipeline.RunSettings(path, self.RATIOS, 0, "external", None, 16, vectors))
         pipeline.embed_split(provider, parts.test)
         assert lexed == []

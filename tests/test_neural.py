@@ -274,19 +274,24 @@ class TestCheckpointedBackward:
         assert set(got) == set(model.params)
 
 
-def einsum_conv_w_grad(model, X, cache, dout):
-    """The conv_w gradient for the dense input `X`, summed with `einsum` over
-    (row, position, channel), its max-pool and dense backward written out on
-    their own."""
+def loop_dpre(model, cache, dout):
+    """The gradient at the conv layer's pre-activations, its max-pool and dense
+    backward written out on their own."""
     p, spec = model.params, model.spec
     dh1 = (dout[:, None] @ p["w2"].T) * (cache["h1"] > 0)
-    dpooled = (dh1 @ p["w1"].T).reshape(X.shape[0], model.pool_len, spec.conv_filters)
+    dpooled = (dh1 @ p["w1"].T).reshape(len(dout), model.pool_len, spec.conv_filters)
     dact = np.zeros_like(cache["pre"])
     for b, t, f in np.ndindex(*dpooled.shape):
         dact[b, t * spec.pool_size + cache["pool_arg"][b, t, f], f] = dpooled[b, t, f]
-    dpre = dact * (cache["pre"] > 0)
+    return dact * (cache["pre"] > 0)
+
+
+def einsum_conv_w_grad(model, X, cache, dout):
+    """The conv_w gradient for the dense input `X`, summed with `einsum` over
+    (row, position, channel)."""
+    dpre = loop_dpre(model, cache, dout)
     return np.stack([np.einsum("btd,btf->df", X[:, j : j + model.conv_len], dpre)
-                     for j in range(spec.kernel_size)])
+                     for j in range(model.spec.kernel_size)])
 
 
 def one_hot_rows(rng, batch, seq_len, dim):
@@ -330,8 +335,32 @@ class TestConvWeightGradient:
         assert scale > 0
         # The sums run in another order; an entry that cancels to near zero
         # is held to the gradient's scale instead of its own.
-        np.testing.assert_allclose(model.backward(cache, dpred)["conv_w"], expected,
+        grads = model.backward(cache, dpred)
+        np.testing.assert_allclose(grads["conv_w"], expected,
                                    rtol=1e-12, atol=1e-12 * scale)
+        # the same arithmetic as the loop, so bit for bit
+        assert np.array_equal(grads["conv_b"],
+                              loop_dpre(model, cache, dpred).sum(axis=(0, 1)))
+
+
+    def test_backward_peak_is_at_most_five_conv_arrays_above_the_cache(self):
+        """The window gradients go straight into dpre, formed in place, so besides
+        the forward cache the backward pass of a default-spec 64-row token batch
+        holds at most five (batch, conv_len, filters) float64 arrays at once."""
+        rng = np.random.default_rng(0)
+        batch, seq_len, dim = 64, 64, 256
+        model = CnnRegressor(CnnSpec(), seq_len, dim, seed=0)
+        X = TokenSequences(rng.integers(0, dim, (batch, seq_len)),
+                           rng.uniform(0.5, 2.0, (batch, seq_len)), dim)
+        _, cache = model.forward(X, training=True)
+        dout = rng.normal(size=batch)
+        tracemalloc.start()
+        try:
+            model.backward(cache, dout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * batch * model.conv_len * model.spec.conv_filters * 8, peak
 
 
 def token_nets():
