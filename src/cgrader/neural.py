@@ -8,7 +8,7 @@ validation loss and restores the best weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,11 +32,21 @@ class TokenSequences:
     the (..., L) columns of those nonzeros and their values (0 at padding).
 
     The nets never build the dense array; `np.asarray` does, for a caller that
-    wants it."""
+    wants it.
+
+    `grad_rows` are the rows of the net's input layer, a lookup table with one
+    row per column, that `add_tdot` adds into: all d of them, or after
+    `touched()` the ids present, renumbered in `grad_ids`."""
 
     ids: np.ndarray  # (..., L) ints in [0, d)
     values: np.ndarray  # (..., L) float64
     d: int
+    grad_rows: np.ndarray | slice = field(default_factory=lambda: slice(None))
+    grad_ids: np.ndarray | None = None  # (..., L): each id's place in grad_rows
+
+    def __post_init__(self):
+        if self.grad_ids is None:  # every row, each id its own
+            object.__setattr__(self, "grad_ids", self.ids)
 
     @property
     def shape(self) -> tuple:
@@ -47,42 +57,57 @@ class TokenSequences:
         return self.ids.nbytes + self.values.nbytes
 
     def __getitem__(self, rows) -> "TokenSequences":
-        return TokenSequences(self.ids[rows], self.values[rows], self.d)
+        return TokenSequences(self.ids[rows], self.values[rows], self.d, self.grad_rows,
+                              self.grad_ids[rows])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = np.zeros(self.shape)
         np.put_along_axis(dense, self.ids[..., None], self.values[..., None], axis=-1)
         return dense if dtype is None else dense.astype(dtype)
 
+    def touched(self) -> "TokenSequences":
+        """These sequences with `grad_rows` the distinct ids, padding's too."""
+        rows, at = np.unique(self.ids, return_inverse=True)
+        return replace(self, grad_rows=rows,
+                       grad_ids=at.reshape(self.ids.shape).astype(self.ids.dtype))
+
     def scaled(self, mask) -> "TokenSequences":
         """X * mask[:, None, :] for an (N, d) mask: each value times its column's mask."""
-        return TokenSequences(self.ids, self.values * np.take_along_axis(mask, self.ids, 1),
-                              self.d)
+        return replace(self, values=self.values * np.take_along_axis(mask, self.ids, 1))
 
     def dot(self, w, at) -> np.ndarray:
         """X[:, at] @ w, as a gather of w's rows."""
         return w[self.ids[:, at]] * self.values[:, at, None]
 
     def add_tdot(self, out, g, at) -> None:
-        """out += X[:, at]ᵀ g, summed over rows and positions: each row of g, times
-        its value, is added to the row of the C-contiguous `out` that its id names.
-        `np.add.at` sums rows that share an id, which `out[ids] += rows` would not."""
+        """out += X[:, at]ᵀ g restricted to `grad_rows`, summed over rows and
+        positions: each row of g, times its value, is added to the row of the
+        C-contiguous `out` that its grad id names. `np.add.at` sums rows that
+        share an id, which `out[ids] += rows` would not."""
         assert out.flags.c_contiguous  # so that reshape(-1) is a view of it
         cols = out.shape[1]
         # in intp: an int32 id times cols can pass 2**31
-        flat_index = self.ids[:, at, None].astype(np.intp) * cols + np.arange(cols)
+        flat_index = self.grad_ids[:, at, None].astype(np.intp) * cols + np.arange(cols)
         np.add.at(out.reshape(-1), flat_index.ravel(), (self.values[:, at, None] * g).ravel())
 
 
 @dataclass(frozen=True, eq=False)
 class DenseSequences:
-    """Sequences held as their (N, L, d) float64 array, with TokenSequences' products."""
+    """Sequences held as their (N, L, d) float64 array, with TokenSequences' products.
+    Every row of the input layer reads them, so `grad_rows` is all of them."""
 
     array: np.ndarray
+    grad_rows = slice(None)
 
     @property
     def shape(self) -> tuple:
         return self.array.shape
+
+    def __getitem__(self, rows) -> "DenseSequences":
+        return DenseSequences(self.array[rows])
+
+    def touched(self) -> "DenseSequences":
+        return self
 
     def scaled(self, mask) -> "DenseSequences":
         return DenseSequences(self.array * mask[:, None, :])
@@ -212,11 +237,21 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+PREDICT_BATCH = 64  # rows per inference forward pass, which bounds its memory
+
+
 class DenseHeadNet:
     """What the CNN and the LSTM share: a body, written by each subclass, maps
     (batch, L, d) input to (batch, feature_len) features z, and the dense head
     relu(z @ w1 + b1) @ w2 + b2 maps those to one output per row. Each subclass
-    defines `forward`, whose cache holds "features" and "h1", and `backward`."""
+    defines `forward`, whose cache holds "features" and "h1", and `backward`.
+
+    The body's first layer, `INPUT_LAYER`, is a lookup table: its d rows along
+    `INPUT_AXIS` are the input columns. `backward` gives its gradient on the
+    input's `grad_rows` only, and training keeps state for those rows only."""
+
+    INPUT_LAYER: str
+    INPUT_AXIS: int
 
     def __init__(self, spec, seq_len: int, dim: int, feature_len: int, body: dict,
                  seed: int, params: dict | None):
@@ -248,18 +283,40 @@ class DenseHeadNet:
         grads["b1"] = dh1.sum(axis=0)
         return dh1 @ p["w1"].T
 
+    def trained_parts(self, rows) -> dict:
+        """Each parameter's index of the part that training on input whose
+        `grad_rows` are `rows` changes: those rows of the input layer, and the
+        other parameters whole."""
+        parts = dict.fromkeys(self.params, slice(None))
+        parts[self.INPUT_LAYER] = (slice(None),) * self.INPUT_AXIS + (rows,)
+        return parts
+
+    def _input_grad(self, X) -> np.ndarray:
+        """Zeros for the input layer's gradient on X's `grad_rows`, in C order
+        as `add_tdot` needs (`zeros_like` of a fancy index may not be)."""
+        name = self.INPUT_LAYER
+        return np.zeros(self.params[name][self.trained_parts(X.grad_rows)[name]].shape)
+
+    def _by_batch(self, X, pick, batch: int = PREDICT_BATCH) -> np.ndarray:
+        """pick(out, cache) of forward(training=False) over X, concatenated. It
+        runs `batch` rows at a time, so one batch's cache is alive at once; an
+        empty X runs one empty batch, which gives the output's shape."""
+        X = _checked_input(self, X)
+        return np.concatenate([pick(*self.forward(X[start : start + batch], training=False))
+                               for start in range(0, max(X.shape[0], 1), batch)])
+
     def features(self, X) -> np.ndarray:
         """The body's output, which the head reads (dropout off)."""
-        _, cache = self.forward(X, training=False)
-        return cache["features"]
+        return self._by_batch(X, lambda out, cache: cache["features"])
 
     def predict(self, X) -> np.ndarray:
-        out, _ = self.forward(X, training=False)
-        return out
+        return self._by_batch(X, lambda out, cache: out)
 
 
 class CnnRegressor(DenseHeadNet):
     """Conv1d (valid, ReLU) -> max pool -> dense ReLU -> linear output."""
+
+    INPUT_LAYER, INPUT_AXIS = "conv_w", 1  # (kernel_size, d, conv_filters)
 
     def __init__(self, spec: CnnSpec, seq_len: int, dim: int, seed: int = 0,
                  params: dict | None = None):
@@ -310,7 +367,7 @@ class CnnRegressor(DenseHeadNet):
         np.multiply(dpre, pre > 0, out=dpre)
         grads["conv_b"] = dpre.sum(axis=(0, 1))
         # one product per kernel offset, over every (row, position) pair at once
-        grads["conv_w"] = np.zeros_like(self.params["conv_w"])
+        grads["conv_w"] = self._input_grad(X)
         for j in range(spec.kernel_size):
             X.add_tdot(grads["conv_w"][j], dpre, slice(j, j + self.conv_len))
         return grads
@@ -322,6 +379,8 @@ class LstmRegressor(DenseHeadNet):
 
     The output unit itself uses ReLU, so raw predictions are >= 0.
     """
+
+    INPUT_LAYER, INPUT_AXIS = "wx", 0  # (d, 4 * units)
 
     def __init__(self, spec: LstmSpec, seq_len: int, dim: int, seed: int = 0,
                  params: dict | None = None):
@@ -417,7 +476,8 @@ class LstmRegressor(DenseHeadNet):
         if checkpoints is None:
             _, checkpoints = self._run(X, mask_h, keep=True)
         pre2 = cache["pre2"][:, 0]
-        grads = {name: np.zeros_like(p[name]) for name in ("wx", "wh", "b")}
+        grads = {"wx": self._input_grad(X), "wh": np.zeros_like(p["wh"]),
+                 "b": np.zeros_like(p["b"])}
         dh = self._head_backward(cache, dout * (pre2 > 0), grads)  # the output ReLU's mask
         dc = np.zeros((pre2.shape[0], h_units))
         tanh_c = None  # of the step after the segment's last, carried back
@@ -463,10 +523,16 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, params: dict, learning_rate: float):
+    def __init__(self, params: dict, learning_rate: float, parts: dict | None = None):
+        """`parts` maps a parameter to the index of the part of it that the
+        gradients cover and `step` updates (default: all of it); `m` and `v`
+        hold that part only. Adam leaves the rest where it is, as it would a
+        part whose gradient is zero at every step: m = v = 0, so its update is
+        0 / (0 + ε)."""
         self.learning_rate = learning_rate
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.parts = dict.fromkeys(params, slice(None)) | (parts or {})
+        self.m = {k: np.zeros(v[self.parts[k]].shape) for k, v in params.items()}
+        self.v = {k: np.zeros_like(m) for k, m in self.m.items()}
         self.t = 0
 
     def step(self, params: dict, grads: dict):
@@ -490,17 +556,18 @@ class Adam:
             update = np.divide(m, m_scale)
             update *= self.learning_rate
             update /= scratch
-            param -= update
+            param[self.parts[key]] -= update  # in place for a slice, written back for rows
 
 
 def _dataset_loss(model, X, y, batch_size: int) -> float:
+    # forward passes of batch_size rows, as in training: a row's output can
+    # differ in its last bits with the number of rows beside it in a product
+    pred = model._by_batch(X, lambda out, cache: out, batch_size)
     total = 0.0
-    for start in range(0, X.shape[0], batch_size):
-        chunk = slice(start, start + batch_size)
-        pred, _ = model.forward(X[chunk], training=False)
-        diff = pred - y[chunk]
+    for start in range(0, y.shape[0], batch_size):
+        diff = pred[start : start + batch_size] - y[start : start + batch_size]
         total += float(np.sum(diff * diff))
-    return total / X.shape[0]
+    return total / y.shape[0]
 
 
 def _batch_grads(model, X, y, rng, epoch: int) -> dict:
@@ -515,16 +582,21 @@ def _batch_grads(model, X, y, rng, epoch: int) -> dict:
 
 def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHistory:
     """Adam + early stopping on validation MSE; best weights restored. `X_train`
-    and `X_val` are (N, L, d) arrays or TokenSequences."""
+    and `X_val` are (N, L, d) arrays or TokenSequences.
+
+    Only the input layer's rows that `X_train` reads get a gradient, Adam state
+    and a best copy; the rest keep their initial values, as dense Adam would."""
     y_train = np.asarray(y_train, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.float64)
     if X_train.shape[0] == 0 or X_val.shape[0] == 0:
         raise TrainingError("train and validation splits must be non-empty")
+    X_train = _checked_input(model, X_train).touched()
+    parts = model.trained_parts(X_train.grad_rows)
     rng = np.random.default_rng(cfg.seed)
-    adam = Adam(model.params, cfg.learning_rate)
+    adam = Adam(model.params, cfg.learning_rate, parts)
     history = TrainingHistory()
     best_val = np.inf
-    best_params = {name: arr.copy() for name, arr in model.params.items()}
+    best_params = {name: arr[parts[name]].copy() for name, arr in model.params.items()}
     bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(X_train.shape[0])
@@ -544,11 +616,12 @@ def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHi
             best_val = val_loss
             history.best_epoch = epoch
             for name, arr in model.params.items():
-                np.copyto(best_params[name], arr)
+                np.copyto(best_params[name], arr[parts[name]])
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    model.params = best_params
+    for name, arr in model.params.items():
+        arr[parts[name]] = best_params[name]
     return history

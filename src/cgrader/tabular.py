@@ -166,11 +166,12 @@ def _best_split(X, ranks, idx, y, feats, min_samples_leaf):
     # orders each column's rows as a stable sort by rank. An int16 rank is below
     # 2**15, so int32 keys hold it beside a position below 2**16.
     key_type = np.int32 if ranks.dtype == np.int16 and shift <= 16 else np.int64
-    keys = ranks[idx][:, feats].astype(key_type) << shift
+    # `take` along one axis and then the other gathers faster than a fancy index
+    keys = ranks.take(idx, axis=0).take(feats, axis=1).astype(key_type) << shift
     keys |= np.arange(n, dtype=keys.dtype)[:, None]
     keys.sort(axis=0)
     order, rs = keys & ((1 << shift) - 1), keys >> shift
-    ys = y[order]
+    ys = y.take(order)  # faster than y[order] for the int32 `order`
     s1 = np.cumsum(ys, axis=0)
     s2 = np.cumsum(ys * ys, axis=0)
     # A cut after sorted row lo..hi-1 leaves at least min_samples_leaf rows on each

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from cgrader.neural import (
     CnnSpec,
     LstmRegressor,
     LstmSpec,
+    PREDICT_BATCH,
     ShapeError,
     TokenSequences,
     TrainConfig,
@@ -546,6 +548,94 @@ class TestTrain:
         per_step = (peak_bytes(256) - peak_bytes(64)) / (256 - 64)
         assert per_step <= batch * units * 8, per_step
 
+def small_token_run(net, inputs="tokens"):
+    """(model, train input, history) of a fixed small run on 16 train rows whose
+    tokens read 6 of 32 buckets; the 8 validation rows also read bucket 22."""
+    rng = np.random.default_rng(11)
+    seq_len, dim = 8, 32
+    ids = rng.choice([1, 4, 5, 9, 17, 30], size=(24, seq_len)).astype(np.int32)
+    ids[16:, -2:] = 22
+    X = TokenSequences(ids, rng.uniform(0.5, 2.0, (24, seq_len)), dim)
+    y = rng.uniform(0, 10, 24)
+    if net == "cnn":
+        model = CnnRegressor(CnnSpec(conv_filters=4, kernel_size=3, pool_size=2,
+                                     dense_units=8), seq_len, dim, seed=3)
+    else:
+        model = LstmRegressor(LstmSpec(units=6, dropout=0.2, recurrent_dropout=0.2,
+                                       dense_units=8), seq_len, dim, seed=3)
+    if inputs == "dense":
+        X = np.asarray(X)
+    cfg = TrainConfig(max_epochs=8, batch_size=5, learning_rate=0.01, patience=3, seed=2)
+    history = train(model, X[:16], y[:16], X[16:], y[16:], cfg)
+    return model, X[:16], history
+
+
+class TestInputLayerRows:
+    """Training keeps the input layer's gradient, Adam moments and best copy on
+    the rows its token input reads; the other rows keep their initial bits."""
+
+    # sha256 of the parameters after `small_token_run`, computed with the input
+    # layer's training state on all of its rows (x86-64, numpy 2.4, OpenBLAS)
+    PINNED = {"cnn": "5095a1ca8c831d0166038a27e69b3448220a0e49ab770844eb5ad79dde3e406c",
+              "lstm": "7809dc9ca6c65f2686fc1ff9be4fe092537ef46a5c4f5b09ca10cd88d555907c"}
+
+    @pytest.mark.parametrize("net", ["cnn", "lstm"])
+    def test_untouched_rows_keep_their_initial_bits(self, net):
+        model, X, history = small_token_run(net)
+        assert history.best_epoch > 1  # the best copy was taken after training moved
+        fresh = type(model)(model.spec, model.seq_len, model.dim, seed=3)
+        name, axis = model.INPUT_LAYER, model.INPUT_AXIS
+        touched = np.isin(np.arange(model.dim), X.ids)
+        assert touched.sum() == 6
+        after, before = (np.moveaxis(net.params[name], axis, 0) for net in (model, fresh))
+        assert np.array_equal(after[~touched], before[~touched])
+        assert not np.array_equal(after[touched], before[touched])
+
+    @pytest.mark.parametrize("net", ["cnn", "lstm"])
+    @pytest.mark.parametrize("inputs", ["tokens", "dense"])
+    def test_adam_state_and_gradient_have_one_row_per_touched_bucket(
+            self, net, inputs, monkeypatch):
+        seen = []
+        step = Adam.step
+
+        def spy(adam, params, grads):
+            name = next(k for k in ("wx", "conv_w") if k in params)
+            axis = 0 if name == "wx" else 1
+            seen.append({adam.m[name].shape[axis], adam.v[name].shape[axis],
+                         grads[name].shape[axis]})
+            step(adam, params, grads)
+
+        monkeypatch.setattr(Adam, "step", spy)
+        small_token_run(net, inputs)
+        rows = 6 if inputs == "tokens" else 32  # dense input reads every row
+        assert seen and all(shapes == {rows} for shapes in seen)
+
+    @pytest.mark.parametrize("net", ["cnn", "lstm"])
+    def test_parameters_match_the_dense_state_digest(self, net):
+        model, _, _ = small_token_run(net)
+        digest = hashlib.sha256()
+        for name in sorted(model.params):
+            digest.update(name.encode())
+            digest.update(model.params[name].tobytes())
+        assert digest.hexdigest() == self.PINNED[net]
+
+    @pytest.mark.parametrize("case", range(3), ids=["cnn", "lstm", "lstm_dropout"])
+    def test_touched_gradient_is_the_full_one_on_its_rows(self, case):
+        model, masks = token_nets()[case]
+        rng = np.random.default_rng(case)
+        tokens = token_rows(rng, 5, TOY_L, TOY_D)
+        tokens.ids[tokens.ids == 1] = 3  # bucket 1 is read by no row
+        y = rng.uniform(0, 10, 5)
+        full = analytic_grads(model, tokens, y, masks=masks)
+        touched = tokens.touched()
+        assert touched.grad_rows.tolist() == sorted(set(tokens.ids.ravel()))
+        part = analytic_grads(model, touched, y, masks=masks)
+        parts = model.trained_parts(touched.grad_rows)
+        for name, grad in full.items():
+            assert np.array_equal(part[name], grad[parts[name]]), name
+        assert not np.moveaxis(full[model.INPUT_LAYER], model.INPUT_AXIS, 0)[1].any()
+
+
 class TestAdam:
     @staticmethod
     def textbook_step(params, grads, m, v, t, lr):
@@ -606,6 +696,28 @@ class TestFeatures:
         out = head[:, 0] if net == "cnn" else np.maximum(head[:, 0], 0.0)
         assert np.count_nonzero(out) > 0  # a live output unit, not all ReLU zeros
         assert np.array_equal(model.predict(X), out)
+
+    def test_cnn_predict_memory_is_about_one_batch(self):
+        """predict and features run PREDICT_BATCH rows at a time, so on over
+        three batches at seq_len 256 they peak about where one batch does, plus
+        their output and its pieces."""
+        rng = np.random.default_rng(0)
+        seq_len, dim, rows = 256, 256, 3 * PREDICT_BATCH + 8
+        model = CnnRegressor(CnnSpec(), seq_len, dim)
+        X = TokenSequences(rng.integers(0, dim, (rows, seq_len)).astype(np.int32),
+                           rng.uniform(0.5, 2.0, (rows, seq_len)), dim)
+
+        def peak_bytes(n, method):
+            tracemalloc.start()
+            try:
+                out = method(X[:n])
+                return tracemalloc.get_traced_memory()[1], out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        for method in (model.predict, model.features):
+            peak, out_bytes = peak_bytes(rows, method)
+            assert peak < 1.05 * peak_bytes(PREDICT_BATCH, method)[0] + 2 * out_bytes
 
     def test_features_deterministic(self):
         model = toy_lstm(dropout=0.4)
