@@ -34,7 +34,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_synth(args) -> int:
-    persist.require_folders(filter(None, (args.out, args.plans)))
+    persist.require_folders({"--out": args.out, "--plans": args.plans})
     rng = np.random.default_rng(pipeline.check_seed(args.seed, "--seed"))
     files = sorted(Path(args.seeds).glob("*.c"))
     if not files:
@@ -63,7 +63,9 @@ FLAGS = {"ratios": "--split", "seed": "--seed", "provider": "--embedding", "dim"
 
 
 def cmd_train(args) -> int:
-    persist.require_folders([args.out])
+    persist.require_folders({"--out": args.out}, {"--data": args.data,
+                                                  "--vectors": args.vectors,
+                                                  "--grid": args.grid})
     try:
         ratios = [float(r) for r in args.split.split(",")]
     except ValueError:

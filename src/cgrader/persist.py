@@ -134,19 +134,32 @@ def atomic_open(path):
         raise
 
 
-def require_folders(paths, made=None) -> None:
-    """Raises an OSError naming the first of `paths` that is a folder or whose folder
-    is missing, so a command fails before any work. A folder that holds folder
-    `made`, which the command makes, counts as present; a file at `made` does not."""
+def require_folders(outputs: dict, inputs: dict | None = None, made=None) -> None:
+    """Checks a command's files before any work. `outputs` and `inputs` map each
+    file's flag or config key to its path (None: not given). Raises an OSError
+    naming the first output that is a folder or whose folder is missing, and a
+    PersistError naming both keys when an output resolves to another output or to
+    an input. A folder that holds folder `made`, which the command makes, counts as
+    present; a file at `made` does not."""
     if made is not None and os.path.lexists(made) and not os.path.isdir(made):
         raise NotADirectoryError(f"cannot make directory {made}: a file is there")
-    for path in paths:
+    written = {}  # resolved output path -> its key
+    for name, path in outputs.items():
+        if path is None:
+            continue
         if os.path.isdir(path):
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder) and (
                 made is None or os.path.commonpath([folder, os.path.abspath(made)]) != folder):
             raise FileNotFoundError(f"no directory to write {path}")
+        real = os.path.realpath(path)
+        if real in written:
+            raise PersistError(f"{written[real]} and {name} both name {real}")
+        written[real] = name
+    for name, path in (inputs or {}).items():
+        if path is not None and (real := os.path.realpath(path)) in written:
+            raise PersistError(f"{written[real]} and {name} both name {real}")
 
 
 def atomic_write_text(path, text: str) -> None:

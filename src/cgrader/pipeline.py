@@ -258,8 +258,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     and curves. Returns kind -> exception of each failure, in `kinds.KINDS` order; a
     failed kind leaves no model file, not even one of an earlier run."""
     paths = {name: os.path.join(cfg.models_dir, f"{name}.json") for name in kinds.KINDS}
-    persist.require_folders([cfg.report_path, cfg.curves_path, *paths.values()],
-                            made=cfg.models_dir)
+    persist.require_folders(
+        {"output.report": cfg.report_path, "output.curves": cfg.curves_path,
+         **{f"output.models_dir's {name}.json": path for name, path in paths.items()}},
+        {"data": cfg.settings.data, "embedding.vectors": cfg.settings.vectors},
+        made=cfg.models_dir)
     data, provider, parts = prepare(cfg.settings)
     os.makedirs(cfg.models_dir, exist_ok=True)
     scored = {"train": data.train, "test": embed_split(provider, parts.test)}

@@ -11,6 +11,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,103 +91,95 @@ _RELATIONAL_SWAP = {
 _OUTPUT_CALLS = {"printf", "puts", "putchar"}
 
 
-# Each mutator takes the tokens of its input (`tokenize(code).tokens`), so a
-# caller that holds them does not lex the text again, and returns the new text.
+class FaultSites:
+    """Where each fault can strike one program text, found in one pass over its
+    tokens. It holds offsets into the text, not tokens. Each fault draws from
+    `rng` and returns the text with one span replaced."""
+
+    __slots__ = ("code", "syntax", "logic", "outputs")
+
+    def __init__(self, code: str, tokens: Sequence[Token]):
+        starts = [0, *accumulate(len(tok.text) for tok in tokens)]
+        semis, braces, keywords = [], [], []  # offset of the character each deletes
+        logic = []  # (start, end, swapped operator or loop literal's value)
+        outputs = []  # (start, end) of each output statement
+        # One entry per `(` that no `)` has closed yet: True while a literal at
+        # its depth sits in a for/while header, that is, the `(` follows `for` or
+        # `while` and no `;`, `{` or `}` has come since at that depth.
+        headers: list[bool] = []
+        prev = None  # the last token that is neither whitespace nor a comment
+        for i, tok in enumerate(tokens):
+            kind, text = tok.kind, tok.text
+            if kind is TokenKind.PUNCTUATOR:
+                if text == "(":
+                    headers.append(prev is not None and prev.kind is TokenKind.KEYWORD
+                                   and prev.text in ("for", "while"))
+                elif text == ")":
+                    if headers:
+                        headers.pop()
+                elif text in (";", "{", "}"):
+                    if headers:
+                        headers[-1] = False
+                    if text == ";":
+                        semis.append(starts[i])
+                    elif text == "}":
+                        braces.append(starts[i])
+                elif text in _RELATIONAL_SWAP:
+                    logic.append((starts[i], starts[i + 1], _RELATIONAL_SWAP[text]))
+            elif kind is TokenKind.KEYWORD and len(text) >= 2:
+                keywords.append(starts[i + 1] - 1)
+            elif (kind is TokenKind.INT_LITERAL and text.isdigit()
+                  and headers and headers[-1]):
+                logic.append((starts[i], starts[i + 1], int(text)))
+            elif kind is TokenKind.IDENTIFIER and text in _OUTPUT_CALLS:
+                end = _statement_end(tokens, i)
+                if end is not None:
+                    outputs.append((starts[i], starts[end + 1]))
+            if kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT):
+                prev = tok
+        self.code = code
+        self.syntax = tuple(tuple(sites) for sites in (semis, braces, keywords) if sites)
+        self.logic = tuple(logic)
+        self.outputs = tuple(outputs)
+
+    def _splice(self, start: int, end: int, new: str = "") -> str:
+        return self.code[:start] + new + self.code[end:]
+
+    def inject_syntax_error(self, rng: np.random.Generator) -> str:
+        """Delete a `;` or `}`, or drop the last character of a keyword."""
+        if not self.syntax:
+            raise NotMutableError("no semicolon, closing brace, or keyword to break")
+        sites = self.syntax[rng.integers(len(self.syntax))]
+        at = sites[rng.integers(len(sites))]
+        return self._splice(at, at + 1)
+
+    def inject_logic_error(self, rng: np.random.Generator) -> str:
+        """Swap a relational/arithmetic operator or nudge a loop-bound literal."""
+        candidates = []
+        for start, end, new in self.logic:
+            if isinstance(new, int):  # one draw per nonzero literal, in token order
+                new = str(new + (1 if new == 0 else int(rng.choice([-1, 1]))))
+            candidates.append((start, end, new))
+        if not candidates:
+            raise NotMutableError("no operator or loop-bound literal to mutate")
+        return self._splice(*candidates[rng.integers(len(candidates))])
+
+    def remove_output(self, rng: np.random.Generator) -> str:
+        """Delete one printf/puts/putchar statement through its semicolon."""
+        if not self.outputs:
+            raise NotMutableError("no output call to remove")
+        return self._splice(*self.outputs[rng.integers(len(self.outputs))])
 
 
-def _rebuild(tokens: Sequence[Token], replace: dict[int, str]) -> str:
-    return "".join(replace.get(i, tok.text) for i, tok in enumerate(tokens))  # "" deletes
-
-
-def inject_syntax_error(tokens: Sequence[Token], rng: np.random.Generator) -> str:
-    """Delete a `;` or `}`, or drop the last character of a keyword."""
-    sites: dict[str, list[int]] = {"semi": [], "brace": [], "keyword": []}
-    for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.PUNCTUATOR and tok.text == ";":
-            sites["semi"].append(i)
-        elif tok.kind is TokenKind.PUNCTUATOR and tok.text == "}":
-            sites["brace"].append(i)
-        elif tok.kind is TokenKind.KEYWORD and len(tok.text) >= 2:
-            sites["keyword"].append(i)
-    applicable = [name for name in ("semi", "brace", "keyword") if sites[name]]
-    if not applicable:
-        raise NotMutableError("no semicolon, closing brace, or keyword to break")
-    action = applicable[rng.integers(len(applicable))]
-    idx = int(sites[action][rng.integers(len(sites[action]))])
-    if action == "keyword":
-        return _rebuild(tokens, {idx: tokens[idx].text[:-1]})
-    return _rebuild(tokens, {idx: ""})
-
-
-def inject_logic_error(tokens: Sequence[Token], rng: np.random.Generator) -> str:
-    """Swap a relational/arithmetic operator or nudge a loop-bound literal."""
-    candidates: list[tuple[int, str]] = []
-    for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.PUNCTUATOR and tok.text in _RELATIONAL_SWAP:
-            candidates.append((i, _RELATIONAL_SWAP[tok.text]))
-        elif (
-            tok.kind is TokenKind.INT_LITERAL
-            and tok.text.isdigit()
-            and _inside_loop_header(tokens, i)
-        ):
-            value = int(tok.text)
-            delta = 1 if value == 0 else int(rng.choice([-1, 1]))
-            candidates.append((i, str(value + delta)))
-    if not candidates:
-        raise NotMutableError("no operator or loop-bound literal to mutate")
-    idx, new_text = candidates[rng.integers(len(candidates))]
-    return _rebuild(tokens, {idx: new_text})
-
-
-def _inside_loop_header(tokens: Sequence[Token], i: int) -> bool:
-    """True if token i sits inside the parentheses of a for/while header."""
+def _statement_end(tokens: Sequence[Token], name: int) -> int | None:
+    """Index of the `;` that ends the call named by token `name`, if the next token
+    that is neither whitespace nor a comment is its `(`."""
+    nxt = next((k for k in range(name + 1, len(tokens))
+                if tokens[k].kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)), None)
+    if nxt is None or tokens[nxt].text != "(":
+        return None
     depth = 0
-    for j in range(i - 1, -1, -1):
-        tok = tokens[j]
-        if tok.kind is TokenKind.PUNCTUATOR:
-            if tok.text == ")":
-                depth += 1
-            elif tok.text == "(":
-                if depth == 0:
-                    k = _first_significant(tokens, range(j - 1, -1, -1))
-                    return (
-                        k is not None
-                        and tokens[k].kind is TokenKind.KEYWORD
-                        and tokens[k].text in ("for", "while")
-                    )
-                depth -= 1
-            elif tok.text in (";", "{", "}") and depth == 0:
-                return False
-    return False
-
-
-def _first_significant(tokens: Sequence[Token], indices) -> int | None:
-    """The first of `indices` whose token is neither whitespace nor a comment."""
-    return next((k for k in indices
-                 if tokens[k].kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)), None)
-
-
-def remove_output(tokens: Sequence[Token], rng: np.random.Generator) -> str:
-    """Delete one printf/puts/putchar statement through its semicolon."""
-    calls: list[tuple[int, int]] = []  # (identifier index, semicolon index)
-    for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.IDENTIFIER and tok.text in _OUTPUT_CALLS:
-            nxt = _first_significant(tokens, range(i + 1, len(tokens)))
-            if nxt is None or tokens[nxt].text != "(":
-                continue
-            end = _statement_end(tokens, nxt)
-            if end is not None:
-                calls.append((i, end))
-    if not calls:
-        raise NotMutableError("no output call to remove")
-    start, end = calls[rng.integers(len(calls))]
-    return _rebuild(tokens, {i: "" for i in range(start, end + 1)})
-
-
-def _statement_end(tokens: Sequence[Token], open_paren: int) -> int | None:
-    """Index of the `;` terminating the call whose `(` is at open_paren."""
-    depth = 0
-    for k in range(open_paren, len(tokens)):
+    for k in range(nxt, len(tokens)):
         text = tokens[k].text
         if tokens[k].kind is TokenKind.PUNCTUATOR:
             if text == "(":
@@ -227,21 +220,23 @@ def draw_plan(rng: np.random.Generator) -> frozenset[MutationKind]:
     return frozenset({MutationKind.HALF_COMPLETED})
 
 
-# The token mutators in the order a plan applies them.
-_FAULTS = ((MutationKind.NO_OUTPUT, remove_output),
-           (MutationKind.LOGIC_ERROR, inject_logic_error),
-           (MutationKind.SYNTAX_ERROR, inject_syntax_error))
+# The faults in the order a plan applies them.
+_FAULTS = ((MutationKind.NO_OUTPUT, FaultSites.remove_output),
+           (MutationKind.LOGIC_ERROR, FaultSites.inject_logic_error),
+           (MutationKind.SYNTAX_ERROR, FaultSites.inject_syntax_error))
 
 
-def apply_plan(code: str, tokens: Sequence[Token], kinds: frozenset[MutationKind],
-               rng: np.random.Generator) -> str:
-    """Apply faults in the fixed order no-output, logic, syntax. `tokens` are
-    those of `code`; only a text between two faults is lexed."""
+def apply_plan(code: str, kinds: frozenset[MutationKind], rng: np.random.Generator,
+               indexed: dict[str, FaultSites]) -> str:
+    """Apply faults in the fixed order no-output, logic, syntax. `indexed` maps
+    program texts to their sites; a text that is not in it is lexed and added."""
     if MutationKind.HALF_COMPLETED in kinds:
         return truncate_half(code)
-    faults = [fault for kind, fault in _FAULTS if kind in kinds]
-    for n, fault in enumerate(faults):
-        code = fault(tokens if n == 0 else tokenize(code).tokens, rng)
+    for kind, fault in _FAULTS:
+        if kind in kinds:
+            if code not in indexed:
+                indexed[code] = FaultSites(code, tokenize(code).tokens)
+            code = fault(indexed[code], rng)
     return code
 
 
@@ -258,13 +253,14 @@ def synthesize_with_plans(
         raise ValueError(f"count must be >= 1, got {count}")
     if not seeds:
         raise ValueError("need at least one seed program")
-    seed_tokens = []  # each seed lexed once, for this call
+    indexed: dict[str, FaultSites] = {}  # each text lexed once, for this call
     for seed in seeds:
         if seed.score != rubric.full_marks:
             raise ValueError(f"seed {seed.id!r} is not a full-marks program")
-        seed_tokens.append(tokenize(seed.code).tokens)
-        if any(t.kind is TokenKind.ERROR for t in seed_tokens[-1]):
+        tokens = tokenize(seed.code).tokens
+        if any(t.kind is TokenKind.ERROR for t in tokens):
             raise ValueError(f"seed {seed.id!r} does not lex cleanly")
+        indexed[seed.code] = FaultSites(seed.code, tokens)
     rows = []
     plans = []
     for i in range(count):
@@ -273,7 +269,7 @@ def synthesize_with_plans(
         for _ in range(_MAX_ATTEMPTS):
             kinds = draw_plan(rng)
             try:
-                mutated = apply_plan(seed.code, seed_tokens[pick], kinds, rng)
+                mutated = apply_plan(seed.code, kinds, rng, indexed)
             except NotMutableError:
                 continue
             break

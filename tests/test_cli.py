@@ -1144,3 +1144,60 @@ class TestInputErrors:
         assert capsys.readouterr().err == (
             "error: external vector files cannot embed ad-hoc code; "
             "use the tfidf provider\n")
+
+
+class TestOutputPaths:
+    """An output that resolves to another output or to an input exits 2 naming both,
+    before any file is written."""
+
+    def test_synth_refuses_plans_at_its_corpus(self, seed_dir, tmp_path, capsys):
+        out = tmp_path / "corpus.csv"
+        assert main(["synth", "--seeds", str(seed_dir), "--count", "5", "--out", str(out),
+                     "--plans", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out and --plans both name {out}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--data", "--vectors", "--grid"])
+    def test_train_refuses_to_write_over_an_input(self, flag, tmp_path, corpus_csv,
+                                                  capsys):
+        target = {"--data": corpus_csv, "--vectors": tmp_path / "vectors.jsonl",
+                  "--grid": tmp_path / "grid.json"}[flag]
+        target.write_text(target.read_text() if target.exists() else "{}\n",
+                          encoding="utf-8")
+        before = target.read_bytes()
+        alias = tmp_path / "alias"  # the same file under another name
+        alias.symlink_to(target)
+        argv = ["train", "--data", str(corpus_csv), "--model", "ridge", "--seq-len", "4",
+                "--out", str(alias)]
+        if flag == "--vectors":
+            argv += ["--embedding", "external"]
+        if flag != "--data":
+            argv += [flag, str(target)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out and {flag} both name {target}"]
+        assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("output, names", [
+        ({"report": "corpus.csv"}, "output.report and data"),
+        ({"curves": "report.csv"}, "output.report and output.curves"),
+        ({"curves": "models/gbt.json"}, "output.curves and output.models_dir's gbt.json"),
+        ({"report": "vectors.jsonl"}, "output.report and embedding.vectors"),
+    ])
+    def test_experiment_refuses_a_colliding_output(self, output, names, tmp_path,
+                                                   corpus_csv, capsys):
+        paths = {"report": "report.csv", "curves": "curves.csv", "models_dir": "models"}
+        paths.update(output)
+        embedding = ({"provider": "external", "vectors": str(tmp_path / "vectors.jsonl")}
+                     if "vectors" in names else {"dim": 16, "seq_len": 4})
+        config = _experiment_config(
+            tmp_path, corpus_csv, embedding=embedding,
+            output={key: str(tmp_path / path) for key, path in paths.items()})
+        before = corpus_csv.read_bytes()
+        assert main(["experiment", "--config", config]) == EXIT_USAGE
+        collided = tmp_path / next(iter(output.values()))
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {names} both name {collided}"]
+        assert corpus_csv.read_bytes() == before
+        assert not (tmp_path / "models").exists()

@@ -9,13 +9,12 @@ from cgrader.clex import TokenKind, tokenize
 from cgrader.corpus import Submission
 from cgrader.synth import (
     VALID_KIND_SETS,
+    FaultSites,
     MutationKind,
     MutationPlan,
     NotMutableError,
     Rubric,
-    inject_logic_error,
-    inject_syntax_error,
-    remove_output,
+    apply_plan,
     score_for,
     synthesize_with_plans,
     truncate_half,
@@ -24,8 +23,12 @@ from cgrader.synth import (
 SEED_DIR = Path(__file__).resolve().parent.parent / "seeds"
 
 
-def tokens(code):
-    return tokenize(code).tokens
+def sites(code):
+    return FaultSites(code, tokenize(code).tokens)
+
+
+def mutate(code, kinds, rng):
+    return apply_plan(code, kinds, rng, {})
 
 
 def lexes_cleanly(code):
@@ -74,38 +77,38 @@ class TestScoreFor:
 
 class TestSyntaxError:
     def test_semicolon_only_site(self):
-        assert inject_syntax_error(tokens("x;"), np.random.default_rng(0)) == "x"
+        assert sites("x;").inject_syntax_error(np.random.default_rng(0)) == "x"
 
     def test_known_outcomes(self):
         # "int x;" offers a semicolon deletion or a keyword misspelling.
         seen = {
-            inject_syntax_error(tokens("int x;"), np.random.default_rng(s)) for s in range(30)
+            sites("int x;").inject_syntax_error(np.random.default_rng(s)) for s in range(30)
         }
         assert seen == {"int x", "in x;"}
 
     def test_empty_code(self):
         with pytest.raises(NotMutableError):
-            inject_syntax_error(tokens(""), np.random.default_rng(0))
+            sites("").inject_syntax_error(np.random.default_rng(0))
 
     def test_output_differs(self):
         code = "int main() { return 0; }"
         for s in range(20):
-            assert inject_syntax_error(tokens(code), np.random.default_rng(s)) != code
+            assert sites(code).inject_syntax_error(np.random.default_rng(s)) != code
 
 
 class TestLogicError:
     def test_operator_swap(self):
-        assert inject_logic_error(tokens("i<n"), np.random.default_rng(0)) == "i>n"
+        assert sites("i<n").inject_logic_error(np.random.default_rng(0)) == "i>n"
 
     def test_no_sites(self):
         with pytest.raises(NotMutableError):
-            inject_logic_error(tokens("puts(s);"), np.random.default_rng(0))
+            sites("puts(s);").inject_logic_error(np.random.default_rng(0))
 
     def test_swap_preserves_token_count_and_lexes(self):
         code = "for (i = 0; i < 10; i++) { x += i; }"
         n_before = len(tokenize(code).tokens)
         for s in range(20):
-            mutated = inject_logic_error(tokens(code), np.random.default_rng(s))
+            mutated = sites(code).inject_logic_error(np.random.default_rng(s))
             assert mutated != code
             assert lexes_cleanly(mutated)
             # Swaps replace one token; literal nudges keep the count too.
@@ -113,24 +116,24 @@ class TestLogicError:
 
     def test_loop_bound_perturbation(self):
         code = "while (i < 10) i++;"
-        seen = {inject_logic_error(tokens(code), np.random.default_rng(s)) for s in range(40)}
+        seen = {sites(code).inject_logic_error(np.random.default_rng(s)) for s in range(40)}
         assert any("9" in m or "11" in m for m in seen)
 
 
 class TestRemoveOutput:
     def test_statement_removed(self):
         code = 'int main(){printf("hi");return 0;}'
-        out = remove_output(tokens(code), np.random.default_rng(0))
+        out = sites(code).remove_output(np.random.default_rng(0))
         assert out == "int main(){return 0;}"
 
     def test_no_output_call(self):
         with pytest.raises(NotMutableError):
-            remove_output(tokens("int main(){return 0;}"), np.random.default_rng(0))
+            sites("int main(){return 0;}").remove_output(np.random.default_rng(0))
 
     def test_result_lexes_cleanly(self):
         code = 'int main(){int x=1;printf("%d\\n", f(x));puts("done");return 0;}'
         for s in range(10):
-            assert lexes_cleanly(remove_output(tokens(code), np.random.default_rng(s)))
+            assert lexes_cleanly(sites(code).remove_output(np.random.default_rng(s)))
 
 
 class TestTruncateHalf:
@@ -191,7 +194,9 @@ class TestLexOnce:
         _, plans = synthesize_with_plans(seeds, 400, Rubric(), np.random.default_rng(0))
         between = sum(len(kinds) - 1 for kinds in plans if len(kinds) > 1)
         assert lexed[: len(seeds)] == [seed.code for seed in seeds]
-        assert len(lexed) == len(seeds) + between == 5 + 99
+        # then each distinct text between two faults, once: 37 of the 99 such texts
+        assert between == 99
+        assert len(lexed) == len(set(lexed)) == len(seeds) + 37
 
     # sha256 of `cgrader synth --count 400` corpus and plans over the bundled
     # seeds, from the version that lexed a seed for every fault it took.
@@ -212,3 +217,61 @@ class TestLexOnce:
         digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in (corpus, plans))
         assert digests == self.SHA256[seed]
+
+    # `--count 600 --seed 1000004` is perfbench's fresh-submission set-up at seed 1
+    # (its 400-row corpus is SHA256[1] above); pinned at the version that indexed
+    # no text.
+    HELDOUT_SHA256 = ("9d7e3cba7020408b55a8d538a4e2c35e178862c7f2d3350e66cdd3a73301e3ce",
+                      "b5b457a29b5c32263f435a094ef2765e04194b31c965573a0771934fcead0a0c")
+
+    def test_heldout_corpus_and_plans_are_unchanged(self, tmp_path, capsys):
+        corpus, plans = tmp_path / "corpus.csv", tmp_path / "plans.csv"
+        assert main(["synth", "--seeds", str(SEED_DIR), "--count", "600",
+                     "--seed", "1000004", "--out", str(corpus), "--plans", str(plans)]) == 0
+        assert tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in (corpus, plans)) == self.HELDOUT_SHA256
+
+
+# Removing `printf("a");` moves the `10` into the `for` header, so the text between
+# the two faults offers a loop literal that its seed does not.
+LOOP_HEADER_SEED = """\
+#include <stdio.h>
+
+int main(void)
+{
+    int i = 0;
+    for (printf("a"); i < 10; i++)
+        printf("%d\\n", i);
+    return 0;
+}
+"""
+
+
+class TestTextBetweenTwoFaults:
+    # Each outcome as the edits it makes to LOOP_HEADER_SEED, and the outcome of
+    # each rng seed 0-49, pinned at the version that lexed every text between two
+    # faults into tokens.
+    EDITS = [
+        {'printf("a");': "", "<stdio.h>": "<stdio.h<"},
+        {'printf("%d\\n", i);': "", "<stdio.h>": "<stdio.h<"},
+        {'printf("a");': "", "i < 10": "i < 11"},
+        {'printf("a");': "", "i < 10": "i < 9"},
+        {'printf("a");': "", "i < 10": "i > 10"},
+        {'printf("%d\\n", i);': "", "i < 10": "i > 10"},
+        {'printf("a");': "", "#include <": "#include >"},
+        {'printf("%d\\n", i);': "", "#include <": "#include >"},
+    ]
+    OUTCOMES = [1, 2, 7, 7, 5, 5, 4, 1, 7, 2, 5, 3, 7, 5, 4, 5, 1, 5, 1, 1, 7, 0, 1, 0, 3,
+                7, 1, 6, 5, 7, 3, 5, 7, 1, 6, 3, 0, 4, 0, 1, 5, 5, 4, 1, 7, 1, 5, 4, 0, 3]
+
+    def edited(self, n):
+        code = LOOP_HEADER_SEED
+        for old, new in self.EDITS[n].items():
+            assert code.count(old) == 1
+            code = code.replace(old, new)
+        return code
+
+    def test_no_output_then_logic_outcomes_are_unchanged(self):
+        kinds = frozenset({MutationKind.NO_OUTPUT, MutationKind.LOGIC_ERROR})
+        assert [mutate(LOOP_HEADER_SEED, kinds, np.random.default_rng(s))
+                for s in range(50)] == [self.edited(n) for n in self.OUTCOMES]
