@@ -282,8 +282,6 @@ def fit(name: str, data: TrainData, base_seed: int, spec: dict | None = None,
     first, under the net's own seed, when it is absent.
     """
     kind = KINDS[name]
-    if kind.sequences and data.train.sequences is None:
-        raise KindError("embedding provider supplies no token sequences")
     base = None
     if kind.base is not None:
         base = (fitted or {}).get(kind.base)

@@ -31,8 +31,7 @@ class TokenSequences:
     """Sequences whose (..., L, d) array has one nonzero per position, held as
     the (..., L) columns of those nonzeros and their values (0 at padding).
 
-    The nets never build the dense array; `np.asarray` does, for a caller that
-    wants it.
+    The nets never build the dense array.
 
     `grad_rows` are the rows of the net's input layer, a lookup table with one
     row per column, that `add_tdot` adds into: all d of them, or after
@@ -59,11 +58,6 @@ class TokenSequences:
     def __getitem__(self, rows) -> "TokenSequences":
         return TokenSequences(self.ids[rows], self.values[rows], self.d, self.grad_rows,
                               self.grad_ids[rows])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        np.put_along_axis(dense, self.ids[..., None], self.values[..., None], axis=-1)
-        return dense if dtype is None else dense.astype(dtype)
 
     def touched(self) -> "TokenSequences":
         """These sequences with `grad_rows` the distinct ids, padding's too."""

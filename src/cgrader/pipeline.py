@@ -195,13 +195,18 @@ def prepare(settings: RunSettings):
 def fit_and_score(names, data: kinds.TrainData, scored: dict, seed: int, specs: dict):
     """Fits the kinds `names` in order and scores each on every split of `scored`
     (name -> `kinds.Split`), writing no file. Returns (kind -> Fitted, report rows,
-    kind -> exception of each failure); a hybrid whose net failed fails too."""
+    kind -> exception of each failure); a hybrid whose net failed fails too, and a
+    kind that reads sequences fails before its fit unless every split has them."""
     fitted, rows, errors = {}, [], {}
+    no_sequences = any(part.sequences is None
+                       for part in (data.train, data.validation, *scored.values()))
     for name in names:
-        base = kinds.KINDS[name].base
+        kind = kinds.KINDS[name]
         try:
-            if base in errors:
-                raise kinds.KindError(f"base net {base} failed: {errors[base]}")
+            if kind.sequences and no_sequences:
+                raise kinds.KindError("embedding provider supplies no token sequences")
+            if kind.base in errors:
+                raise kinds.KindError(f"base net {kind.base} failed: {errors[kind.base]}")
             trained = kinds.fit(name, data, seed, specs.get(name), fitted)
             rows += [metrics.evaluate(part.y, predict_kind(
                 name, trained.model, part.pooled, part.sequences), name, split_name)

@@ -107,14 +107,23 @@ class FaultSites:
         # its depth sits in a for/while header, that is, the `(` follows `for` or
         # `while` and no `;`, `{` or `}` has come since at that depth.
         headers: list[bool] = []
-        prev = None  # the last token that is neither whitespace nor a comment
+        # (depth, start) of each output call whose statement has not ended: the
+        # first `;` at its depth ends it, and a `)` that leaves its depth drops
+        # it, for the call is then an argument of another call.
+        calls: list[tuple[int, int]] = []
+        prev = None  # index of the last token that is neither whitespace nor a comment
         for i, tok in enumerate(tokens):
             kind, text = tok.kind, tok.text
             if kind is TokenKind.PUNCTUATOR:
                 if text == "(":
-                    headers.append(prev is not None and prev.kind is TokenKind.KEYWORD
-                                   and prev.text in ("for", "while"))
+                    before = tokens[prev] if prev is not None else tok
+                    if before.kind is TokenKind.IDENTIFIER and before.text in _OUTPUT_CALLS:
+                        calls.append((len(headers), starts[prev]))
+                    headers.append(before.kind is TokenKind.KEYWORD
+                                   and before.text in ("for", "while"))
                 elif text == ")":
+                    while calls and calls[-1][0] >= len(headers):
+                        calls.pop()
                     if headers:
                         headers.pop()
                 elif text in (";", "{", "}"):
@@ -122,6 +131,8 @@ class FaultSites:
                         headers[-1] = False
                     if text == ";":
                         semis.append(starts[i])
+                        while calls and calls[-1][0] == len(headers):
+                            outputs.append((calls.pop()[1], starts[i + 1]))
                     elif text == "}":
                         braces.append(starts[i])
                 elif text in _RELATIONAL_SWAP:
@@ -131,16 +142,12 @@ class FaultSites:
             elif (kind is TokenKind.INT_LITERAL and text.isdigit()
                   and headers and headers[-1]):
                 logic.append((starts[i], starts[i + 1], int(text)))
-            elif kind is TokenKind.IDENTIFIER and text in _OUTPUT_CALLS:
-                end = _statement_end(tokens, i)
-                if end is not None:
-                    outputs.append((starts[i], starts[end + 1]))
             if kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT):
-                prev = tok
+                prev = i
         self.code = code
         self.syntax = tuple(tuple(sites) for sites in (semis, braces, keywords) if sites)
         self.logic = tuple(logic)
-        self.outputs = tuple(outputs)
+        self.outputs = tuple(sorted(outputs))  # in text order
 
     def _splice(self, start: int, end: int, new: str = "") -> str:
         return self.code[:start] + new + self.code[end:]
@@ -171,26 +178,6 @@ class FaultSites:
         return self._splice(*self.outputs[rng.integers(len(self.outputs))])
 
 
-def _statement_end(tokens: Sequence[Token], name: int) -> int | None:
-    """Index of the `;` that ends the call named by token `name`, if the next token
-    that is neither whitespace nor a comment is its `(`."""
-    nxt = next((k for k in range(name + 1, len(tokens))
-                if tokens[k].kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)), None)
-    if nxt is None or tokens[nxt].text != "(":
-        return None
-    depth = 0
-    for k in range(nxt, len(tokens)):
-        text = tokens[k].text
-        if tokens[k].kind is TokenKind.PUNCTUATOR:
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                depth -= 1
-            elif text == ";" and depth == 0:
-                return k
-    return None
-
-
 def truncate_half(code: str) -> str:
     """Keep the first ceil(L/2) lines."""
     lines = code.splitlines()
@@ -200,24 +187,19 @@ def truncate_half(code: str) -> str:
     return "\n".join(kept) + "\n"
 
 
-# Plan mix: 20% clean, 20% syntax, 20% logic, 15% no-output, 15% multi-fault
-# (one of the valid two/three-kind combinations), 10% half-completed.
-_MULTI_FAULT_SETS = VALID_KIND_SETS[4:7]
+# Plan mix, each entry the bound under which `rng.random()` draws it and the
+# kind sets it picks from uniformly: 20% clean, 20% syntax, 20% logic, 15%
+# no-output, 15% one of the three multi-fault sets, 10% half-completed. The
+# bounds are written out, as summed shares round: 0.2 + 0.2 + 0.2 > 0.6.
+_PLAN_MIX = ((0.20, VALID_KIND_SETS[0:1]), (0.40, VALID_KIND_SETS[1:2]),
+             (0.60, VALID_KIND_SETS[3:4]), (0.75, VALID_KIND_SETS[2:3]),
+             (0.90, VALID_KIND_SETS[4:7]), (1.0, VALID_KIND_SETS[7:8]))
 
 
 def draw_plan(rng: np.random.Generator) -> frozenset[MutationKind]:
     r = rng.random()
-    if r < 0.20:
-        return frozenset()
-    if r < 0.40:
-        return frozenset({MutationKind.SYNTAX_ERROR})
-    if r < 0.60:
-        return frozenset({MutationKind.LOGIC_ERROR})
-    if r < 0.75:
-        return frozenset({MutationKind.NO_OUTPUT})
-    if r < 0.90:
-        return _MULTI_FAULT_SETS[rng.integers(len(_MULTI_FAULT_SETS))]
-    return frozenset({MutationKind.HALF_COMPLETED})
+    sets = next(sets for bound, sets in _PLAN_MIX if r < bound)
+    return sets[0] if len(sets) == 1 else sets[rng.integers(len(sets))]
 
 
 # The faults in the order a plan applies them.

@@ -10,9 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgrader import persist, pipeline
+from cgrader import neural, persist, pipeline
 from cgrader.cli import EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, FLAGS, main
-from cgrader.corpus import Dataset, Submission, load_dataset, save_dataset, split
+from cgrader.corpus import (
+    DEFAULT_RATIOS,
+    Dataset,
+    Submission,
+    load_dataset,
+    save_dataset,
+    split,
+)
 from cgrader.embed import TfIdfProvider
 from cgrader.kinds import KINDS
 from cgrader.neural import TRAIN_SETTINGS, CnnRegressor, CnnSpec, TrainConfig
@@ -227,6 +234,51 @@ class TestExternalSequences:
         (tmp_path / "cnn.json").write_text('{"old": 1}', encoding="utf-8")
         assert self.train(tmp_path, corpus_csv, "cnn", vectors) == EXIT_USAGE
         assert not (tmp_path / "cnn.json").exists()
+
+    @staticmethod
+    def without_one_sequence(tmp_path, corpus_csv, part):
+        """Vectors whose one row lacking a sequence is the first row of `part`."""
+        rows = load_dataset(corpus_csv).rows
+        missing = part.rows[0].id
+        return _write_vectors(tmp_path, corpus_csv,
+                              [None if row.id == missing else 5 for row in rows], d=4)
+
+    def test_train_fails_a_net_whose_validation_split_lacks_sequences(
+            self, tmp_path, corpus_csv, capsys):
+        parts = split(load_dataset(corpus_csv), DEFAULT_RATIOS, 2)
+        vectors = self.without_one_sequence(tmp_path, corpus_csv, parts.validation)
+        assert main(["train", "--data", str(corpus_csv), "--model", "cnn",
+                     "--embedding", "external", "--vectors", str(vectors),
+                     "--seq-len", "5", "--max-epochs", "1", "--seed", "2",
+                     "--out", str(tmp_path / "cnn.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: embedding provider supplies no token sequences\n")
+        assert not (tmp_path / "cnn.json").exists()
+
+    def test_experiment_fails_each_sequence_kind_whose_test_split_lacks_sequences(
+            self, tmp_path, corpus_csv, monkeypatch):
+        ratios = [0.5, 0.25, 0.25]
+        vectors = self.without_one_sequence(
+            tmp_path, corpus_csv, split(load_dataset(corpus_csv), ratios, 0).test)
+        path = tmp_path / "config.json"
+        report = tmp_path / "report.csv"
+        path.write_text(json.dumps({
+            "data": str(corpus_csv),
+            "output": {"report": str(report), "curves": str(tmp_path / "curves.csv"),
+                       "models_dir": str(tmp_path / "models")},
+            "embedding": {"provider": "external", "vectors": str(vectors), "seq_len": 5},
+            "split": {"ratios": ratios, "seed": 0},
+            "train": {"max_epochs": 1},
+            "models": {"rf": {"grid": {"n_trees": [5]}}}}), encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(neural, "train", lambda *args, **kw: trained.append(args))
+        assert main(["experiment", "--config", str(path)]) == EXIT_PARTIAL
+        with open(report, encoding="utf-8", newline="") as fh:
+            errors = {row["model"]: row["error"] for row in csv.DictReader(fh)}
+        assert errors == {kind: ("embedding provider supplies no token sequences"
+                                 if KINDS[kind].sequences else "")
+                          for kind in KINDS}
+        assert trained == []  # no net began to train
 
 
 # One settings set, given once as an experiment config and once as train flags.

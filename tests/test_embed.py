@@ -23,6 +23,8 @@ from cgrader.pipeline import embed_dataset
 from cgrader.synth import Rubric, synthesize_with_plans
 from cgrader.tabular import RidgeModel
 
+from dense import dense_array
+
 SEED_DIR = Path(__file__).resolve().parent.parent / "seeds"
 
 
@@ -69,7 +71,7 @@ class TestTfIdfEmbed:
         model = fit(["int x;"])
         e = model.embed_code("")
         assert np.all(e.pooled == 0)
-        assert np.all(e.sequence.values == 0) and np.all(np.asarray(e.sequence) == 0)
+        assert np.all(e.sequence.values == 0) and np.all(dense_array(e.sequence) == 0)
 
     def test_single_token_unit_norm(self):
         model = fit(["int x;"])
@@ -94,14 +96,14 @@ class TestTfIdfEmbed:
         e = model.embed_code("a b")
         assert np.all(e.sequence.values[:2] >= 1.0)
         assert np.all(e.sequence.values[2:] == 0)
-        assert np.all(np.asarray(e.sequence)[2:] == 0)
+        assert np.all(dense_array(e.sequence)[2:] == 0)
 
     def test_determinism(self):
         model = fit(["int x;"])
         a = model.embed_code("int x = 3;")
         b = model.embed_code("int x = 3;")
         assert np.array_equal(a.pooled, b.pooled)
-        assert np.array_equal(a.sequence, b.sequence)
+        assert np.array_equal(dense_array(a.sequence), dense_array(b.sequence))
 
 
 def test_dataset_sequences_at_the_cli_seq_len_take_16_bytes_per_token():
@@ -123,7 +125,7 @@ def test_dataset_sequences_at_the_cli_seq_len_take_16_bytes_per_token():
     for i, row in enumerate(ds.rows):
         e = provider.embed_code(row.code)
         assert np.array_equal(pooled[i], e.pooled)
-        assert np.array_equal(np.asarray(sequences[i]), np.asarray(e.sequence))
+        assert np.array_equal(dense_array(sequences[i]), dense_array(e.sequence))
 
 
 class TestProviders:

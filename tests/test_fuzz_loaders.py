@@ -25,6 +25,8 @@ from cgrader.corpus import load_dataset, split
 from cgrader.embed import TfIdfProvider
 from cgrader.neural import TrainConfig
 
+from dense import dense_array
+
 FUZZ = settings(derandomize=True, deadline=None, max_examples=40,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
                                        HealthCheck.too_slow])
@@ -338,7 +340,7 @@ def model_docs():
     provider = TfIdfProvider.fit(codes, d=8, L=4)
     embedded = [provider.embed_code(code) for code in codes]
     pooled = np.array([e.pooled for e in embedded])
-    sequences = np.array([e.sequence for e in embedded])
+    sequences = np.stack([dense_array(e.sequence) for e in embedded])
     y = rng.uniform(3, 10, len(codes))
     part = kinds.Split(pooled, sequences, y)
     data = kinds.TrainData(part, part, TrainConfig(max_epochs=1, batch_size=4))

@@ -24,6 +24,8 @@ from cgrader.neural import (
     train,
 )
 
+from dense import dense_array
+
 TOY_L, TOY_D = 6, 4
 
 
@@ -261,7 +263,7 @@ class TestCheckpointedBackward:
         model.params["b2"][:] = 3.0  # keeps the output ReLU alive on every row
         tokens = token_rows(rng, 5, seq_len, TOY_D) if seq_len >= 3 else TokenSequences(
             rng.integers(0, TOY_D, (5, seq_len)), rng.uniform(1, 5, (5, seq_len)), TOY_D)
-        X = tokens if inputs == "tokens" else np.asarray(tokens)
+        X = tokens if inputs == "tokens" else dense_array(tokens)
         masks = model.sample_masks(5, rng) if forward == "masks" else None
         pred, cache = model.forward(X, training=masks is not None, masks=masks)
         span = math.isqrt(seq_len)
@@ -332,7 +334,7 @@ class TestConvWeightGradient:
              "tokens": lambda: token_rows(rng, batch, seq_len, dim)}[inputs]()
         pred, cache = model.forward(X)
         _, dpred = mse_loss(pred, rng.uniform(0, 10, batch))
-        expected = einsum_conv_w_grad(model, np.asarray(X), cache, dpred)
+        expected = einsum_conv_w_grad(model, dense_array(X), cache, dpred)
         scale = np.abs(expected).max()
         assert scale > 0
         # The sums run in another order; an entry that cancels to near zero
@@ -382,7 +384,7 @@ class TestTokenInput:
     def test_forward_is_bit_identical_to_dense(self, case, seed):
         model, masks = token_nets()[case]
         tokens = token_rows(np.random.default_rng(seed), 5, TOY_L, TOY_D)
-        dense = np.asarray(tokens)
+        dense = dense_array(tokens)
         for training in (False, masks is not None):
             a, _ = model.forward(tokens, training=training, masks=masks)
             b, _ = model.forward(dense, training=training, masks=masks)
@@ -397,7 +399,7 @@ class TestTokenInput:
         tokens = token_rows(rng, 5, TOY_L, TOY_D)
         y = rng.uniform(0, 10, 5)
         got = analytic_grads(model, tokens, y, masks=masks)
-        expected = analytic_grads(model, np.asarray(tokens), y, masks=masks)
+        expected = analytic_grads(model, dense_array(tokens), y, masks=masks)
         for name, grad in expected.items():
             scale = np.abs(grad).max()
             np.testing.assert_allclose(got[name], grad, rtol=1e-12, atol=1e-12 * scale,
@@ -411,7 +413,7 @@ class TestTokenInput:
         y = np.arange(4.0)
         got = analytic_grads(model, tokens, y)["conv_w"]
         assert np.any(got[:, 2] != 0) and np.all(got[:, [0, 1, 3]] == 0)
-        np.testing.assert_allclose(got, analytic_grads(model, np.asarray(tokens), y)["conv_w"],
+        np.testing.assert_allclose(got, analytic_grads(model, dense_array(tokens), y)["conv_w"],
                                    rtol=1e-12, atol=1e-12 * np.abs(got).max())
 
     @pytest.mark.parametrize("case", range(3), ids=["cnn", "lstm", "lstm_dropout"])
@@ -433,8 +435,8 @@ class TestTokenInput:
         tokens = token_rows(np.random.default_rng(0), 5, TOY_L, TOY_D)
         assert tokens.shape == (5, TOY_L, TOY_D)
         assert tokens.nbytes == tokens.ids.nbytes + tokens.values.nbytes
-        assert np.array_equal(np.asarray(tokens[[3, 1]]), np.asarray(tokens)[[3, 1]])
-        assert np.array_equal(np.asarray(tokens[2][None]), np.asarray(tokens)[2:3])
+        assert np.array_equal(dense_array(tokens[[3, 1]]), dense_array(tokens)[[3, 1]])
+        assert np.array_equal(dense_array(tokens[2][None]), dense_array(tokens)[2:3])
         with pytest.raises(ShapeError):
             toy_cnn().forward(TokenSequences(tokens.ids, tokens.values, TOY_D + 1))
 
@@ -564,7 +566,7 @@ def small_token_run(net, inputs="tokens"):
         model = LstmRegressor(LstmSpec(units=6, dropout=0.2, recurrent_dropout=0.2,
                                        dense_units=8), seq_len, dim, seed=3)
     if inputs == "dense":
-        X = np.asarray(X)
+        X = dense_array(X)
     cfg = TrainConfig(max_epochs=8, batch_size=5, learning_rate=0.01, patience=3, seed=2)
     history = train(model, X[:16], y[:16], X[16:], y[16:], cfg)
     return model, X[:16], history
@@ -690,7 +692,7 @@ class TestFeatures:
         LSTM) of relu(z @ w1 + b1) @ w2 + b2 must be `predict`, bit for bit."""
         model = toy_cnn(seed=1) if net == "cnn" else toy_lstm(seed=2, dropout=0.3)
         tokens = token_rows(np.random.default_rng(5), 8, TOY_L, TOY_D)
-        X = tokens if inputs == "tokens" else np.asarray(tokens)
+        X = tokens if inputs == "tokens" else dense_array(tokens)
         p = model.params
         head = np.maximum(model.features(X) @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"]
         out = head[:, 0] if net == "cnn" else np.maximum(head[:, 0], 0.0)

@@ -15,6 +15,8 @@ from cgrader.neural import TrainConfig
 from cgrader.tabular import (ForestModel, TreeParams, Trees, ridge_fit, rf_predict,
                               tree_fit)
 
+from dense import dense_array
+
 MODELS_DIR = Path(__file__).resolve().parent / "data" / "models"  # one file per kind
 
 
@@ -217,7 +219,7 @@ def test_v1_file_predicts_recorded_values(tmp_path, kind):
     embedded = [persist.provider_from_config(emb).embed_code(code)
                 for code in expected["programs"]]
     pooled = np.array([e.pooled for e in embedded])
-    sequences = np.array([e.sequence for e in embedded])
+    sequences = np.stack([dense_array(e.sequence) for e in embedded])
     predict = kinds.KINDS[kind].predict
     assert predict(model, pooled, sequences).tolist() == expected["predictions"][kind]
     persist.save_model(tmp_path / "again.json", kind, model, emb)

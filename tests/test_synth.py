@@ -1,8 +1,11 @@
 import hashlib
+from itertools import accumulate
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cgrader.cli import main
 from cgrader.clex import TokenKind, tokenize
@@ -134,6 +137,42 @@ class TestRemoveOutput:
         code = 'int main(){int x=1;printf("%d\\n", f(x));puts("done");return 0;}'
         for s in range(10):
             assert lexes_cleanly(sites(code).remove_output(np.random.default_rng(s)))
+
+
+class TestOutputSites:
+    """Each output site is one whole statement: an output call through the first
+    `;` at the call's depth, and never a call inside another call's arguments."""
+
+    # Fragments that put output calls in, around and after other calls' arguments
+    C_LIKE = st.lists(st.sampled_from(
+        ["printf(", "puts (", "putchar", "f(", "for (", "x", "(", ")", ";", ",", "{",
+         "}", '"a)"', "/*(*/", " "]), max_size=40).map("".join)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.one_of(C_LIKE, st.text(max_size=60)))
+    def test_each_site_is_a_call_through_its_semicolon_with_balanced_parentheses(
+            self, code):
+        tokens = tokenize(code).tokens
+        starts = list(accumulate((len(tok.text) for tok in tokens), initial=0))
+        for start, end in sites(code).outputs:
+            span = [tok for at, tok in zip(starts, tokens) if start <= at < end]
+            assert "".join(tok.text for tok in span) == code[start:end]  # whole tokens
+            assert span[0].kind is TokenKind.IDENTIFIER
+            assert span[0].text in ("printf", "puts", "putchar")
+            assert span[-1].kind is TokenKind.PUNCTUATOR and span[-1].text == ";"
+            depth = 0
+            for tok in span:
+                if tok.kind is TokenKind.PUNCTUATOR and tok.text in ("(", ")"):
+                    depth += 1 if tok.text == "(" else -1
+                    assert depth >= 0, code[start:end]
+            assert depth == 0, code[start:end]
+
+    def test_a_call_in_another_calls_arguments_is_no_site(self):
+        code = 'int main(){printf("%d", putchar(c)); for (i = 0; i < n; i++) x++; return 0;}'
+        removed = 'int main(){ for (i = 0; i < n; i++) x++; return 0;}'
+        assert [code[start:end] for start, end in sites(code).outputs] == [
+            'printf("%d", putchar(c));']
+        assert sites(code).remove_output(np.random.default_rng(0)) == removed
 
 
 class TestTruncateHalf:
