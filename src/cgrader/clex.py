@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -25,8 +26,7 @@ class TokenKind(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
 
@@ -60,7 +60,8 @@ PUNCTUATORS = sorted(
     reverse=True,
 )
 
-# Group name -> kind, in the order the alternation tries them.
+# Group name -> kind, in the order the alternation tries them. A keyword matches
+# as an identifier, and `tokenize` looks it up in C11_KEYWORDS.
 _GROUPS = [
     ("whitespace", r"\s+", TokenKind.WHITESPACE),
     ("block_comment", r"/\*.*?\*/", TokenKind.COMMENT),
@@ -77,7 +78,6 @@ _GROUPS = [
         TokenKind.FLOAT_LITERAL,
     ),
     ("int", r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*", TokenKind.INT_LITERAL),
-    ("keyword", f"(?:{'|'.join(sorted(C11_KEYWORDS))})(?!\\w)", TokenKind.KEYWORD),
     ("ident", r"[A-Za-z_]\w*", TokenKind.IDENTIFIER),
     ("punct", "|".join(re.escape(p) for p in PUNCTUATORS), TokenKind.PUNCTUATOR),
     ("other", r".", TokenKind.ERROR),
@@ -91,8 +91,9 @@ _GROUP_KIND = {name: kind for name, _, kind in _GROUPS}
 
 def tokenize(code: str) -> TokenStream:
     """Lex arbitrary text into a lossless token stream. Never raises."""
-    return TokenStream(tuple(Token(_GROUP_KIND[m.lastgroup], m.group())
-                             for m in _LEXEME.finditer(code)))
+    return TokenStream(tuple(
+        Token(TokenKind.KEYWORD if m.lastgroup == "ident" and m.group() in C11_KEYWORDS
+              else _GROUP_KIND[m.lastgroup], m.group()) for m in _LEXEME.finditer(code)))
 
 
 def detokenize(stream: TokenStream) -> str:

@@ -11,7 +11,6 @@ prints it as one `error:` line), 3 runtime fit error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from pathlib import Path
@@ -44,11 +43,9 @@ def cmd_synth(args) -> int:
     ds, plans = synth.synthesize_with_plans(seeds, args.count, rubric, rng)
     save_dataset(ds, args.out)
     if args.plans:
-        with persist.atomic_open(args.plans) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "kinds"])
-            for row, kinds in zip(ds.rows, plans):
-                writer.writerow([row.id, "+".join(sorted(k.value for k in kinds))])
+        persist.write_csv(args.plans, [["id", "kinds"], *(
+            [row.id, "+".join(sorted(k.value for k in kinds))]
+            for row, kinds in zip(ds.rows, plans))])
     histogram = score_histogram(ds)
     print(f"wrote {len(ds)} rows to {args.out}")
     for score in sorted(histogram):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import SCORE_MAX, SCORE_MIN
-from .persist import atomic_open
+from .persist import write_csv
 
 CSV_HEADER = ["id", "code", "score"]
 DEFAULT_RATIOS = (0.5, 0.25, 0.25)
@@ -91,11 +91,8 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in ds.rows:
-            writer.writerow([row.id, row.code, _format_score(row.score)])
+    write_csv(path, [CSV_HEADER, *([row.id, row.code, _format_score(row.score)]
+                                   for row in ds.rows)])
 
 
 def _format_score(score: float) -> str:

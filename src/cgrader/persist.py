@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import csv
 import json
 import math
 import os
@@ -162,9 +163,11 @@ def require_folders(outputs: dict, inputs: dict | None = None, made=None) -> Non
             raise PersistError(f"{written[real]} and {name} both name {real}")
 
 
-def atomic_write_text(path, text: str) -> None:
+def write_csv(path, rows) -> None:
+    """Writes the lists `rows`, header first, as CSV with LF line ends. `path` is
+    replaced only once every row is written."""
     with atomic_open(path) as fh:
-        fh.write(text)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def remove_file(path) -> None:

@@ -8,8 +8,6 @@ hybrids fit their forest heads on the features of this run's CNN and LSTM.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -221,10 +219,10 @@ def predict_kind(kind: str, model, pooled, sequences):
     return kinds.KINDS[kind].predict(model, pooled, sequences)
 
 
-def render_curves(histories: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "epoch", "train_loss", "val_loss"])
+def render_curves(histories: dict):
+    """The rows of the loss-curve CSV, header first: each net's epochs in
+    `kinds.KINDS` order with 6-decimal losses."""
+    yield ["model", "epoch", "train_loss", "val_loss"]
     for kind in kinds.KINDS:
         history = histories.get(kind)
         if history is None:
@@ -232,30 +230,25 @@ def render_curves(histories: dict) -> str:
         for epoch, (tr, val) in enumerate(
             zip(history.train_loss, history.val_loss), start=1
         ):
-            writer.writerow([kind, epoch, f"{tr:.6f}", f"{val:.6f}"])
-    return buf.getvalue()
+            yield [kind, epoch, f"{tr:.6f}", f"{val:.6f}"]
 
 
-def render_report(rows: list, errors: dict) -> str:
-    """Table-II CSV of `metrics.MetricsRow`s in `kinds.KINDS` order with 4-decimal
-    values; an `error` column appears only when some kind failed."""
+def render_report(rows: list, errors: dict):
+    """The rows of the Table-II CSV, header first: `metrics.MetricsRow`s in
+    `kinds.KINDS` order with 4-decimal values; an `error` column appears only when
+    some kind failed."""
     tail = [""] if errors else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(metrics.REPORT_COLUMNS + (["error"] if errors else []))
+    yield metrics.REPORT_COLUMNS + (["error"] if errors else [])
     by_key = {(row.model_name, row.split_name): row for row in rows}
     for kind in kinds.KINDS:
         if kind in errors:
-            writer.writerow([kind, "", "", "", "", "", errors[kind]])
+            yield [kind, "", "", "", "", "", str(errors[kind])]
             continue
         for split_name in ("train", "test"):
             row = by_key.get((kind, split_name))
             if row is not None:
-                writer.writerow(
-                    [kind, split_name, f"{row.rmse:.4f}", f"{row.mae:.4f}",
-                     f"{row.r2:.4f}", f"{row.mape:.4f}"] + tail
-                )
-    return buf.getvalue()
+                yield [kind, split_name, f"{row.rmse:.4f}", f"{row.mae:.4f}",
+                       f"{row.r2:.4f}", f"{row.mape:.4f}"] + tail
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -285,6 +278,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     errors = {name: errors[name] for name in kinds.KINDS if name in errors}
     histories = {name: trained.history for name, trained in fitted.items()
                  if trained.history is not None}
-    persist.atomic_write_text(cfg.report_path, render_report(rows, errors))
-    persist.atomic_write_text(cfg.curves_path, render_curves(histories))
+    persist.write_csv(cfg.report_path, render_report(rows, errors))
+    persist.write_csv(cfg.curves_path, render_curves(histories))
     return errors

@@ -108,19 +108,19 @@ class FaultSites:
         # `while` and no `;`, `{` or `}` has come since at that depth.
         headers: list[bool] = []
         # (depth, start) of each output call whose statement has not ended: the
-        # first `;` at its depth ends it, and a `)` that leaves its depth drops
-        # it, for the call is then an argument of another call.
+        # first `;` at its depth ends it. A `)` that leaves its depth drops it,
+        # for the call is then an argument of another call, and so does a `{` or
+        # `}` at its depth, for the statement then lacks its own `;`.
         calls: list[tuple[int, int]] = []
         prev = None  # index of the last token that is neither whitespace nor a comment
-        for i, tok in enumerate(tokens):
-            kind, text = tok.kind, tok.text
+        for i, (kind, text) in enumerate(tokens):
             if kind is TokenKind.PUNCTUATOR:
                 if text == "(":
-                    before = tokens[prev] if prev is not None else tok
-                    if before.kind is TokenKind.IDENTIFIER and before.text in _OUTPUT_CALLS:
+                    before_kind, before_text = tokens[i if prev is None else prev]
+                    if before_kind is TokenKind.IDENTIFIER and before_text in _OUTPUT_CALLS:
                         calls.append((len(headers), starts[prev]))
-                    headers.append(before.kind is TokenKind.KEYWORD
-                                   and before.text in ("for", "while"))
+                    headers.append(before_kind is TokenKind.KEYWORD
+                                   and before_text in ("for", "while"))
                 elif text == ")":
                     while calls and calls[-1][0] >= len(headers):
                         calls.pop()
@@ -129,10 +129,12 @@ class FaultSites:
                 elif text in (";", "{", "}"):
                     if headers:
                         headers[-1] = False
+                    while calls and calls[-1][0] == len(headers):
+                        start = calls.pop()[1]
+                        if text == ";":
+                            outputs.append((start, starts[i + 1]))
                     if text == ";":
                         semis.append(starts[i])
-                        while calls and calls[-1][0] == len(headers):
-                            outputs.append((calls.pop()[1], starts[i + 1]))
                     elif text == "}":
                         braces.append(starts[i])
                 elif text in _RELATIONAL_SWAP:
@@ -165,7 +167,7 @@ class FaultSites:
         candidates = []
         for start, end, new in self.logic:
             if isinstance(new, int):  # one draw per nonzero literal, in token order
-                new = str(new + (1 if new == 0 else int(rng.choice([-1, 1]))))
+                new = str(new + (1 if new == 0 else (-1, 1)[rng.integers(2)]))
             candidates.append((start, end, new))
         if not candidates:
             raise NotMutableError("no operator or loop-bound literal to mutate")

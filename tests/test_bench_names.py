@@ -37,6 +37,9 @@ def test_every_traced_target_resolves(target):
 
 
 @pytest.mark.parametrize("module_name, attr", [
+    ("cgrader.cli", "main"),
+    ("cgrader.corpus", "split"),
+    ("cgrader.metrics", "rmse"),
     ("cgrader.persist", "load_model"),
     ("cgrader.persist", "provider_from_config"),
     ("cgrader.pipeline", "embed_dataset"),

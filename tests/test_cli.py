@@ -1065,7 +1065,7 @@ class TestInputErrors:
     def test_missing_output_dir_names_the_given_path(self, tmp_path):
         target = tmp_path / "missing-dir" / "report.csv"
         with pytest.raises(FileNotFoundError) as err:
-            persist.atomic_write_text(target, "x")
+            persist.write_csv(target, [["x"]])
         assert err.value.filename == str(target)
         assert ".tmp-" not in str(err.value)
 

@@ -109,30 +109,30 @@ def test_permutation_invariance():
 
 class TestReport:
     def test_empty_render(self):
-        assert render_report([], {}) == "model,split,rmse,mae,r2,mape\n"
+        assert list(render_report([], {})) == [["model", "split", "rmse", "mae", "r2",
+                                                "mape"]]
 
     def test_fixed_order_and_round_trip(self):
         rows = [MetricsRow(name, split_name, 1.5, 1.0, 0.25, 20.0)
                 for name in ["lstm", "rf", "cnn_rf"] for split_name in ["test", "train"]]
-        text = render_report(rows, {})
-        lines = text.strip().split("\n")
-        models = [line.split(",")[0] for line in lines[1:]]
+        lines = list(render_report(rows, {}))
+        models = [line[0] for line in lines[1:]]
         assert models == ["rf", "rf", "lstm", "lstm", "cnn_rf", "cnn_rf"]
-        splits = [line.split(",")[1] for line in lines[1:]]
+        splits = [line[1] for line in lines[1:]]
         assert splits == ["train", "test"] * 3
-        assert lines[1].endswith("1.5000,1.0000,0.2500,20.0000")
+        assert lines[1][2:] == ["1.5000", "1.0000", "0.2500", "20.0000"]
 
     def test_error_column_only_on_failure(self):
         rows = [MetricsRow("rf", split_name, 1.5, 1.0, 0.25, 20.0)
                 for split_name in ["train", "test"]]
-        lines = render_report(rows, {"ridge": ValueError("fit failed")}).strip().split("\n")
+        lines = list(render_report(rows, {"ridge": ValueError("fit failed")}))
         assert lines == [
-            "model,split,rmse,mae,r2,mape,error",
-            "rf,train,1.5000,1.0000,0.2500,20.0000,",
-            "rf,test,1.5000,1.0000,0.2500,20.0000,",
-            "ridge,,,,,,fit failed",
+            ["model", "split", "rmse", "mae", "r2", "mape", "error"],
+            ["rf", "train", "1.5000", "1.0000", "0.2500", "20.0000", ""],
+            ["rf", "test", "1.5000", "1.0000", "0.2500", "20.0000", ""],
+            ["ridge", "", "", "", "", "", "fit failed"],
         ]
-        assert "error" not in render_report(rows, {})
+        assert "error" not in next(render_report(rows, {}))
 
     def test_evaluate_perfect_model(self):
         row = evaluate([3, 7, 9], [3, 7, 9], "rf", "test")

@@ -354,6 +354,23 @@ def test_saved_file_mode_follows_the_umask(tmp_path, umask, mode):
     assert os.listdir(tmp_path) == ["ridge.json"]
 
 
+def test_write_csv_keeps_the_old_file_when_a_row_fails(tmp_path):
+    path = tmp_path / "report.csv"
+    persist.write_csv(path, [["model", "code"], ["rf", 'a,"b"\nc']])
+    old = path.read_bytes()
+    assert old == b'model,code\nrf,"a,""b""\nc"\n'
+
+    def rows():  # streamed: the first rows are written before the failure
+        yield ["model", "code"]
+        yield ["ridge", "x"]
+        raise RuntimeError("row 3 failed")
+
+    with pytest.raises(RuntimeError, match="row 3 failed"):
+        persist.write_csv(path, rows())
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["report.csv"]  # no .tmp- file left behind
+
+
 def break_golden(case):
     """The v2 golden forest, over a TF-IDF that grades, with one fault `case`."""
     doc = json.loads(GOLDEN_RF_V2)

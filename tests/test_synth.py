@@ -165,6 +165,8 @@ class TestOutputSites:
                 if tok.kind is TokenKind.PUNCTUATOR and tok.text in ("(", ")"):
                     depth += 1 if tok.text == "(" else -1
                     assert depth >= 0, code[start:end]
+                elif tok.kind is TokenKind.PUNCTUATOR and tok.text in ("{", "}"):
+                    assert depth > 0, code[start:end]  # no brace between statements
             assert depth == 0, code[start:end]
 
     def test_a_call_in_another_calls_arguments_is_no_site(self):
@@ -173,6 +175,12 @@ class TestOutputSites:
         assert [code[start:end] for start, end in sites(code).outputs] == [
             'printf("%d", putchar(c));']
         assert sites(code).remove_output(np.random.default_rng(0)) == removed
+
+    def test_a_call_without_its_own_semicolon_is_no_site(self):
+        code = 'int main(void){ if (x) { printf("a") } y = 1; return 0; }'
+        assert sites(code).outputs == ()
+        with pytest.raises(NotMutableError):
+            sites(code).remove_output(np.random.default_rng(0))
 
 
 class TestTruncateHalf:
