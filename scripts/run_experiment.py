@@ -51,13 +51,9 @@ def main() -> int:
         "embedding": {"provider": "tfidf", "dim": args.dim,
                       "seq_len": args.seq_len},
         "split": {"ratios": [0.5, 0.25, 0.25], "seed": args.seed},
-        "train": {"max_epochs": 50, "batch_size": 64, "patience": 5},
+        # every other kind and the training take their defaults
         "models": {
             "rf": {"grid": {"max_depth": [None, 8], "min_samples_leaf": [1, 2]}},
-            "ridge": {"grid": {"lambda": [0.1, 1.0, 10.0]}},
-            "knn": {"grid": {"k": [3, 5, 7]}},
-            "gbt": {"grid": {"n_rounds": [100], "learning_rate": [0.1],
-                             "max_depth": [3]}},
         },
     }
     config_path = out / "config.json"

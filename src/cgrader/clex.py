@@ -101,9 +101,9 @@ def detokenize(stream: TokenStream) -> str:
     return "".join(tok.text for tok in stream.tokens)
 
 
-_INSIGNIFICANT = {TokenKind.WHITESPACE, TokenKind.COMMENT}
+INSIGNIFICANT = {TokenKind.WHITESPACE, TokenKind.COMMENT}
 
 
 def significant_tokens(stream: TokenStream) -> list[Token]:
     """Tokens with whitespace and comments removed, order preserved."""
-    return [tok for tok in stream.tokens if tok.kind not in _INSIGNIFICANT]
+    return [tok for tok in stream.tokens if tok.kind not in INSIGNIFICANT]

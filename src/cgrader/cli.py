@@ -156,10 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--grid", help="JSON file: param name -> list of values")
-    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    for key in TRAIN_SETTINGS:
+        default = getattr(TrainConfig, key)
+        p.add_argument(FLAGS[key], type=type(default), default=default)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("grade", help="predict the score of one C file")

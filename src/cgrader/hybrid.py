@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tabular
 from .neural import CnnRegressor, LstmRegressor
-from .tabular import ForestModel, TreeParams
+from .tabular import ForestModel
 
 
 @dataclass
@@ -23,17 +23,13 @@ class HybridModel:
     head: ForestModel
 
 
-def hybrid_fit(
-    net: CnnRegressor | LstmRegressor,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    rf_params: TreeParams | None = None,
-    n_trees: int = 100,
-) -> HybridModel:
-    """Fit a forest head on the features of the trained `net`, which stays as it is."""
+def hybrid_fit(net: CnnRegressor | LstmRegressor, X_train: np.ndarray,
+               y_train: np.ndarray, **forest) -> HybridModel:
+    """Fit a forest head on the features of the trained `net`, which stays as it is;
+    `forest` holds `tabular.rf_fit`'s keyword arguments, whose defaults are the head's."""
     try:
         features = net.features(X_train)
-        head = tabular.rf_fit(features, y_train, n_trees=n_trees, params=rf_params)
+        head = tabular.rf_fit(features, y_train, **forest)
     except Exception as exc:
         raise RuntimeError(f"forest head fit failed: {exc}") from exc
     return HybridModel(net, head)

@@ -20,8 +20,6 @@ import numpy as np
 
 from . import hybrid, metrics, neural, tabular
 
-CV_FOLDS = 5
-
 # The JSON types of config, grid and model-file values, as `isinstance` reads them
 NUMBER = int | float
 JSON_TYPES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "a boolean",
@@ -109,7 +107,7 @@ def _pooled(name, fit, predict, to_state, from_state, grid, params) -> Kind:
             search = tabular.grid_search_cv(
                 lambda X, y, p: fit(X, y, p, seed),
                 lambda m, X: KINDS[name].predict(m, X, None),
-                chosen_grid, data.train.pooled, data.train.y, k=CV_FOLDS, seed=seed,
+                chosen_grid, data.train.pooled, data.train.y, seed=seed,
             )
             params.update(search.best_params)
         return Fitted(fit(data.train.pooled, data.train.y, params, seed), params=params)
@@ -118,26 +116,19 @@ def _pooled(name, fit, predict, to_state, from_state, grid, params) -> Kind:
                 to_state, from_state, grid=grid, params=params)
 
 
-def _given(p: dict, name: str) -> dict:
-    """The entries of `p` under kind `name`'s param keys; an absent key keeps
-    the callee's default."""
-    return {key: p[key] for key in KINDS[name].params if key in p}
-
-
 _TREE_TYPES = {"max_depth": int | None, "min_samples_split": int, "min_samples_leaf": int,
                "feature_subsample": NUMBER}
 
 
+def _tree_params(seed: int, **tree) -> tabular.TreeParams:
+    """rf's tree recipe under `seed`, with the TreeParams fields of `tree` set."""
+    return dataclasses.replace(tabular.RF_TREE_PARAMS, seed=seed, **tree)
+
+
 def _rf_fit(X, y, p, seed):
-    forest = _given(p, "rf")
+    forest = dict(p)  # n_trees and bootstrap go to the forest, the rest to its trees
     tree = {key: forest.pop(key) for key in _TREE_TYPES if key in forest}
-    params = tabular.TreeParams(**{
-        "feature_subsample": tabular.RF_DEFAULT_SUBSAMPLE, "seed": seed, **tree})
-    return tabular.rf_fit(X, y, params=params, **forest)
-
-
-def _gbt_fit(X, y, p, seed):
-    return tabular.gbt_fit(X, y, seed=seed, **_given(p, "gbt"))
+    return tabular.rf_fit(X, y, params=_tree_params(seed, **tree), **forest)
 
 
 def _trees(state, params, key) -> tabular.Trees:
@@ -212,10 +203,8 @@ def _net_to_state(net):
 
 def _hybrid(name, base) -> Kind:
     def fit(data, spec, seed, base_fit):
-        params = tabular.TreeParams(feature_subsample=tabular.RF_DEFAULT_SUBSAMPLE,
-                                    seed=seed)
         model = hybrid.hybrid_fit(base_fit.model, data.train.sequences, data.train.y,
-                                  rf_params=params)
+                                  params=_tree_params(seed))
         return Fitted(model, history=base_fit.history)
 
     def to_state(model):
@@ -250,13 +239,14 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
                 neural.checked_array(s["weights"], np.float64, 1, "weights"),
                 _read(s, "bias"), _read(p, "lambda")),
             grid={"lambda": [0.1, 1.0, 10.0]}, params={"lambda": NUMBER}),
-    _pooled("gbt", _gbt_fit, lambda model, X: tabular.gbt_predict(model, X),
+    _pooled("gbt", lambda X, y, p, seed: tabular.gbt_fit(X, y, seed=seed, **p),
+            lambda model, X: tabular.gbt_predict(model, X),
             _gbt_to_state, _gbt_from_state,
             grid={"n_rounds": [100], "learning_rate": [0.1], "max_depth": [3]},
             params={"n_rounds": int, "learning_rate": NUMBER, "max_depth": int | None,
                     "leaf_l2": NUMBER}),
     _pooled("knn",
-            lambda X, y, p, seed: tabular.knn_fit(X, y, k=p.get("k", 5)),
+            lambda X, y, p, seed: tabular.knn_fit(X, y, **p),
             lambda model, X: tabular.knn_predict(model, X),
             lambda m: ({"k": m.k}, {"X": m.X, "y": m.y}),
             _knn_from_state, grid={"k": [3, 5, 7]}, params={"k": int}),

@@ -37,8 +37,8 @@ _SCHEMA = {
     "output": {"report": str, "curves": str, "models_dir": str},
     "embedding": {"provider": str, "dim": int, "seq_len": int, "vectors": str},
     "split": {"ratios": [kinds.NUMBER], "seed": int},
-    "train": {"max_epochs": int, "batch_size": int, "learning_rate": kinds.NUMBER,
-              "patience": int},
+    "train": {key: kinds.NUMBER if isinstance(getattr(TrainConfig, key), float) else int
+              for key in TRAIN_SETTINGS},
     "models": {kind: {"grid": grid_schema(kind), "params": kinds.KINDS[kind].params}
                for kind in kinds.KINDS},
 }

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .clex import Token, TokenKind, tokenize
+from .clex import INSIGNIFICANT, Token, TokenKind, tokenize
 from .corpus import Dataset, Submission
 from .metrics import SCORE_MAX
 
@@ -107,32 +107,33 @@ class FaultSites:
         # its depth sits in a for/while header, that is, the `(` follows `for` or
         # `while` and no `;`, `{` or `}` has come since at that depth.
         headers: list[bool] = []
-        # (depth, start) of each output call whose statement has not ended: the
-        # first `;` at its depth ends it. A `)` that leaves its depth drops it,
-        # for the call is then an argument of another call, and so does a `{` or
-        # `}` at its depth, for the statement then lacks its own `;`.
-        calls: list[tuple[int, int]] = []
-        prev = None  # index of the last token that is neither whitespace nor a comment
+        # The start of the output call whose statement has not ended. A statement
+        # lies outside every `(`, so only a call at depth 0 starts one; the next `;`
+        # at depth 0 ends it, and a `{` or `}` at depth 0 first drops it, for the
+        # statement then lacks its own `;`.
+        pending = None
+        prev = None  # index of the last significant token
         for i, (kind, text) in enumerate(tokens):
             if kind is TokenKind.PUNCTUATOR:
                 if text == "(":
                     before_kind, before_text = tokens[i if prev is None else prev]
-                    if before_kind is TokenKind.IDENTIFIER and before_text in _OUTPUT_CALLS:
-                        calls.append((len(headers), starts[prev]))
+                    if (not headers and before_kind is TokenKind.IDENTIFIER
+                            and before_text in _OUTPUT_CALLS):
+                        pending = starts[prev]
                     headers.append(before_kind is TokenKind.KEYWORD
                                    and before_text in ("for", "while"))
                 elif text == ")":
-                    while calls and calls[-1][0] >= len(headers):
-                        calls.pop()
                     if headers:
                         headers.pop()
+                    else:  # a `)` that closes no `(` ends no statement
+                        pending = None
                 elif text in (";", "{", "}"):
                     if headers:
                         headers[-1] = False
-                    while calls and calls[-1][0] == len(headers):
-                        start = calls.pop()[1]
+                    elif pending is not None:
                         if text == ";":
-                            outputs.append((start, starts[i + 1]))
+                            outputs.append((pending, starts[i + 1]))
+                        pending = None
                     if text == ";":
                         semis.append(starts[i])
                     elif text == "}":
@@ -144,12 +145,12 @@ class FaultSites:
             elif (kind is TokenKind.INT_LITERAL and text.isdigit()
                   and headers and headers[-1]):
                 logic.append((starts[i], starts[i + 1], int(text)))
-            if kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT):
+            if kind not in INSIGNIFICANT:
                 prev = i
         self.code = code
         self.syntax = tuple(tuple(sites) for sites in (semis, braces, keywords) if sites)
         self.logic = tuple(logic)
-        self.outputs = tuple(sorted(outputs))  # in text order
+        self.outputs = tuple(outputs)
 
     def _splice(self, start: int, end: int, new: str = "") -> str:
         return self.code[:start] + new + self.code[end:]

@@ -276,7 +276,8 @@ class ForestModel:
     bootstrap: bool = True
 
 
-RF_DEFAULT_SUBSAMPLE = 1.0 / 3.0
+# Breiman's p/3 features per split for regression ("Random forests", 2001)
+RF_TREE_PARAMS = TreeParams(feature_subsample=1.0 / 3.0)
 
 
 def rf_fit(X, y, n_trees: int = 100, params: TreeParams | None = None,
@@ -285,7 +286,7 @@ def rf_fit(X, y, n_trees: int = 100, params: TreeParams | None = None,
     if n_trees < 1:
         raise FitError("n_trees must be >= 1")
     if params is None:
-        params = TreeParams(feature_subsample=RF_DEFAULT_SUBSAMPLE)
+        params = RF_TREE_PARAMS
     n = X.shape[0]
     ranked = RankedMatrix(X, column_ranks(X))
     seeds = np.random.SeedSequence(params.seed).spawn(n_trees)

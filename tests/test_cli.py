@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from cgrader import neural, persist, pipeline
-from cgrader.cli import EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, FLAGS, main
+from cgrader.cli import (EXIT_FIT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, FLAGS, build_parser,
+                         main)
 from cgrader.corpus import (
     DEFAULT_RATIOS,
     Dataset,
@@ -574,6 +575,28 @@ class TestConfigParsing:
         assert cfg.settings.ratios == (0.5, 0.25, 0.25)
         assert TrainConfig(**cfg.settings.train).max_epochs == 50
         assert TrainConfig(**cfg.settings.train).batch_size == 64
+
+    @pytest.mark.parametrize("key", TRAIN_SETTINGS)
+    def test_train_section_takes_each_setting_as_its_default_type(self, key):
+        doc = {"data": "d.csv", "output": {"report": "r", "curves": "c", "models_dir": "m"}}
+        assert pipeline.ExperimentConfig.from_dict(
+            {**doc, "train": {key: 3}}).settings.train == {key: 3}
+        fraction = {**doc, "train": {key: 2.5}}
+        if isinstance(getattr(TrainConfig, key), float):
+            assert pipeline.ExperimentConfig.from_dict(fraction).settings.train[key] == 2.5
+        else:
+            with pytest.raises(pipeline.ConfigError,
+                               match=rf"^train\.{key} must be an integer$"):
+                pipeline.ExperimentConfig.from_dict(fraction)
+
+    @pytest.mark.parametrize("key", TRAIN_SETTINGS)
+    def test_each_training_flag_parses_as_its_default(self, key):
+        default = getattr(TrainConfig, key)
+        train = ["train", "--data", "d.csv", "--model", "rf", "--out", "m.json"]
+        parsed = getattr(build_parser().parse_args(train), key)
+        assert parsed == default and type(parsed) is type(default)
+        parsed = getattr(build_parser().parse_args([*train, FLAGS[key], "3"]), key)
+        assert parsed == 3 and type(parsed) is type(default)
 
 
 def _experiment_config(tmp_path, corpus_csv, **overrides):

@@ -33,7 +33,7 @@ def fit(spec, n_trees=5, rf_params=None, seed=0):
     X, y = toy_data(16, seed=1)
     Xv, yv = toy_data(5, seed=2)
     net, history = trained_net(spec, X, y, Xv, yv, seed=seed)
-    model = hybrid_fit(net, X, y, rf_params=rf_params, n_trees=n_trees)
+    model = hybrid_fit(net, X, y, params=rf_params, n_trees=n_trees)
     return model, history
 
 
@@ -86,7 +86,7 @@ class TestDeterminismAndDegeneracy:
         X, y = toy_data(16, seed=1)
         Xv, yv = toy_data(5, seed=2)
         net, _ = trained_net(CNN_SPEC, X, y, Xv, yv)
-        model = hybrid_fit(net, X, y, rf_params=params, n_trees=1)
+        model = hybrid_fit(net, X, y, params=params, n_trees=1)
         # Bootstrap is on by default, so compare against the head's own tree.
         feats = model.feature_net.features(X)
         assert np.array_equal(

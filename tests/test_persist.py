@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -100,6 +101,23 @@ def test_one_point_grid_is_fitted_once_as_params(tmp_path, monkeypatch, kind):
         persist.save_model(tmp_path / f"{name}.json", kind, fitted.model,
                            {"provider": "none"})
     assert (tmp_path / "grid.json").read_bytes() == (tmp_path / "params.json").read_bytes()
+
+
+def test_rf_without_tree_keys_fits_rf_tree_params_under_its_seed():
+    params = {"n_trees": 5, "bootstrap": False}
+    forest = kinds.fit("rf", train_data(), 7, {"grid": {}, "params": params}).model
+    assert forest.tree_params == dataclasses.replace(tabular.RF_TREE_PARAMS,
+                                                     seed=kinds.model_seed(7, "rf"))
+    assert (forest.trees.roots.size, forest.bootstrap) == (5, False)
+
+
+def test_hybrid_heads_are_rf_forests_under_their_seeds():
+    data, fitted = train_data(), {}
+    for kind in ("cnn_rf", "lstm_rf"):
+        head = kinds.fit(kind, data, 7, None, fitted).model.head
+        assert head.tree_params == dataclasses.replace(tabular.RF_TREE_PARAMS,
+                                                       seed=kinds.model_seed(7, kind))
+        assert (head.trees.roots.size, head.bootstrap) == (100, True)
 
 
 # A forest of two trees in format v2: node ids "<i8", thresholds and values "<f8".

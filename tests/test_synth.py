@@ -176,6 +176,13 @@ class TestOutputSites:
             'printf("%d", putchar(c));']
         assert sites(code).remove_output(np.random.default_rng(0)) == removed
 
+    def test_a_call_in_a_for_header_is_no_site(self):
+        code = ('int main(void){ for (printf("a"); i < 1; i++) x++; '
+                'for (i = 0; printf("b"); ) x++; for (;; putchar(c)) puts("c"); }')
+        assert [code[start:end] for start, end in sites(code).outputs] == ['puts("c");']
+        assert sites(code).remove_output(np.random.default_rng(0)) == code.replace(
+            'puts("c");', "")
+
     def test_a_call_without_its_own_semicolon_is_no_site(self):
         code = 'int main(void){ if (x) { printf("a") } y = 1; return 0; }'
         assert sites(code).outputs == ()
@@ -279,8 +286,8 @@ class TestLexOnce:
                      for path in (corpus, plans)) == self.HELDOUT_SHA256
 
 
-# Removing `printf("a");` moves the `10` into the `for` header, so the text between
-# the two faults offers a loop literal that its seed does not.
+# The header's `printf("a")` is no statement, so no fault removes it: each outcome
+# removes the loop body's output statement, then swaps an operator.
 LOOP_HEADER_SEED = """\
 #include <stdio.h>
 
@@ -296,20 +303,15 @@ int main(void)
 
 class TestTextBetweenTwoFaults:
     # Each outcome as the edits it makes to LOOP_HEADER_SEED, and the outcome of
-    # each rng seed 0-49, pinned at the version that lexed every text between two
-    # faults into tokens.
+    # each rng seed 0-49, pinned at the version that took only a call outside
+    # every `(` as an output statement.
     EDITS = [
-        {'printf("a");': "", "<stdio.h>": "<stdio.h<"},
-        {'printf("%d\\n", i);': "", "<stdio.h>": "<stdio.h<"},
-        {'printf("a");': "", "i < 10": "i < 11"},
-        {'printf("a");': "", "i < 10": "i < 9"},
-        {'printf("a");': "", "i < 10": "i > 10"},
         {'printf("%d\\n", i);': "", "i < 10": "i > 10"},
-        {'printf("a");': "", "#include <": "#include >"},
+        {'printf("%d\\n", i);': "", "<stdio.h>": "<stdio.h<"},
         {'printf("%d\\n", i);': "", "#include <": "#include >"},
     ]
-    OUTCOMES = [1, 2, 7, 7, 5, 5, 4, 1, 7, 2, 5, 3, 7, 5, 4, 5, 1, 5, 1, 1, 7, 0, 1, 0, 3,
-                7, 1, 6, 5, 7, 3, 5, 7, 1, 6, 3, 0, 4, 0, 1, 5, 5, 4, 1, 7, 1, 5, 4, 0, 3]
+    OUTCOMES = [0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 2, 1, 0, 2, 0, 1, 0, 0, 1, 0, 2, 0, 2, 1,
+                1, 0, 2, 1, 0, 2, 1, 0, 0, 2, 2, 1, 2, 2, 0, 1, 1, 2, 1, 0, 0, 1, 2, 2, 2]
 
     def edited(self, n):
         code = LOOP_HEADER_SEED
