@@ -291,13 +291,14 @@ class DenseHeadNet:
         name = self.INPUT_LAYER
         return np.zeros(self.params[name][self.trained_parts(X.grad_rows)[name]].shape)
 
-    def _by_batch(self, X, pick, batch: int = PREDICT_BATCH) -> np.ndarray:
+    def _by_batch(self, X, pick) -> np.ndarray:
         """pick(out, cache) of forward(training=False) over X, concatenated. It
-        runs `batch` rows at a time, so one batch's cache is alive at once; an
-        empty X runs one empty batch, which gives the output's shape."""
+        runs PREDICT_BATCH rows at a time, so one batch's cache is alive at once;
+        an empty X runs one empty batch, which gives the output's shape."""
         X = _checked_input(self, X)
-        return np.concatenate([pick(*self.forward(X[start : start + batch], training=False))
-                               for start in range(0, max(X.shape[0], 1), batch)])
+        return np.concatenate([
+            pick(*self.forward(X[start : start + PREDICT_BATCH], training=False))
+            for start in range(0, max(X.shape[0], 1), PREDICT_BATCH)])
 
     def features(self, X) -> np.ndarray:
         """The body's output, which the head reads (dropout off)."""
@@ -409,10 +410,15 @@ class LstmRegressor(DenseHeadNet):
             X = X.scaled(mask_x)  # the input dropout, once for every step
         else:
             mask_h = np.ones((batch, self.spec.units))
-        # Training keeps only the (h, c) entering each segment, from which the
-        # backward pass recomputes the segment's steps; inference keeps nothing,
-        # and a backward pass after it first recomputes those checkpoints.
-        h, checkpoints = self._run(X, mask_h, keep=training)
+        # Only the (h, c) entering each segment is kept, from which the backward
+        # pass recomputes the segment's steps.
+        state = (np.zeros((batch, self.spec.units)),) * 2
+        checkpoints = []
+        for segment in self._segments():
+            checkpoints.append(state)
+            for h, (*_, c) in self._steps(X, mask_h, state, segment):
+                pass
+            state = (h, c)
         pre2, h1 = self._head(h)
         cache = {"X": X,  # after the input dropout
                  "checkpoints": checkpoints, "features": h, "h1": h1, "pre2": pre2,
@@ -424,19 +430,6 @@ class LstmRegressor(DenseHeadNet):
         span = math.isqrt(self.seq_len)
         return [range(start, min(start + span, self.seq_len))
                 for start in range(0, self.seq_len, span)]
-
-    def _run(self, X, mask_h, keep: bool):
-        """Runs the recurrence over every step. Returns the final hidden state
-        and, if `keep`, the (h, c) entering each of `_segments` (else None)."""
-        state = (np.zeros((X.shape[0], self.spec.units)),) * 2
-        checkpoints = [] if keep else None
-        for segment in self._segments():
-            if keep:
-                checkpoints.append(state)
-            for h, (*_, c) in self._steps(X, mask_h, state, segment):
-                pass
-            state = (h, c)
-        return state[0], checkpoints
 
     def _steps(self, X, mask_h, state, segment):
         """Runs the recurrence over the steps of `segment` from `state`, the
@@ -467,8 +460,6 @@ class LstmRegressor(DenseHeadNet):
         p = self.params
         h_units = self.spec.units
         X, mask_h, checkpoints = cache["X"], cache["mask_h"], cache["checkpoints"]
-        if checkpoints is None:
-            _, checkpoints = self._run(X, mask_h, keep=True)
         pre2 = cache["pre2"][:, 0]
         grads = {"wx": self._input_grad(X), "wh": np.zeros_like(p["wh"]),
                  "b": np.zeros_like(p["b"])}
@@ -553,17 +544,6 @@ class Adam:
             param[self.parts[key]] -= update  # in place for a slice, written back for rows
 
 
-def _dataset_loss(model, X, y, batch_size: int) -> float:
-    # forward passes of batch_size rows, as in training: a row's output can
-    # differ in its last bits with the number of rows beside it in a product
-    pred = model._by_batch(X, lambda out, cache: out, batch_size)
-    total = 0.0
-    for start in range(0, y.shape[0], batch_size):
-        diff = pred[start : start + batch_size] - y[start : start + batch_size]
-        total += float(np.sum(diff * diff))
-    return total / y.shape[0]
-
-
 def _batch_grads(model, X, y, rng, epoch: int) -> dict:
     """The gradients of one batch's MSE. Its forward cache is freed on return,
     so only one batch's step arrays are alive at a time."""
@@ -599,8 +579,8 @@ def train(model, X_train, y_train, X_val, y_val, cfg: TrainConfig) -> TrainingHi
             # the gradients die with the step, before the next batch's forward pass
             adam.step(model.params,
                       _batch_grads(model, X_train[batch], y_train[batch], rng, epoch))
-        train_loss = _dataset_loss(model, X_train, y_train, cfg.batch_size)
-        val_loss = _dataset_loss(model, X_val, y_val, cfg.batch_size)
+        train_loss = mse_loss(model.predict(X_train), y_train)[0]
+        val_loss = mse_loss(model.predict(X_val), y_val)[0]
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         history.train_loss.append(train_loss)

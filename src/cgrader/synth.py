@@ -89,6 +89,7 @@ _RELATIONAL_SWAP = {
     "+": "-", "-": "+",
 }
 _OUTPUT_CALLS = {"printf", "puts", "putchar"}
+_CONTROL = {"if", "for", "while", "switch"}  # keywords whose `(...)` a statement follows
 
 
 class FaultSites:
@@ -107,24 +108,33 @@ class FaultSites:
         # its depth sits in a for/while header, that is, the `(` follows `for` or
         # `while` and no `;`, `{` or `}` has come since at that depth.
         headers: list[bool] = []
+        controls: list[bool] = []  # per unclosed `(`: it opens a _CONTROL header
         # The start of the output call whose statement has not ended. A statement
-        # lies outside every `(`, so only a call at depth 0 starts one; the next `;`
-        # at depth 0 ends it, and a `{` or `}` at depth 0 first drops it, for the
-        # statement then lacks its own `;`.
+        # lies outside every `(`, so only a call at depth 0 that is the first token
+        # of a statement starts one; the next `;` at depth 0 ends it, and a `{` or
+        # `}` at depth 0 first drops it, for the statement then lacks its own `;`.
         pending = None
         prev = None  # index of the last significant token
+        # A statement starts at the first significant token, and at the one after
+        # a `;`, `{`, `}`, `else`, `do` or a `)` that closes a _CONTROL header;
+        # `first` is the index of the latest such start.
+        first, opens = None, True
         for i, (kind, text) in enumerate(tokens):
+            closes_header = False
             if kind is TokenKind.PUNCTUATOR:
                 if text == "(":
                     before_kind, before_text = tokens[i if prev is None else prev]
-                    if (not headers and before_kind is TokenKind.IDENTIFIER
+                    if (not headers and prev == first
+                            and before_kind is TokenKind.IDENTIFIER
                             and before_text in _OUTPUT_CALLS):
                         pending = starts[prev]
-                    headers.append(before_kind is TokenKind.KEYWORD
-                                   and before_text in ("for", "while"))
+                    is_keyword = before_kind is TokenKind.KEYWORD
+                    headers.append(is_keyword and before_text in ("for", "while"))
+                    controls.append(is_keyword and before_text in _CONTROL)
                 elif text == ")":
                     if headers:
                         headers.pop()
+                        closes_header = controls.pop()
                     else:  # a `)` that closes no `(` ends no statement
                         pending = None
                 elif text in (";", "{", "}"):
@@ -146,6 +156,9 @@ class FaultSites:
                   and headers and headers[-1]):
                 logic.append((starts[i], starts[i + 1], int(text)))
             if kind not in INSIGNIFICANT:
+                if opens:
+                    first = i
+                opens = closes_header or text in (";", "{", "}", "else", "do")
                 prev = i
         self.code = code
         self.syntax = tuple(tuple(sites) for sites in (semis, braces, keywords) if sites)

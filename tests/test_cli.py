@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -320,6 +321,29 @@ def test_train_writes_the_experiments_model_file(experiment_run, kind):
                  "--max-epochs", str(SAME_RUN["max_epochs"]),
                  "--out", str(out), *grid]) == EXIT_OK
     assert out.read_bytes() == (experiment_run / "models" / f"{kind}.json").read_bytes()
+
+
+# sha256 of every output of `experiment_run` (x86-64, numpy 2.4, OpenBLAS). A
+# refactor that should keep each output byte leaves these unedited.
+EXPERIMENT_RUN_PINNED = {
+    "report.csv": "fc8a2e7354c0973733ceee54cec53b774d03f9bbe56e3e4907af8f4d9a73386a",
+    "curves.csv": "9854ec3dac9f16704f82c0f512124de5320da890b30862c4d7b4195cb265b763",
+    "models/rf.json": "fb77162961f1826e40c3ee3d30e6de01aea6357886370c75a24f38d1f0a70a3a",
+    "models/ridge.json": "7f728013ab218afb4b971fdc818bd78036e8d99952c3b1bf6e233caed9629602",
+    "models/gbt.json": "fd59c486df8a429620cfe9c1605e070e647ee662e4e30bc548db77182652deed",
+    "models/knn.json": "f76fcf48ec3d40a3d9d572192c3352e66245873433309d171bdcc89244508af0",
+    "models/cnn.json": "9dfdeb2496e81de37474bccdf604960d7ff3d460a3b14abfef9d2cbea3b8716f",
+    "models/lstm.json": "c8a05cef908ba84bae8413a300e37e2d61189adfd36ee5e815cdf2037ae4e040",
+    "models/cnn_rf.json": "3db06416921639f2f4ac1d8dab731b0dd2eafd0751a2fe864cb5a9c41db787f0",
+    "models/lstm_rf.json": "3336312ed5d84579940d859ee4d2cf91fa175d99c44892bf92429c35c8186c5a",
+}
+
+
+def test_experiment_run_outputs_match_their_pinned_digests(experiment_run):
+    outputs = ["report.csv", "curves.csv", *(f"models/{kind}.json" for kind in KINDS)]
+    digests = {name: hashlib.sha256((experiment_run / name).read_bytes()).hexdigest()
+               for name in outputs}
+    assert digests == EXPERIMENT_RUN_PINNED
 
 
 class TestGradeCommand:

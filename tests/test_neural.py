@@ -248,7 +248,7 @@ def full_cache_backward(model, cache, dout):
 
 
 class TestCheckpointedBackward:
-    """The training forward keeps (h, c) only where each segment of
+    """Every forward keeps (h, c) only where each segment of
     isqrt(seq_len) steps begins, and the backward pass recomputes one segment at
     a time; the gradients must be those of the full per-step cache, bit for bit."""
 
@@ -266,9 +266,7 @@ class TestCheckpointedBackward:
         X = tokens if inputs == "tokens" else dense_array(tokens)
         masks = model.sample_masks(5, rng) if forward == "masks" else None
         pred, cache = model.forward(X, training=masks is not None, masks=masks)
-        span = math.isqrt(seq_len)
-        if masks is not None:
-            assert len(cache["checkpoints"]) == -(-seq_len // span)
+        assert len(cache["checkpoints"]) == -(-seq_len // math.isqrt(seq_len))
         _, dpred = mse_loss(pred, rng.uniform(0, 10, 5))
         got = model.backward(cache, dpred)
         expected = full_cache_backward(model, cache, dpred)
@@ -467,18 +465,19 @@ class TestTrain:
         assert history.best_epoch == 1
         assert history.stopped_epoch == 2
 
-    def test_stopping_window_and_restoration(self):
-        model = toy_lstm(seed=1, dropout=0.2)
-        X, y = self.toy_data(16, seed=1)
-        Xv, yv = self.toy_data(6, seed=2)
-        cfg = TrainConfig(max_epochs=30, batch_size=4, learning_rate=0.05, patience=3,
+    @pytest.mark.parametrize("net", ["cnn", "lstm"])
+    def test_stopping_window_and_restoration(self, net):
+        # a batch size other than PREDICT_BATCH, and more validation rows than it
+        model = toy_cnn(seed=2) if net == "cnn" else toy_lstm(seed=2, dropout=0.2)
+        X, y = self.toy_data(90, seed=2)
+        Xv, yv = self.toy_data(70, seed=3)
+        cfg = TrainConfig(max_epochs=30, batch_size=5, learning_rate=0.05, patience=3,
                           seed=5)
         history = train(model, X, y, Xv, yv, cfg)
         assert history.stopped_epoch - history.best_epoch <= cfg.patience
         assert history.val_loss[history.best_epoch - 1] == min(history.val_loss)
         # Restored weights reproduce the recorded best loss exactly.
-        pred, _ = model.forward(Xv)
-        assert mse_loss(pred, yv)[0] == history.val_loss[history.best_epoch - 1]
+        assert mse_loss(model.predict(Xv), yv)[0] == history.val_loss[history.best_epoch - 1]
 
     def test_same_seed_identical_history(self):
         X, y = self.toy_data(10, seed=3)

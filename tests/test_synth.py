@@ -140,8 +140,9 @@ class TestRemoveOutput:
 
 
 class TestOutputSites:
-    """Each output site is one whole statement: an output call through the first
-    `;` at the call's depth, and never a call inside another call's arguments."""
+    """Each output site is one whole statement: an output call that starts a
+    statement, through the first `;` at the call's depth, and never a call inside
+    another call's arguments or an expression."""
 
     # Fragments that put output calls in, around and after other calls' arguments
     C_LIKE = st.lists(st.sampled_from(
@@ -182,6 +183,24 @@ class TestOutputSites:
         assert [code[start:end] for start, end in sites(code).outputs] == ['puts("c");']
         assert sites(code).remove_output(np.random.default_rng(0)) == code.replace(
             'puts("c");', "")
+
+    def test_a_call_after_a_control_header_else_or_do_is_a_site(self):
+        code = ('int main(void){ for (;;) puts("f"); if (x) puts("d"); else puts("g"); '
+                'do puts("e"); while (0); switch (x) putchar(c); }')
+        assert [code[start:end] for start, end in sites(code).outputs] == [
+            'puts("f");', 'puts("d");', 'puts("g");', 'puts("e");', 'putchar(c);']
+
+    @pytest.mark.parametrize("code", [
+        'int main(void){ int n = printf("a"); return n; }',
+        'int main(void){ return printf("a"); }',
+        'int main(void){ x = puts("b"); }',
+        'int main(void){ (void) puts("c"); }',
+        'int main(void){ y = x ? 0 : puts("h"); }',
+    ])
+    def test_a_call_inside_an_expression_is_no_site(self, code):
+        assert sites(code).outputs == ()
+        with pytest.raises(NotMutableError):
+            sites(code).remove_output(np.random.default_rng(0))
 
     def test_a_call_without_its_own_semicolon_is_no_site(self):
         code = 'int main(void){ if (x) { printf("a") } y = 1; return 0; }'
